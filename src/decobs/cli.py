@@ -28,7 +28,6 @@ from .graph import (
     build_observation_graph,
     decision_graph_to_observation,
     export_dot,
-    verify_d2o,
 )
 from .model import (
     BUILTIN_RULES,
@@ -40,7 +39,7 @@ from .model import (
     reduce_control,
     validate_problem,
 )
-from .morphism import extract_solution, find_morphism, verify_morphism
+from .morphism import extract_solution, find_morphism, verify_d2o, verify_morphism
 from .morphism import verify_solution as check_solution
 
 _SELECTOR = re.compile(r"^([a-z0-9_]+):(\d+)$")
@@ -65,15 +64,19 @@ def _load_problem(path: str) -> Problem:
         _fail(2, str(e))
 
 
-def _load_valid_observation(path: str) -> ObservationProblem:
-    problem = _load_problem(path)
-    if not isinstance(problem, ObservationProblem):
-        _fail(2, f"{path}: expected an observation problem (reduce control problems first)")
+def _require_valid(problem: Problem) -> None:
     report = validate_problem(problem)
     if not report.ok:
         for violation in report.violations:
             click.echo(f"invalid: {violation}", err=True)
         sys.exit(2)
+
+
+def _load_valid_observation(path: str) -> ObservationProblem:
+    problem = _load_problem(path)
+    if not isinstance(problem, ObservationProblem):
+        _fail(2, f"{path}: expected an observation problem (reduce control problems first)")
+    _require_valid(problem)
     return problem
 
 
@@ -128,11 +131,7 @@ def reduce(control_file, outdir, allow_uncontrollable):
     problem = _load_problem(control_file)
     if not isinstance(problem, ControlProblem):
         _fail(2, f"{control_file}: expected a control problem")
-    report = validate_problem(problem)
-    if not report.ok:
-        for violation in report.violations:
-            click.echo(f"invalid: {violation}", err=True)
-        sys.exit(2)
+    _require_valid(problem)
     try:
         family = reduce_control(problem, allow_uncontrollable=allow_uncontrollable)
     except ControllabilityViolation as e:
@@ -381,11 +380,7 @@ def _resolve_graph_source(source: str) -> ColoredGraph:
             problem = files.parse_problem(obj)
         except FileFormatError as e:
             _fail(2, str(e))
-        report = validate_problem(problem)
-        if not report.ok:
-            for violation in report.violations:
-                click.echo(f"invalid: {violation}", err=True)
-            sys.exit(2)
+        _require_valid(problem)
         return build_observation_graph(problem)
     if kind == "control":
         _fail(2, "control problems have no graph of their own; reduce first")

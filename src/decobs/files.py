@@ -51,6 +51,11 @@ def _require(cond: bool, message: str) -> None:
         raise FileFormatError(message)
 
 
+def _is_int(value: Any) -> bool:
+    """JSON integers only: ``true``/``false`` load as bool, a subclass of int."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _string_from(obj: Any, where: str) -> Str:
     _require(
         isinstance(obj, list) and all(isinstance(t, str) for t in obj),
@@ -104,7 +109,7 @@ def parse_problem(obj: Any) -> Problem:
         f"problem 'type' must be 'observation' or 'control', got {ptype!r}",
     )
     agents = obj.get("agents")
-    _require(isinstance(agents, int), "'agents' must be an integer")
+    _require(_is_int(agents), "'agents' must be an integer")
     alphabet = obj.get("alphabet")
     _require(
         isinstance(alphabet, list) and all(isinstance(t, str) for t in alphabet),
@@ -165,7 +170,7 @@ def parse_rule(obj: Any) -> FusionRule:
         f"rule files carry exactly the fields {sorted(_RULE_FIELDS)}, got {sorted(obj)}",
     )
     _require(obj["type"] == RULE_TYPE, f"rule 'type' must be {RULE_TYPE!r}")
-    _require(isinstance(obj["agents"], int), "'agents' must be an integer")
+    _require(_is_int(obj["agents"]), "'agents' must be an integer")
     decisions = obj["decisions"]
     _require(
         isinstance(decisions, list) and all(isinstance(d, str) for d in decisions),

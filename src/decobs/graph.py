@@ -3,8 +3,9 @@
 Both views share one representation: every node carries an n-entry signature
 (its observation tuple, or the decision tuple itself) and a binary colour.
 The colour of the edge between two nodes is the set of agent indices on which
-their signatures disagree; it is computed from the signatures on demand, with
-a materialised matrix cached for search.
+their signatures disagree; it is computed from the signatures on demand and
+never stored, since the morphism search and its checks work per agent label
+(see morphism.py).
 """
 
 from __future__ import annotations
@@ -63,14 +64,6 @@ class ColoredGraph:
     def edge_colour(self, u: int, v: int) -> AgentSet:
         su, sv = self.signatures[u], self.signatures[v]
         return frozenset(i for i in range(self.n) if su[i] != sv[i])
-
-    @cached_property
-    def edge_matrix(self) -> tuple[tuple[AgentSet, ...], ...]:
-        """All pairwise edge colours indexed [u][v]; the diagonal is empty."""
-        size = len(self.keys)
-        return tuple(
-            tuple(self.edge_colour(u, v) for v in range(size)) for u in range(size)
-        )
 
     @cached_property
     def key_index(self) -> dict[Hashable, int]:
@@ -221,30 +214,6 @@ def decision_graph_to_observation(rule: FusionRule, encoding: str = "unary") -> 
         P=observers,
     )
     return D2OResult(problem=problem, bijection=bijection, encoding=encoding)
-
-
-def verify_d2o(res: D2OResult, rule: FusionRule) -> bool:
-    """True iff the recorded bijection is a colour-preserving isomorphism
-    between the rule's decision graph and the problem's observation graph."""
-    decision_graph = build_decision_graph(rule)
-    observation_graph = build_observation_graph(res.problem)
-    forward = dict(res.bijection)
-    if len(forward) != len(res.bijection):
-        return False
-    if set(forward) != set(decision_graph.keys):
-        return False
-    strings = list(forward.values())
-    if len(set(strings)) != len(strings) or set(strings) != set(observation_graph.keys):
-        return False
-    to_node = observation_graph.key_index
-    image = [to_node[forward[k]] for k in decision_graph.keys]
-    for v in range(len(decision_graph)):
-        if decision_graph.colours[v] != observation_graph.colours[image[v]]:
-            return False
-    for u, v in decision_graph.pairs():
-        if decision_graph.edge_colour(u, v) != observation_graph.edge_colour(image[u], image[v]):
-            return False
-    return True
 
 
 def _node_label(g: ColoredGraph, idx: int) -> str:

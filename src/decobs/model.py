@@ -78,7 +78,7 @@ class ObservationTable:
     def _lookup(self) -> dict[Str, Label]:
         return dict(self.entries)
 
-    @property
+    @cached_property
     def domain(self) -> frozenset[Str]:
         return frozenset(self._lookup)
 

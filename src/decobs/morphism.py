@@ -20,7 +20,13 @@ from .errors import (
     InconsistentMorphism,
     SearchLimitExceeded,
 )
-from .graph import ColoredGraph, quotient_by_indistinguishability
+from .graph import (
+    ColoredGraph,
+    D2OResult,
+    build_decision_graph,
+    build_observation_graph,
+    quotient_by_indistinguishability,
+)
 from .model import (
     FusionRule,
     Label,
@@ -60,8 +66,13 @@ class Morphism:
 @dataclass(frozen=True)
 class MorphismReport:
     """Violations found when checking a node map against the morphism
-    conditions: nodes whose colour is not preserved, and node pairs whose
-    image edge colour is not contained in the source edge colour."""
+    conditions: nodes whose colour is not preserved, and node pairs that
+    share an agent's label but whose images differ in that agent's coordinate.
+
+    ``edge_violations`` holds one pair (first node with the label, offending
+    node) per offending node and agent, so it is empty exactly when every
+    image edge colour is contained in its source edge colour.
+    """
 
     node_violations: tuple[int, ...]
     edge_violations: tuple[tuple[int, int], ...]
@@ -71,8 +82,38 @@ class MorphismReport:
         return not self.node_violations and not self.edge_violations
 
 
+def _label_buckets(g: ColoredGraph) -> tuple[dict[Hashable, list[int]], ...]:
+    """Per agent i, each label l mapped to the nodes whose signature has
+    ``sig[i] == l``, in node order."""
+    buckets: tuple[dict[Hashable, list[int]], ...] = tuple({} for _ in range(g.n))
+    for v, sig in enumerate(g.signatures):
+        for i, label in enumerate(sig):
+            buckets[i].setdefault(label, []).append(v)
+    return buckets
+
+
+def _label_clashes(g: ColoredGraph, images: list[tuple]) -> tuple[tuple[int, int], ...]:
+    """The morphism condition on edges, one agent at a time.
+
+    ``dst_edge(f u, f v) ⊆ src_edge(u, v)`` holds for every pair exactly when,
+    for each agent i, the image coordinate ``images[v][i]`` is a function of
+    the label ``sig_v[i]``.  Returns (first node with the label, offending
+    node) for every node whose image coordinate differs from that of the
+    first node sharing its label, sorted.
+    """
+    clashes = set()
+    for i, buckets in enumerate(_label_buckets(g)):
+        for nodes in buckets.values():
+            first = nodes[0]
+            want = images[first][i]
+            clashes.update((first, u) for u in nodes[1:] if images[u][i] != want)
+    return tuple(sorted(clashes))
+
+
 def verify_morphism(m: Morphism) -> MorphismReport:
-    """Check both morphism conditions on every node and node pair."""
+    """Check both morphism conditions: every node keeps its colour, and for
+    each agent i, nodes sharing the label ``sig[i]`` have images sharing
+    coordinate i.  Runs in O(N·n) for N source nodes and n agents."""
     if m.source.n != m.target.n:
         raise ArityMismatch(
             f"source has {m.source.n} agents, target has {m.target.n}"
@@ -81,27 +122,57 @@ def verify_morphism(m: Morphism) -> MorphismReport:
     node_violations = tuple(
         v for v in range(len(src)) if src.colours[v] != tgt.colours[f[v]]
     )
-    edge_violations = tuple(
-        (u, v)
-        for u, v in src.pairs()
-        if not tgt.edge_colour(f[u], f[v]) <= src.edge_colour(u, v)
+    images = [tgt.signatures[t] for t in f]
+    return MorphismReport(node_violations, _label_clashes(src, images))
+
+
+def verify_d2o(res: D2OResult, rule: FusionRule) -> bool:
+    """True iff the recorded bijection is a colour-preserving isomorphism
+    between the rule's decision graph and the problem's observation graph:
+    node colours match, and for every agent the relation between decision
+    coordinate and observation label is a bijection (each side's buckets map
+    to one label of the other side)."""
+    decision_graph = build_decision_graph(rule)
+    observation_graph = build_observation_graph(res.problem)
+    forward = dict(res.bijection)
+    if len(forward) != len(res.bijection):
+        return False
+    if set(forward) != set(decision_graph.keys):
+        return False
+    strings = list(forward.values())
+    if len(set(strings)) != len(strings) or set(strings) != set(observation_graph.keys):
+        return False
+    to_node = observation_graph.key_index
+    image = [to_node[forward[k]] for k in decision_graph.keys]
+    for v in range(len(decision_graph)):
+        if decision_graph.colours[v] != observation_graph.colours[image[v]]:
+            return False
+    preimage = [0] * len(image)
+    for v, t in enumerate(image):
+        preimage[t] = v
+    return not _label_clashes(
+        decision_graph, [observation_graph.signatures[t] for t in image]
+    ) and not _label_clashes(
+        observation_graph, [decision_graph.signatures[v] for v in preimage]
     )
-    return MorphismReport(node_violations, edge_violations)
 
 
 def _search(src: ColoredGraph, dst: ColoredGraph, budget: int | None) -> list[int] | None:
     """Complete backtracking search for a morphism image of every src node.
 
-    Candidates are target nodes of equal colour; assigning a node prunes, for
-    every unassigned node, the targets whose edge colour to the new image is
-    not contained in the corresponding source edge colour (forward checking).
-    The next node is always the one with the fewest candidates, ties broken by
-    declaration order; candidate lists keep target declaration order, so the
-    search is deterministic.
+    Candidates are target nodes of equal colour.  The edge condition holds
+    exactly when, for each agent i, nodes sharing the label ``sig[i]`` map to
+    targets sharing coordinate i; so assigning ``v -> t`` prunes only the
+    unassigned nodes in the buckets ``(i, sig_v[i])``, keeping the targets
+    whose coordinate i equals ``t[i]`` (forward checking).  The next node is
+    always the one with the fewest candidates, ties broken by declaration
+    order; candidate lists keep target declaration order, so the search is
+    deterministic.  An explicit stack replaces recursion, so the search depth
+    is not limited; ``budget`` caps the candidates tried.
     """
     size = len(src)
-    src_edges = src.edge_matrix
-    dst_edges = dst.edge_matrix
+    buckets = _label_buckets(src)
+    dst_sigs = dst.signatures
     domains: list[list[int]] = [
         [t for t in range(len(dst)) if dst.colours[t] == src.colours[v]]
         for v in range(size)
@@ -109,39 +180,54 @@ def _search(src: ColoredGraph, dst: ColoredGraph, budget: int | None) -> list[in
     assignment = [-1] * size
     expansions = 0
 
-    def extend() -> bool:
-        nonlocal expansions
-        pending = [v for v in range(size) if assignment[v] < 0]
-        if not pending:
-            return True
-        v = min(pending, key=lambda u: (len(domains[u]), u))
-        rest = [u for u in pending if u != v]
-        for t in domains[v]:
-            expansions += 1
-            if budget is not None and expansions > budget:
-                raise SearchLimitExceeded(
-                    f"morphism search exceeded {budget} node expansions"
-                )
-            assignment[v] = t
-            shrunk: dict[int, list[int]] = {}
-            dead = False
-            for u in rest:
-                allowed = src_edges[v][u]
-                kept = [t2 for t2 in domains[u] if dst_edges[t][t2] <= allowed]
-                if len(kept) != len(domains[u]):
-                    shrunk[u] = domains[u]
+    def prune(v: int, t: int, trail: dict[int, list[int]]) -> bool:
+        """Narrow every unassigned node sharing a label with v to the targets
+        agreeing with t on that agent, recording replaced domains in trail;
+        False as soon as a domain empties."""
+        for i, label in enumerate(src.signatures[v]):
+            want = dst_sigs[t][i]
+            for u in buckets[i][label]:
+                if assignment[u] >= 0:
+                    continue
+                old = domains[u]
+                kept = [t2 for t2 in old if dst_sigs[t2][i] == want]
+                if len(kept) != len(old):
+                    trail.setdefault(u, old)
                     domains[u] = kept
                 if not kept:
-                    dead = True
-                    break
-            if not dead and extend():
-                return True
-            assignment[v] = -1
-            for u, old in shrunk.items():
-                domains[u] = old
-        return False
+                    return False
+        return True
 
-    return assignment if extend() else None
+    # One frame per assigned node: [node, its candidates, next candidate
+    # position, the domains its current candidate replaced].
+    stack: list[list] = []
+    descend = True
+    while True:
+        if descend:
+            pending = [u for u in range(size) if assignment[u] < 0]
+            if not pending:
+                return assignment
+            v = min(pending, key=lambda u: (len(domains[u]), u))
+            stack.append([v, domains[v], 0, {}])
+        frame = stack[-1]
+        v, candidates, pos, trail = frame
+        for u, old in trail.items():
+            domains[u] = old
+        trail.clear()
+        if pos == len(candidates):
+            assignment[v] = -1
+            stack.pop()
+            if not stack:
+                return None
+            descend = False
+            continue
+        frame[2] = pos + 1
+        expansions += 1
+        if budget is not None and expansions > budget:
+            raise SearchLimitExceeded(f"morphism search exceeded {budget} node expansions")
+        t = candidates[pos]
+        assignment[v] = t
+        descend = prune(v, t, trail)
 
 
 def find_morphism(

@@ -2,7 +2,7 @@
 
 import random
 
-from decobs import ColoredGraph
+from decobs import ColoredGraph, SearchLimitExceeded
 
 
 def random_colored_graph(rng: random.Random, max_nodes: int = 8, max_agents: int = 3) -> ColoredGraph:
@@ -35,12 +35,68 @@ def brute_force_morphism_exists(src: ColoredGraph, dst: ColoredGraph) -> bool:
         for v in range(len(src)):
             if src.colours[v] != dst.colours[mapping[v]]:
                 return False
-        for u in range(len(src)):
-            for v in range(u + 1, len(src)):
-                if not dst.edge_colour(mapping[u], mapping[v]) <= src.edge_colour(u, v):
-                    return False
-        return True
+        return pairwise_edge_ok(src, dst, mapping)
 
     import itertools
 
     return any(ok(m) for m in itertools.product(range(len(dst)), repeat=len(src)))
+
+
+def pairwise_edge_ok(src: ColoredGraph, dst: ColoredGraph, mapping) -> bool:
+    """The edge condition straight from its definition, over every node pair:
+    no image edge colour adds an agent to its source edge colour."""
+    return all(
+        dst.edge_colour(mapping[u], mapping[v]) <= src.edge_colour(u, v)
+        for u, v in src.pairs()
+    )
+
+
+def pairwise_search(src: ColoredGraph, dst: ColoredGraph, budget: int | None) -> list[int] | None:
+    """Reference for the library's search: forward checking over every
+    (node, node) pair with the full matrix of edge colours, recursive.
+
+    Same candidate order and variable choice (fewest candidates, ties to the
+    lower index) as the library, so it must return the same assignment and
+    exceed the same budgets.
+    """
+    size = len(src)
+    src_edges = [[src.edge_colour(u, v) for v in range(size)] for u in range(size)]
+    dst_edges = [[dst.edge_colour(t, t2) for t2 in range(len(dst))] for t in range(len(dst))]
+    domains = [
+        [t for t in range(len(dst)) if dst.colours[t] == src.colours[v]]
+        for v in range(size)
+    ]
+    assignment = [-1] * size
+    expansions = 0
+
+    def extend() -> bool:
+        nonlocal expansions
+        pending = [v for v in range(size) if assignment[v] < 0]
+        if not pending:
+            return True
+        v = min(pending, key=lambda u: (len(domains[u]), u))
+        rest = [u for u in pending if u != v]
+        for t in domains[v]:
+            expansions += 1
+            if budget is not None and expansions > budget:
+                raise SearchLimitExceeded(f"morphism search exceeded {budget} node expansions")
+            assignment[v] = t
+            shrunk = {}
+            dead = False
+            for u in rest:
+                allowed = src_edges[v][u]
+                kept = [t2 for t2 in domains[u] if dst_edges[t][t2] <= allowed]
+                if len(kept) != len(domains[u]):
+                    shrunk[u] = domains[u]
+                    domains[u] = kept
+                if not kept:
+                    dead = True
+                    break
+            if not dead and extend():
+                return True
+            assignment[v] = -1
+            for u, old in shrunk.items():
+                domains[u] = old
+        return False
+
+    return assignment if extend() else None

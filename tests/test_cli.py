@@ -1,4 +1,6 @@
+import itertools
 import json
+import random
 
 import pytest
 from click.testing import CliRunner
@@ -207,6 +209,41 @@ class TestCheckAndSolve:
         assert not (tmp_path / "s.json").exists()
 
 
+    def test_solve_past_the_old_recursion_depth(self, runner, tmp_path):
+        # 1,250 quotient classes: each agent sees its own two tokens, and a
+        # string is legal when every agent's view passes a local test, so the
+        # problem is solvable under the conjunctive rule.
+        tokens = (("a", "b"), ("c", "d"), ("e", "f"))
+        views = [
+            [tuple(w) for k in range(4) for w in itertools.product(pair, repeat=k)]
+            for pair in tokens
+        ]
+        tuples = random.Random(0).sample(list(itertools.product(*views)), 1250)
+        strings = [[t for view in views_of for t in view] for views_of in tuples]
+        legal = [all((len(v) + i) % 3 for i, v in enumerate(views_of)) for views_of in tuples]
+        obj = {
+            "type": "observation",
+            "agents": 3,
+            "alphabet": [t for pair in tokens for t in pair],
+            "L": strings,
+            "K": [s for s, ok in zip(strings, legal) if ok],
+            "observations": [{"kind": "projection", "observable": list(p)} for p in tokens],
+        }
+        problem = tmp_path / "deep.json"
+        files.dump_json(obj, problem)
+        assert len(set(map(tuple, strings))) == 1250
+        solution = tmp_path / "deep.sol.json"
+        result = runner.invoke(
+            main, ["solve", str(problem), "--rule", "conjunctive:3", "-o", str(solution)]
+        )
+        assert result.exit_code == 0, result.output
+        verify = runner.invoke(
+            main, ["verify-solution", str(problem), str(solution), "--rule", "conjunctive:3"]
+        )
+        assert verify.exit_code == 0
+        assert "verified" in verify.output
+
+
 class TestCompareCommand:
     def test_incomparable(self, runner):
         result = runner.invoke(main, ["compare", "conjunctive:2", "disjunctive:2"])
@@ -318,6 +355,34 @@ class TestGraphCommand:
     def test_control_file_is_rejected(self, runner, control_file):
         result = runner.invoke(main, ["graph", str(control_file)])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {
+                "type": "observation",
+                "agents": True,
+                "alphabet": ["a"],
+                "L": [["a"]],
+                "K": [["a"]],
+                "observations": [{"kind": "projection", "observable": ["a"]}],
+            },
+            {
+                "type": "fusion_rule",
+                "agents": True,
+                "decisions": ["0", "1"],
+                "domain": [["0"], ["1"]],
+                "output": [0, 1],
+            },
+        ],
+        ids=["problem", "rule"],
+    )
+    def test_boolean_agent_count_is_rejected(self, runner, tmp_path, obj):
+        path = tmp_path / "bool.json"
+        files.dump_json(obj, path)
+        result = runner.invoke(main, ["graph", str(path)])
+        assert result.exit_code == 2
+        assert "'agents' must be an integer" in result.output
 
 
 class TestDeterminism:

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 
 import pytest
@@ -109,16 +110,6 @@ class TestDecisionGraph:
 
 
 class TestColoredGraph:
-    def test_edge_matrix_symmetric_with_empty_diagonal(self):
-        rng = random.Random(7)
-        for _ in range(20):
-            g = random_colored_graph(rng)
-            m = g.edge_matrix
-            for u in range(len(g)):
-                assert m[u][u] == frozenset()
-                for v in range(len(g)):
-                    assert m[u][v] == m[v][u]
-
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(ValueError):
             ColoredGraph(n=1, keys=(0,), signatures=(), colours=(0,))
@@ -248,6 +239,39 @@ class TestD2O:
             encoding=res.encoding,
         )
         assert not verify_d2o(swapped, rule)
+
+    @pytest.mark.parametrize("encoding", ["tagged", "unary"])
+    def test_verify_matches_pairwise_edge_colours_on_perturbed_bijections(self, encoding):
+        rng = random.Random(5)
+        seen = {True: 0, False: 0}
+        for name in BUILTIN_RULES:
+            for n in (1, 2, 3):
+                rule = builtin_rule(name, n)
+                res = decision_graph_to_observation(rule, encoding)
+                combos = [combo for combo, _ in res.bijection]
+                dg = build_decision_graph(rule)
+                # Blinding agent 1 merges its labels, which only the check
+                # from the observation side back to the decisions can see.
+                blinded = dataclasses.replace(
+                    res.problem, P=(Projection(frozenset()),) + res.problem.P[1:]
+                )
+                for swaps, problem in itertools.product(range(4), (res.problem, blinded)):
+                    strings = [s for _, s in res.bijection]
+                    for _ in range(swaps):
+                        a, b = rng.randrange(len(strings)), rng.randrange(len(strings))
+                        strings[a], strings[b] = strings[b], strings[a]
+                    perturbed = D2OResult(problem, tuple(zip(combos, strings)), encoding)
+                    og = build_observation_graph(problem)
+                    image = [og.key_index[s] for s in strings]
+                    expected = all(
+                        dg.colours[v] == og.colours[image[v]] for v in range(len(dg))
+                    ) and all(
+                        dg.edge_colour(u, v) == og.edge_colour(image[u], image[v])
+                        for u, v in dg.pairs()
+                    )
+                    assert verify_d2o(perturbed, rule) == expected
+                    seen[expected] += 1
+        assert seen[True] > 0 and seen[False] > 0
 
 
 class TestExportDot:

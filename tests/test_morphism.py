@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from decobs import (
     ArityMismatch,
+    BUILTIN_RULES,
     BudgetExceeded,
     ColoredGraph,
     GraphMismatch,
@@ -25,7 +26,13 @@ from decobs import (
     verify_morphism,
     verify_solution,
 )
-from helpers import brute_force_morphism_exists, random_colored_graph
+from decobs.morphism import _search
+from helpers import (
+    brute_force_morphism_exists,
+    pairwise_edge_ok,
+    pairwise_search,
+    random_colored_graph,
+)
 
 
 def explicit_morphism(source, target, pairs):
@@ -411,3 +418,86 @@ def test_found_morphisms_always_verify(pair):
         assert verify_morphism(found).ok
         again = find_morphism(src, dst)
         assert again.mapping == found.mapping
+
+
+def _same_arity_pairs(rng, count, max_nodes):
+    pairs = []
+    while len(pairs) < count:
+        src = random_colored_graph(rng, max_nodes=max_nodes)
+        dst = random_colored_graph(rng, max_nodes=max_nodes)
+        if src.n == dst.n:
+            pairs.append((src, dst))
+    return pairs
+
+
+def _expansions_needed(search, src, dst) -> int:
+    """Smallest budget under which ``search`` finishes (finding a morphism or
+    proving there is none) rather than raising SearchLimitExceeded."""
+
+    def finishes(budget):
+        try:
+            search(src, dst, budget)
+        except SearchLimitExceeded:
+            return False
+        return True
+
+    if finishes(0):
+        return 0
+    low, high = 0, 1
+    while not finishes(high):
+        low, high = high, high * 2
+    while high - low > 1:
+        mid = (low + high) // 2
+        if finishes(mid):
+            high = mid
+        else:
+            low = mid
+    return high
+
+
+def _builtin_graph_pairs(max_n):
+    for n in range(1, max_n + 1):
+        graphs = [build_decision_graph(builtin_rule(name, n)) for name in BUILTIN_RULES]
+        for src in graphs:
+            for dst in graphs:
+                yield src, dst
+
+
+class TestAgainstPairwiseReference:
+    """The per-agent label search and checks against the pairwise definition."""
+
+    def test_search_matches_on_random_graphs(self):
+        rng = random.Random(2024)
+        for src, dst in _same_arity_pairs(rng, 300, max_nodes=9):
+            assert _search(src, dst, None) == pairwise_search(src, dst, None)
+            assert _expansions_needed(_search, src, dst) == _expansions_needed(
+                pairwise_search, src, dst
+            )
+
+    def test_search_matches_on_builtin_decision_graphs(self):
+        for src, dst in _builtin_graph_pairs(4):
+            assert _search(src, dst, None) == pairwise_search(src, dst, None)
+            assert _expansions_needed(_search, src, dst) == _expansions_needed(
+                pairwise_search, src, dst
+            )
+
+    def test_verify_morphism_matches_pairwise_definition(self):
+        rng = random.Random(31)
+        seen = {True: 0, False: 0}
+        for src, dst in _same_arity_pairs(rng, 400, max_nodes=8):
+            maps = [tuple(rng.randrange(len(dst)) for _ in range(len(src))) for _ in range(3)]
+            found = find_morphism(src, dst)
+            if found is not None:
+                maps.append(found.mapping)
+            for mapping in maps:
+                report = verify_morphism(Morphism(src, dst, mapping))
+                edges_ok = pairwise_edge_ok(src, dst, mapping)
+                colours_ok = all(
+                    src.colours[v] == dst.colours[mapping[v]] for v in range(len(src))
+                )
+                assert (report.edge_violations == ()) == edges_ok
+                assert report.ok == (edges_ok and colours_ok)
+                seen[report.ok] += 1
+                for u, v in report.edge_violations:
+                    assert not dst.edge_colour(mapping[u], mapping[v]) <= src.edge_colour(u, v)
+        assert seen[False] > seen[True] > 0
