@@ -1,8 +1,11 @@
 """Command line front end.
 
 Exit codes: 0 for a positive analysis result, 1 for a negative one
-(unsolvable, controllability violation, bad solution), 2 for invalid input,
-3 when a search or enumeration budget was exhausted.
+(unsolvable, controllability violation, bad solution), 2 for invalid input
+(including files that cannot be read or written, and witnesses whose node
+keys are ambiguous), 3 when a search budget was exhausted, 4 for an internal
+error.  Commands raise library exceptions; ``_Main.invoke`` is the one place
+that turns them into exit codes.
 """
 
 from __future__ import annotations
@@ -39,10 +42,11 @@ from .model import (
     reduce_control,
     validate_problem,
 )
-from .morphism import extract_solution, find_morphism, verify_d2o, verify_morphism
+from .morphism import Morphism, extract_solution, find_morphism, verify_d2o, verify_morphism
 from .morphism import verify_solution as check_solution
 
 _SELECTOR = re.compile(r"^([a-z0-9_]+):(\d+)$")
+_BUDGET = click.IntRange(min=0)
 
 _PHRASES = {
     "equivalent": "equivalent",
@@ -57,13 +61,6 @@ def _fail(code: int, message: str):
     sys.exit(code)
 
 
-def _load_problem(path: str) -> Problem:
-    try:
-        return files.load_problem(path)
-    except (FileFormatError, OSError) as e:
-        _fail(2, str(e))
-
-
 def _require_valid(problem: Problem) -> None:
     report = validate_problem(problem)
     if not report.ok:
@@ -73,7 +70,7 @@ def _require_valid(problem: Problem) -> None:
 
 
 def _load_valid_observation(path: str) -> ObservationProblem:
-    problem = _load_problem(path)
+    problem = files.load_problem(path)
     if not isinstance(problem, ObservationProblem):
         _fail(2, f"{path}: expected an observation problem (reduce control problems first)")
     _require_valid(problem)
@@ -90,19 +87,50 @@ def _resolve_rule(spec: str) -> tuple[FusionRule, str]:
             _fail(2, str(e))
     path = Path(spec)
     if path.exists():
-        try:
-            return files.load_rule(path), path.stem
-        except (FileFormatError, OSError) as e:
-            _fail(2, str(e))
+        return files.load_rule(path), path.stem
     _fail(2, f"{spec!r} is neither a builtin rule (name:agents) nor a rule file")
 
 
-def _check_arity(problem: ObservationProblem, rule: FusionRule):
+def _problem_and_rule(problem_file: str, rule_spec: str) -> tuple[ObservationProblem, FusionRule]:
+    problem = _load_valid_observation(problem_file)
+    rule, _ = _resolve_rule(rule_spec)
     if problem.n != rule.n:
-        _fail(2, f"problem has {problem.n} agents, rule has {rule.n}")
+        raise ArityMismatch(f"problem has {problem.n} agents, rule has {rule.n}")
+    return problem, rule
 
 
-@click.group()
+def _solve_or_exit(
+    problem_file: str, rule_spec: str, budget: int | None
+) -> tuple[ObservationProblem, FusionRule, Morphism]:
+    """The morphism that solves the problem, or UNSOLVABLE and exit 1."""
+    problem, rule = _problem_and_rule(problem_file, rule_spec)
+    source = build_observation_graph(problem)
+    target = build_decision_graph(rule)
+    found = find_morphism(source, target, budget=budget)
+    if found is None:
+        click.echo("UNSOLVABLE")
+        sys.exit(1)
+    return problem, rule, found
+
+
+class _Main(click.Group):
+    """Maps the exceptions a command raises to the exit codes of the module
+    docstring.  Negative results exit on their own through ``sys.exit``."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (click.ClickException, click.exceptions.Exit, click.Abort):
+            raise  # click's own usage errors, --help and aborts
+        except SearchLimitExceeded as e:
+            _fail(3, str(e))
+        except (ArityMismatch, FileFormatError, OSError) as e:
+            _fail(2, str(e))
+        except Exception as e:
+            _fail(4, f"internal: {type(e).__name__}: {e}")
+
+
+@click.group(cls=_Main)
 def main():
     """Decide solvability of decentralized observation/control problems and
     compare fusion rules by searching for coloured-graph morphisms."""
@@ -112,7 +140,7 @@ def main():
 @click.argument("problem_file")
 def validate(problem_file):
     """Report every violated invariant of a problem file."""
-    problem = _load_problem(problem_file)
+    problem = files.load_problem(problem_file)
     report = validate_problem(problem)
     if report.ok:
         click.echo("valid")
@@ -128,7 +156,7 @@ def validate(problem_file):
 @click.option("--allow-uncontrollable", is_flag=True, help="Reduce even if controllability fails.")
 def reduce(control_file, outdir, allow_uncontrollable):
     """Split a control problem into per-event observation problem files."""
-    problem = _load_problem(control_file)
+    problem = files.load_problem(control_file)
     if not isinstance(problem, ControlProblem):
         _fail(2, f"{control_file}: expected a control problem")
     _require_valid(problem)
@@ -157,21 +185,10 @@ def reduce(control_file, outdir, allow_uncontrollable):
 @click.argument("problem_file")
 @click.option("--rule", "rule_spec", required=True, help="Builtin name:agents or a rule file.")
 @click.option("--witness", "witness_path", type=click.Path(), help="Write the morphism found.")
-@click.option("--budget", type=int, help="Node-expansion cap for the search.")
+@click.option("--budget", type=_BUDGET, help="Node-expansion cap for the search.")
 def check(problem_file, rule_spec, witness_path, budget):
     """Decide whether an observation problem is solvable under a rule."""
-    problem = _load_valid_observation(problem_file)
-    rule, _ = _resolve_rule(rule_spec)
-    _check_arity(problem, rule)
-    source = build_observation_graph(problem)
-    target = build_decision_graph(rule)
-    try:
-        found = find_morphism(source, target, budget=budget)
-    except SearchLimitExceeded as e:
-        _fail(3, str(e))
-    if found is None:
-        click.echo("UNSOLVABLE")
-        sys.exit(1)
+    _, _, found = _solve_or_exit(problem_file, rule_spec, budget)
     if not verify_morphism(found).ok:
         raise RuntimeError("found morphism failed verification")
     if witness_path:
@@ -185,21 +202,10 @@ def check(problem_file, rule_spec, witness_path, budget):
 @click.option("--rule", "rule_spec", required=True, help="Builtin name:agents or a rule file.")
 @click.option("-o", "--out", "solution_path", required=True, type=click.Path())
 @click.option("--witness", "witness_path", type=click.Path(), help="Write the morphism found.")
-@click.option("--budget", type=int, help="Node-expansion cap for the search.")
+@click.option("--budget", type=_BUDGET, help="Node-expansion cap for the search.")
 def solve(problem_file, rule_spec, solution_path, witness_path, budget):
     """Construct and write per-agent decision tables, if any exist."""
-    problem = _load_valid_observation(problem_file)
-    rule, _ = _resolve_rule(rule_spec)
-    _check_arity(problem, rule)
-    source = build_observation_graph(problem)
-    target = build_decision_graph(rule)
-    try:
-        found = find_morphism(source, target, budget=budget)
-    except SearchLimitExceeded as e:
-        _fail(3, str(e))
-    if found is None:
-        click.echo("UNSOLVABLE")
-        sys.exit(1)
+    problem, rule, found = _solve_or_exit(problem_file, rule_spec, budget)
     solution = extract_solution(found, problem, rule)
     if not check_solution(problem, solution, rule):
         raise RuntimeError("extracted solution failed verification")
@@ -217,13 +223,8 @@ def solve(problem_file, rule_spec, solution_path, witness_path, budget):
 @click.option("--rule", "rule_spec", required=True, help="Builtin name:agents or a rule file.")
 def verify_solution_cmd(problem_file, solution_file, rule_spec):
     """Re-check a solution file against a problem and a rule."""
-    problem = _load_valid_observation(problem_file)
-    rule, _ = _resolve_rule(rule_spec)
-    _check_arity(problem, rule)
-    try:
-        solution = files.load_solution(solution_file)
-    except (FileFormatError, OSError) as e:
-        _fail(2, str(e))
+    problem, rule = _problem_and_rule(problem_file, rule_spec)
+    solution = files.load_solution(solution_file)
     if check_solution(problem, solution, rule):
         click.echo("verified")
     else:
@@ -236,18 +237,13 @@ def verify_solution_cmd(problem_file, solution_file, rule_spec):
 @click.argument("rule_b")
 @click.option("--witness", "witness_prefix", help="Write found morphisms as PREFIX_fwd/bwd.json.")
 @click.option("--separating", "separating_prefix", help="Write separating problems when one exists.")
-@click.option("--budget", type=int, help="Node-expansion cap per search.")
+@click.option("--budget", type=_BUDGET, help="Node-expansion cap per search.")
 @click.option("-o", "--out", "out_path", type=click.Path(), help="Write the verdict as JSON.")
 def compare_cmd(rule_a, rule_b, witness_prefix, separating_prefix, budget, out_path):
     """Compare the permissiveness of two fusion rules."""
     first, _ = _resolve_rule(rule_a)
     second, _ = _resolve_rule(rule_b)
-    try:
-        verdict = run_compare(first, second, budget=budget)
-    except ArityMismatch as e:
-        _fail(2, str(e))
-    except SearchLimitExceeded as e:
-        _fail(3, str(e))
+    verdict = run_compare(first, second, budget=budget)
     click.echo(_PHRASES[verdict.relation])
     if witness_prefix:
         for tag, witness in (("fwd", verdict.witness_fwd), ("bwd", verdict.witness_bwd)):
@@ -282,19 +278,14 @@ def compare_cmd(rule_a, rule_b, witness_prefix, separating_prefix, budget, out_p
 
 @main.command()
 @click.argument("rule_specs", nargs=-1, required=True)
-@click.option("--budget", type=int, help="Node-expansion cap per search.")
+@click.option("--budget", type=_BUDGET, help="Node-expansion cap per search.")
 @click.option("-o", "--out", "out_path", type=click.Path(), help="Write the matrix as JSON.")
 def poset(rule_specs, budget, out_path):
     """Pairwise permissiveness matrix and Hasse diagram for several rules."""
     resolved = [_resolve_rule(spec) for spec in rule_specs]
     rules = [rule for rule, _ in resolved]
     labels = [label for _, label in resolved]
-    try:
-        matrix = relation_matrix(rules, budget=budget)
-    except ArityMismatch as e:
-        _fail(2, str(e))
-    except SearchLimitExceeded as e:
-        _fail(3, str(e))
+    matrix = relation_matrix(rules, budget=budget)
     for i in range(len(rules)):
         for j in range(i + 1, len(rules)):
             click.echo(f"{labels[i]} vs {labels[j]}: {_PHRASES[matrix.verdicts[i][j].relation]}")
@@ -365,21 +356,12 @@ def _resolve_graph_source(source: str) -> ColoredGraph:
     path = Path(source)
     if not path.exists():
         _fail(2, f"{source!r} is neither a builtin rule (name:agents) nor a file")
-    try:
-        obj = files.read_json(path)
-    except FileFormatError as e:
-        _fail(2, str(e))
+    obj = files.read_json(path)
     kind = obj.get("type") if isinstance(obj, dict) else None
     if kind == files.RULE_TYPE:
-        try:
-            return build_decision_graph(files.parse_rule(obj))
-        except FileFormatError as e:
-            _fail(2, str(e))
+        return build_decision_graph(files.parse_rule(obj))
     if kind == "observation":
-        try:
-            problem = files.parse_problem(obj)
-        except FileFormatError as e:
-            _fail(2, str(e))
+        problem = files.parse_problem(obj)
         _require_valid(problem)
         return build_observation_graph(problem)
     if kind == "control":

@@ -45,13 +45,7 @@ def compare(
     first: FusionRule, second: FusionRule, budget: int | None = None
 ) -> PermissivenessVerdict:
     """Compare the classes of problems solvable under two rules."""
-    if first.n != second.n:
-        raise ArityMismatch(f"first rule has {first.n} agents, second has {second.n}")
-    graph_first = build_decision_graph(first)
-    graph_second = build_decision_graph(second)
-    fwd = find_morphism(graph_first, graph_second, budget=budget)
-    bwd = find_morphism(graph_second, graph_first, budget=budget)
-    return PermissivenessVerdict(_relation(fwd is not None, bwd is not None), fwd, bwd)
+    return relation_matrix((first, second), budget).verdicts[0][1]
 
 
 def separating_problem(
@@ -92,17 +86,30 @@ class RelationMatrix:
 
 
 def relation_matrix(rules, budget: int | None = None) -> RelationMatrix:
-    """Compare every ordered pair of rules and summarise the preorder."""
+    """Compare every ordered pair of rules and summarise the preorder.
+
+    The searches run row by row, so for two rules the forward search runs
+    before the backward one.  The diagonal needs no search: its witnesses
+    are identity maps.
+    """
     rules = tuple(rules)
     if not rules:
         raise ValueError("at least one rule is required")
-    for r in rules[1:]:
+    for k, r in enumerate(rules[1:], start=2):
         if r.n != rules[0].n:
-            raise ArityMismatch("all rules must share one agent count")
+            raise ArityMismatch(
+                f"all rules must share one agent count: rule 1 has {rules[0].n} "
+                f"agents, rule {k} has {r.n}"
+            )
     graphs = [build_decision_graph(r) for r in rules]
     size = len(rules)
     witnesses = [
-        [find_morphism(graphs[i], graphs[j], budget=budget) for j in range(size)]
+        [
+            Morphism(graphs[i], graphs[i], range(len(graphs[i])))
+            if i == j
+            else find_morphism(graphs[i], graphs[j], budget=budget)
+            for j in range(size)
+        ]
         for i in range(size)
     ]
     verdicts = tuple(

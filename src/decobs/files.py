@@ -42,7 +42,7 @@ def to_json(obj: Any) -> str:
 def read_json(path: str | Path) -> Any:
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # bad JSON or UTF-8, or nesting too deep
         raise FileFormatError(f"{path}: not valid JSON ({e})") from None
 
 
@@ -187,7 +187,7 @@ def parse_rule(obj: Any) -> FusionRule:
         combos.append(tuple(combo))
     output = obj["output"]
     _require(
-        isinstance(output, list) and all(o in (0, 1) for o in output),
+        isinstance(output, list) and all(_is_int(o) and o in (0, 1) for o in output),
         "'output' must be an array of 0/1 parallel to the domain",
     )
     try:
@@ -277,8 +277,9 @@ def _label_to(label: Any) -> Any:
     return list(label) if isinstance(label, tuple) else label
 
 
-def _label_from(raw: Any) -> Any:
-    return tuple(raw) if isinstance(raw, list) else raw
+def _label_from(raw: Any, where: str) -> Any:
+    """Table labels are text; projection labels are strings."""
+    return raw if isinstance(raw, str) else _string_from(raw, where)
 
 
 def solution_to_obj(sol: Solution) -> list:
@@ -303,7 +304,7 @@ def parse_solution(obj: Any) -> Solution:
                 f"tables[{i}] entries must be [label, decision] pairs",
             )
             _require(isinstance(pair[1], str), f"tables[{i}]: decisions must be text")
-            entries[_label_from(pair[0])] = pair[1]
+            entries[_label_from(pair[0], f"tables[{i}] label")] = pair[1]
         parsed.append(entries)
     return Solution(tuple(parsed))
 

@@ -97,8 +97,31 @@ def observe(fn: ObservationFunction, s: Str) -> Label:
     return fn.observe(tuple(s))
 
 
+class _ProblemFields:
+    """Normalisation and cached sets of the fields both problem classes
+    share: alphabet, L, K and P."""
+
+    def __post_init__(self):
+        object.__setattr__(self, "alphabet", _unique(self.alphabet))
+        object.__setattr__(self, "L", _unique(tuple(s) for s in self.L))
+        object.__setattr__(self, "K", _unique(tuple(s) for s in self.K))
+        object.__setattr__(self, "P", tuple(self.P))
+
+    @cached_property
+    def L_set(self) -> frozenset[Str]:
+        return frozenset(self.L)
+
+    @cached_property
+    def K_set(self) -> frozenset[Str]:
+        return frozenset(self.K)
+
+    @cached_property
+    def alphabet_set(self) -> frozenset[Token]:
+        return frozenset(self.alphabet)
+
+
 @dataclass(frozen=True)
-class ObservationProblem:
+class ObservationProblem(_ProblemFields):
     """Finite languages K ⊆ L over an alphabet, with one observation function
     per agent.  Construct local decision tables and fuse them so that every
     string of K fuses to 1 and every string of L−K fuses to 0."""
@@ -109,27 +132,9 @@ class ObservationProblem:
     K: tuple[Str, ...]
     P: tuple[ObservationFunction, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "alphabet", _unique(self.alphabet))
-        object.__setattr__(self, "L", _unique(tuple(s) for s in self.L))
-        object.__setattr__(self, "K", _unique(tuple(s) for s in self.K))
-        object.__setattr__(self, "P", tuple(self.P))
-
-    @cached_property
-    def L_set(self) -> frozenset[Str]:
-        return frozenset(self.L)
-
-    @cached_property
-    def K_set(self) -> frozenset[Str]:
-        return frozenset(self.K)
-
-    @cached_property
-    def alphabet_set(self) -> frozenset[Token]:
-        return frozenset(self.alphabet)
-
 
 @dataclass(frozen=True)
-class ControlProblem:
+class ControlProblem(_ProblemFields):
     """Observation problem data plus per-agent controllable alphabets."""
 
     n: int
@@ -140,23 +145,8 @@ class ControlProblem:
     P: tuple[ObservationFunction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "alphabet", _unique(self.alphabet))
+        super().__post_init__()
         object.__setattr__(self, "controllable", tuple(frozenset(c) for c in self.controllable))
-        object.__setattr__(self, "L", _unique(tuple(s) for s in self.L))
-        object.__setattr__(self, "K", _unique(tuple(s) for s in self.K))
-        object.__setattr__(self, "P", tuple(self.P))
-
-    @cached_property
-    def L_set(self) -> frozenset[Str]:
-        return frozenset(self.L)
-
-    @cached_property
-    def K_set(self) -> frozenset[Str]:
-        return frozenset(self.K)
-
-    @cached_property
-    def alphabet_set(self) -> frozenset[Token]:
-        return frozenset(self.alphabet)
 
     @cached_property
     def sigma_c(self) -> tuple[Token, ...]:

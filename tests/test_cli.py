@@ -1,11 +1,19 @@
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import decobs
 from decobs import (
+    MorphismReport,
     build_decision_graph,
     build_observation_graph,
     builtin_rule,
@@ -415,3 +423,220 @@ class TestDeterminism:
             runner.invoke(main, ["graph", str(ex1_file), "--dot", str(dot)])
             outputs.append(dot.read_bytes())
         assert outputs[0] == outputs[1]
+
+
+def _ambiguous_problem() -> dict:
+    """Solvable, but the strings `a b` and `ab` share the witness key "ab"."""
+    return {
+        "type": "observation",
+        "agents": 1,
+        "alphabet": ["a", "b", "ab"],
+        "L": [["a", "b"], ["ab"]],
+        "K": [["ab"]],
+        "observations": [{"kind": "projection", "observable": ["a", "b", "ab"]}],
+    }
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("command", [None, *main.commands])
+    def test_help_exits_0(self, runner, command):
+        result = runner.invoke(main, [command, "--help"] if command else ["--help"])
+        assert result.exit_code == 0, result.output
+        assert "Usage:" in result.output
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["check", "{problem}", "--rule", "conjunctive:2", "--witness", "{out}"],
+            ["solve", "{problem}", "--rule", "conjunctive:2", "-o", "{out}"],
+            ["compare", "cpda:2", "conjunctive:2", "-o", "{out}"],
+            ["poset", "cpda:2", "conjunctive:2", "-o", "{out}"],
+            ["d2o", "conjunctive:2", "-o", "{out}"],
+        ],
+        ids=lambda args: args[0],
+    )
+    def test_unwritable_output_exits_2(self, runner, ex1_file, tmp_path, args):
+        out = tmp_path / "missing" / "out.json"
+        args = [a.format(problem=ex1_file, out=out) for a in args]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert "error: " in result.output and "No such file or directory" in result.output
+
+    def test_ambiguous_witness_keys_exit_2_and_write_nothing(self, runner, tmp_path):
+        problem = tmp_path / "amb.json"
+        files.dump_json(_ambiguous_problem(), problem)
+        witness = tmp_path / "w.json"
+        result = runner.invoke(
+            main, ["check", str(problem), "--rule", "conjunctive:1", "--witness", str(witness)]
+        )
+        assert result.exit_code == 2, result.output
+        assert "node keys are ambiguous" in result.output
+        assert "SOLVABLE" not in result.output
+        assert not witness.exists()
+
+    def test_internal_failure_exits_4(self, runner, ex1_file, monkeypatch):
+        monkeypatch.setattr(
+            "decobs.cli.verify_morphism", lambda m: MorphismReport((0,), ())
+        )
+        result = runner.invoke(main, ["check", str(ex1_file), "--rule", "conjunctive:2"])
+        assert result.exit_code == 4
+        assert "error: internal: RuntimeError: found morphism failed verification" in result.output
+        assert "SOLVABLE" not in result.output
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["check", "{problem}", "--rule", "conjunctive:2"],
+            ["solve", "{problem}", "--rule", "conjunctive:2", "-o", "{out}"],
+            ["compare", "cpda:2", "conjunctive:2"],
+            ["poset", "cpda:2", "conjunctive:2"],
+        ],
+        ids=lambda args: args[0],
+    )
+    def test_negative_budget_exits_2(self, runner, ex1_file, tmp_path, args):
+        args = [a.format(problem=ex1_file, out=tmp_path / "s.json") for a in args]
+        result = runner.invoke(main, [*args, "--budget", "-1"])
+        assert result.exit_code == 2, result.output
+        assert "exceeded" not in result.output
+
+    @pytest.mark.parametrize("label", [{"x": 1}, [["b"]]], ids=["object", "nested-array"])
+    def test_malformed_solution_label_exits_2(self, runner, ex1_file, tmp_path, label):
+        solution = tmp_path / "sol.json"
+        files.dump_json([[[label, "0"]], [[["b"], "1"]]], solution)
+        result = runner.invoke(
+            main, ["verify-solution", str(ex1_file), str(solution), "--rule", "conjunctive:2"]
+        )
+        assert result.exit_code == 2, result.output
+        assert "error: tables[0] label" in result.output
+
+    def test_boolean_rule_output_exits_2(self, runner, tmp_path):
+        rule = files.rule_to_obj(builtin_rule("conjunctive", 1))
+        rule["output"] = [False, True]
+        path = tmp_path / "bool.json"
+        files.dump_json(rule, path)
+        result = runner.invoke(main, ["graph", str(path)])
+        assert result.exit_code == 2
+        assert "'output' must be an array of 0/1" in result.output
+
+    def test_real_process_exits_2_without_traceback(self, tmp_path):
+        env = dict(os.environ)
+        src = str(Path(decobs.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = tmp_path / "missing" / "v.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "decobs", "compare", "cpda:2", "conjunctive:2", "-o", str(out)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ")
+
+
+
+def _json_values():
+    scalars = st.none() | st.booleans() | st.integers(-2, 3) | st.text("ab 01", max_size=3)
+    return st.recursive(
+        scalars,
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.sampled_from(["type", "agents", "kind", "map"]), inner, max_size=2),
+        max_leaves=6,
+    )
+
+
+def _paths(node, path=()):
+    yield path
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _paths(child, path + (key,))
+
+
+def _at(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+@st.composite
+def _mutated(draw, doc):
+    """A copy of a JSON document with one to three edits, each of which
+    replaces a value with a random one, drops a key or list element, or
+    overwrites a value with a copy of another part of the document."""
+    doc = json.loads(json.dumps(doc))
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_paths(doc))
+        path = draw(st.sampled_from(paths))
+        action = draw(st.sampled_from(["replace", "drop", "copy"]))
+        if action == "copy":
+            value = json.loads(json.dumps(_at(doc, draw(st.sampled_from(paths)))))
+        elif action == "replace":
+            value = draw(_json_values())
+        if not path:
+            doc = doc if action == "drop" else value
+        elif action == "drop":
+            del _at(doc, path[:-1])[path[-1]]
+        else:
+            _at(doc, path[:-1])[path[-1]] = value
+    return doc
+
+
+def _base_documents() -> dict[str, object]:
+    """A solvable problem with one projection and one table agent, a rule
+    file for it, and its solution."""
+    problem = {
+        "type": "observation",
+        "agents": 2,
+        "alphabet": ["a", "b"],
+        "L": [["a"], ["b"], ["a", "b"], ["b", "b"]],
+        "K": [["b"]],
+        "observations": [
+            {"kind": "projection", "observable": ["a"]},
+            {"kind": "table", "map": [[["a"], "x"], [["b"], "y"], [["a", "b"], "x"], [["b", "b"], "x"]]},
+        ],
+    }
+    rule = files.rule_to_obj(builtin_rule("conjunctive", 2))
+    solution = [[[[], "1"], [["a"], "0"]], [["x", "0"], ["y", "1"]]]
+    return {"problem": problem, "rule": rule, "solution": solution}
+
+
+class TestMutatedInputs:
+    def test_base_documents_are_a_verified_solution(self, runner, tmp_path):
+        paths = {}
+        for name, doc in _base_documents().items():
+            paths[name] = tmp_path / f"{name}.json"
+            files.dump_json(doc, paths[name])
+        result = runner.invoke(
+            main,
+            ["verify-solution", str(paths["problem"]), str(paths["solution"]), "--rule", str(paths["rule"])],
+        )
+        assert result.exit_code == 0 and "verified" in result.output
+
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_exit_0_1_or_2_without_a_crash(self, runner, tmp_path, data):
+        paths = {}
+        for name, doc in _base_documents().items():
+            if data.draw(st.booleans(), label=f"mutate {name}"):
+                doc = data.draw(_mutated(doc), label=name)
+            paths[name] = tmp_path / f"{name}.json"
+            files.dump_json(doc, paths[name])
+        problem, rule, solution = (str(paths[k]) for k in ("problem", "rule", "solution"))
+        for args in (
+            ["validate", problem],
+            ["check", problem, "--rule", rule],
+            ["graph", problem],
+            ["graph", rule],
+            ["verify-solution", problem, solution, "--rule", rule],
+        ):
+            result = runner.invoke(main, args)
+            assert result.exception is None or isinstance(result.exception, SystemExit), (
+                args,
+                result.exception,
+            )
+            assert result.exit_code in (0, 1, 2), (args, result.output)

@@ -7,6 +7,7 @@ from decobs import (
     ArityMismatch,
     FusionRule,
     BUILTIN_RULES,
+    SearchLimitExceeded,
     build_decision_graph,
     build_observation_graph,
     builtin_rule,
@@ -70,6 +71,44 @@ class TestCompare:
     def test_arity_mismatch(self):
         with pytest.raises(ArityMismatch):
             compare(builtin_rule("conjunctive", 2), builtin_rule("conjunctive", 3))
+
+
+class TestCompareIsOneMatrixEntry:
+    @pytest.mark.parametrize(
+        "names", list(itertools.product(BUILTIN_RULES, repeat=2)), ids="-".join
+    )
+    def test_forward_then_backward_search(self, names):
+        """Same witnesses, and the same budget outcome, as the two searches
+        run one after the other."""
+        first, second = (builtin_rule(name, 2) for name in names)
+        g1, g2 = build_decision_graph(first), build_decision_graph(second)
+        verdict = compare(first, second)
+        assert verdict.witness_fwd == find_morphism(g1, g2)
+        assert verdict.witness_bwd == find_morphism(g2, g1)
+        for budget in range(12):  # every search here finishes within 9 expansions
+            try:
+                find_morphism(g1, g2, budget=budget)
+                find_morphism(g2, g1, budget=budget)
+                expected = None
+            except SearchLimitExceeded as e:
+                expected = str(e)
+            try:
+                compare(first, second, budget=budget)
+                got = None
+            except SearchLimitExceeded as e:
+                got = str(e)
+            assert got == expected, budget
+
+    @pytest.mark.parametrize("name", BUILTIN_RULES)
+    def test_diagonal_is_the_identity_without_a_search(self, name):
+        rule = builtin_rule(name, 3)
+        verdict = relation_matrix([rule], budget=0).verdicts[0][0]
+        assert verdict.witness_fwd.mapping == tuple(range(len(build_decision_graph(rule))))
+        assert verify_morphism(verdict.witness_bwd).ok
+
+    def test_arity_mismatch_names_both_counts(self):
+        with pytest.raises(ArityMismatch, match="rule 1 has 2 agents, rule 2 has 3"):
+            compare(builtin_rule("conjunctive", 2), builtin_rule("cpda", 3))
 
 
 class TestSeparatingProblem:

@@ -83,6 +83,20 @@ class TestProblemFiles:
         with pytest.raises(FileFormatError, match="not valid JSON"):
             files.load_problem(path)
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            '{"type": "observation", "alphabet": ["é"]}'.encode("latin-1"),
+            b"[" * 200_000 + b"]" * 200_000,
+        ],
+        ids=["not-utf8", "nested-too-deep"],
+    )
+    def test_unreadable_json(self, tmp_path, data):
+        path = tmp_path / "p.json"
+        path.write_bytes(data)
+        with pytest.raises(FileFormatError, match="not valid JSON"):
+            files.load_problem(path)
+
 
 class TestRuleFiles:
     def test_round_trip(self, tmp_path):
@@ -112,6 +126,12 @@ class TestRuleFiles:
         obj = files.rule_to_obj(builtin_rule("conjunctive", 2))
         obj["output"] = [2] * len(obj["output"])
         with pytest.raises(FileFormatError):
+            files.parse_rule(obj)
+
+    def test_output_rejects_booleans(self):
+        obj = files.rule_to_obj(builtin_rule("conjunctive", 1))
+        obj["output"] = [False, True]
+        with pytest.raises(FileFormatError, match="'output'"):
             files.parse_rule(obj)
 
 
@@ -178,6 +198,15 @@ class TestSolutionFiles:
         obj = [[[["a"], 7]]]
         with pytest.raises(FileFormatError, match="text"):
             files.parse_solution(obj)
+
+    @pytest.mark.parametrize(
+        "label",
+        [{"x": 1}, [["a"]], ["a", 1], 7, None],
+        ids=["object", "nested-array", "mixed-array", "number", "null"],
+    )
+    def test_rejects_labels_that_are_not_text_or_token_arrays(self, label):
+        with pytest.raises(FileFormatError, match="tables\\[0\\] label"):
+            files.parse_solution([[[label, "0"]]])
 
 
 class TestBijectionFiles:
