@@ -209,10 +209,13 @@ def solve(problem_file, rule_spec, solution_path, witness_path, budget):
     solution = extract_solution(found, problem, rule)
     if not check_solution(problem, solution, rule):
         raise RuntimeError("extracted solution failed verification")
-    if witness_path:
-        files.dump_json(files.morphism_to_obj(found), witness_path)
-        click.echo(f"wrote {witness_path}")
+    # Serialise both, then write the solution first: a witness that cannot be
+    # serialised, or a solution path that cannot be written, leaves no file.
+    witness = files.morphism_to_obj(found) if witness_path else None
     files.dump_json(files.solution_to_obj(solution), solution_path)
+    if witness_path:
+        files.dump_json(witness, witness_path)
+        click.echo(f"wrote {witness_path}")
     click.echo(f"wrote {solution_path}")
     click.echo("SOLVABLE")
 

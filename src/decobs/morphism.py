@@ -160,72 +160,86 @@ def verify_d2o(res: D2OResult, rule: FusionRule) -> bool:
 def _search(src: ColoredGraph, dst: ColoredGraph, budget: int | None) -> list[int] | None:
     """Complete backtracking search for a morphism image of every src node.
 
-    Candidates are target nodes of equal colour.  The edge condition holds
+    Each unassigned node's candidates are a bitmask over target indices,
+    starting from the targets of equal colour.  The edge condition holds
     exactly when, for each agent i, nodes sharing the label ``sig[i]`` map to
     targets sharing coordinate i; so assigning ``v -> t`` prunes only the
-    unassigned nodes in the buckets ``(i, sig_v[i])``, keeping the targets
-    whose coordinate i equals ``t[i]`` (forward checking).  The next node is
-    always the one with the fewest candidates, ties broken by declaration
-    order; candidate lists keep target declaration order, so the search is
-    deterministic.  An explicit stack replaces recursion, so the search depth
-    is not limited; ``budget`` caps the candidates tried.
+    unassigned nodes in the buckets ``(i, sig_v[i])``, with one AND against
+    the mask of targets whose coordinate i equals ``t[i]`` (forward
+    checking).  ``left`` counts each node's candidates, and assigned nodes
+    hold a count above any real one, so the next node, the one with the
+    fewest candidates and ties broken by declaration order, is its first
+    minimum.  Candidates are tried lowest bit first, which is target
+    declaration order, so the search is deterministic.  An explicit stack
+    replaces recursion, so the search depth is not limited; ``budget`` caps
+    the candidates tried.
     """
-    size = len(src)
     buckets = _label_buckets(src)
     dst_sigs = dst.signatures
-    domains: list[list[int]] = [
-        [t for t in range(len(dst)) if dst.colours[t] == src.colours[v]]
-        for v in range(size)
-    ]
-    assignment = [-1] * size
+    colour_masks = [0, 0]
+    coord_masks: list[dict[Hashable, int]] = [{} for _ in range(dst.n)]
+    for t, (colour, sig) in enumerate(zip(dst.colours, dst_sigs)):
+        bit = 1 << t
+        colour_masks[colour] |= bit
+        for masks, coord in zip(coord_masks, sig):
+            masks[coord] = masks.get(coord, 0) | bit
+    domains = [colour_masks[c] for c in src.colours]
+    left = [d.bit_count() for d in domains]
+    done = len(dst) + 1
+    assignment = [-1] * len(src)
     expansions = 0
 
-    def prune(v: int, t: int, trail: dict[int, list[int]]) -> bool:
+    def prune(v: int, t: int, trail: dict[int, int]) -> bool:
         """Narrow every unassigned node sharing a label with v to the targets
         agreeing with t on that agent, recording replaced domains in trail;
         False as soon as a domain empties."""
         for i, label in enumerate(src.signatures[v]):
-            want = dst_sigs[t][i]
+            mask = coord_masks[i][dst_sigs[t][i]]
             for u in buckets[i][label]:
                 if assignment[u] >= 0:
                     continue
                 old = domains[u]
-                kept = [t2 for t2 in old if dst_sigs[t2][i] == want]
-                if len(kept) != len(old):
+                kept = old & mask
+                if kept != old:
                     trail.setdefault(u, old)
                     domains[u] = kept
+                    left[u] = kept.bit_count()
                 if not kept:
                     return False
         return True
 
-    # One frame per assigned node: [node, its candidates, next candidate
-    # position, the domains its current candidate replaced].
+    # One frame per assigned node: [node, its untried candidates as a mask,
+    # the domains its current candidate replaced].
     stack: list[list] = []
     descend = True
     while True:
         if descend:
-            pending = [u for u in range(size) if assignment[u] < 0]
-            if not pending:
+            fewest = min(left, default=done)
+            if fewest == done:
                 return assignment
-            v = min(pending, key=lambda u: (len(domains[u]), u))
-            stack.append([v, domains[v], 0, {}])
+            v = left.index(fewest)
+            left[v] = done
+            stack.append([v, domains[v], {}])
         frame = stack[-1]
-        v, candidates, pos, trail = frame
+        v, rest, trail = frame
         for u, old in trail.items():
             domains[u] = old
+            left[u] = old.bit_count()
         trail.clear()
-        if pos == len(candidates):
+        if not rest:
             assignment[v] = -1
+            left[v] = domains[v].bit_count()
             stack.pop()
             if not stack:
                 return None
             descend = False
             continue
-        frame[2] = pos + 1
+        low = rest & -rest
+        frame[1] = rest ^ low
         expansions += 1
         if budget is not None and expansions > budget:
             raise SearchLimitExceeded(f"morphism search exceeded {budget} node expansions")
-        t = candidates[pos]
+        t = low.bit_length() - 1
         assignment[v] = t
         descend = prune(v, t, trail)
 

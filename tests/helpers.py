@@ -1,15 +1,18 @@
 """Generators and small oracles shared between test modules."""
 
+import functools
 import random
 
 from decobs import ColoredGraph, SearchLimitExceeded
 
 
-def random_colored_graph(rng: random.Random, max_nodes: int = 8, max_agents: int = 3) -> ColoredGraph:
+def random_colored_graph(
+    rng: random.Random, max_nodes: int = 8, max_agents: int = 3, min_nodes: int = 1
+) -> ColoredGraph:
     """Arbitrary coloured graph: random signatures over small per-agent pools,
     random node colours.  Duplicate signatures (empty-set edges) are likely."""
     n = rng.randint(1, max_agents)
-    size = rng.randint(1, max_nodes)
+    size = rng.randint(min_nodes, max_nodes)
     pools = [[f"v{k}" for k in range(rng.randint(1, 3))] for _ in range(n)]
     signatures = tuple(
         tuple(rng.choice(pools[i]) for i in range(n)) for _ in range(size)
@@ -51,6 +54,15 @@ def pairwise_edge_ok(src: ColoredGraph, dst: ColoredGraph, mapping) -> bool:
     )
 
 
+@functools.lru_cache(maxsize=8)
+def _edge_colours(g: ColoredGraph) -> tuple[tuple[frozenset[int], ...], ...]:
+    """The full matrix of edge colours; cached because the differential tests
+    search between the same few graphs many times."""
+    return tuple(
+        tuple(g.edge_colour(u, v) for v in range(len(g))) for u in range(len(g))
+    )
+
+
 def pairwise_search(src: ColoredGraph, dst: ColoredGraph, budget: int | None) -> list[int] | None:
     """Reference for the library's search: forward checking over every
     (node, node) pair with the full matrix of edge colours, recursive.
@@ -60,8 +72,8 @@ def pairwise_search(src: ColoredGraph, dst: ColoredGraph, budget: int | None) ->
     exceed the same budgets.
     """
     size = len(src)
-    src_edges = [[src.edge_colour(u, v) for v in range(size)] for u in range(size)]
-    dst_edges = [[dst.edge_colour(t, t2) for t2 in range(len(dst))] for t in range(len(dst))]
+    src_edges = _edge_colours(src)
+    dst_edges = _edge_colours(dst)
     domains = [
         [t for t in range(len(dst)) if dst.colours[t] == src.colours[v]]
         for v in range(size)

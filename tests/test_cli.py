@@ -474,6 +474,34 @@ class TestExitCodes:
         assert "SOLVABLE" not in result.output
         assert not witness.exists()
 
+    def test_unwritable_solution_leaves_no_witness(self, runner, ex1_file, tmp_path):
+        witness = tmp_path / "w.json"
+        result = runner.invoke(
+            main,
+            [
+                "solve", str(ex1_file), "--rule", "conjunctive:2",
+                "--witness", str(witness), "-o", str(tmp_path / "missing" / "s.json"),
+            ],
+        )
+        assert result.exit_code == 2, result.output
+        assert not witness.exists()
+        assert "wrote" not in result.output
+
+    def test_ambiguous_witness_keys_on_solve_write_no_solution(self, runner, tmp_path):
+        problem = tmp_path / "amb.json"
+        files.dump_json(_ambiguous_problem(), problem)
+        solution, witness = tmp_path / "s.json", tmp_path / "w.json"
+        result = runner.invoke(
+            main,
+            [
+                "solve", str(problem), "--rule", "conjunctive:1",
+                "--witness", str(witness), "-o", str(solution),
+            ],
+        )
+        assert result.exit_code == 2, result.output
+        assert "node keys are ambiguous" in result.output
+        assert not solution.exists() and not witness.exists()
+
     def test_internal_failure_exits_4(self, runner, ex1_file, monkeypatch):
         monkeypatch.setattr(
             "decobs.cli.verify_morphism", lambda m: MorphismReport((0,), ())

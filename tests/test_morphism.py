@@ -165,6 +165,15 @@ class TestFindMorphism:
         empty = ColoredGraph(n=2, keys=(), signatures=(), colours=())
         m = find_morphism(empty, conj_graph)
         assert m is not None and m.mapping == ()
+        for target in (conj_graph, empty):
+            assert find_morphism(empty, target, budget=0).mapping == ()
+
+    def test_missing_target_colour_fails_without_expansions(self):
+        # Node 1's colour is absent from the target; it has no candidates, so
+        # the fewest-candidates pick fails on it before trying anything.
+        src = ColoredGraph(n=2, keys=(0, 1), signatures=(("a", "b"), ("b", "c")), colours=(0, 1))
+        dst = ColoredGraph(n=2, keys=(0, 1), signatures=(("a", "b"), ("a", "c")), colours=(0, 0))
+        assert find_morphism(src, dst, budget=0) is None
 
     def test_agrees_with_exhaustive_map_enumeration(self):
         rng = random.Random(99)
@@ -455,8 +464,8 @@ def _expansions_needed(search, src, dst) -> int:
     return high
 
 
-def _builtin_graph_pairs(max_n):
-    for n in range(1, max_n + 1):
+def _builtin_graph_pairs(max_n, min_n=1):
+    for n in range(min_n, max_n + 1):
         graphs = [build_decision_graph(builtin_rule(name, n)) for name in BUILTIN_RULES]
         for src in graphs:
             for dst in graphs:
@@ -476,6 +485,29 @@ class TestAgainstPairwiseReference:
 
     def test_search_matches_on_builtin_decision_graphs(self):
         for src, dst in _builtin_graph_pairs(4):
+            assert _search(src, dst, None) == pairwise_search(src, dst, None)
+            assert _expansions_needed(_search, src, dst) == _expansions_needed(
+                pairwise_search, src, dst
+            )
+
+    def test_search_matches_on_builtin_decision_graphs_wider_than_a_word(self):
+        # Targets of 32-127 nodes: candidate masks span more than 64 bits.
+        for src, dst in _builtin_graph_pairs(6, min_n=5):
+            assert _search(src, dst, None) == pairwise_search(src, dst, None)
+            if src.n == 5:
+                assert _expansions_needed(_search, src, dst) == _expansions_needed(
+                    pairwise_search, src, dst
+                )
+
+    def test_search_matches_on_random_targets_wider_than_a_word(self):
+        rng = random.Random(65)
+        pairs = 0
+        while pairs < 50:
+            src = random_colored_graph(rng, max_nodes=9, max_agents=2)
+            dst = random_colored_graph(rng, min_nodes=65, max_nodes=130, max_agents=2)
+            if src.n != dst.n:
+                continue
+            pairs += 1
             assert _search(src, dst, None) == pairwise_search(src, dst, None)
             assert _expansions_needed(_search, src, dst) == _expansions_needed(
                 pairwise_search, src, dst
