@@ -210,11 +210,16 @@ def solve(problem_file, rule_spec, solution_path, witness_path, budget):
     if not check_solution(problem, solution, rule):
         raise RuntimeError("extracted solution failed verification")
     # Serialise both, then write the solution first: a witness that cannot be
-    # serialised, or a solution path that cannot be written, leaves no file.
+    # serialised, or a solution path that cannot be written, leaves no file,
+    # and a witness path that cannot be written takes the solution back.
     witness = files.morphism_to_obj(found) if witness_path else None
     files.dump_json(files.solution_to_obj(solution), solution_path)
     if witness_path:
-        files.dump_json(witness, witness_path)
+        try:
+            files.dump_json(witness, witness_path)
+        except BaseException:
+            Path(solution_path).unlink(missing_ok=True)
+            raise
         click.echo(f"wrote {witness_path}")
     click.echo(f"wrote {solution_path}")
     click.echo("SOLVABLE")

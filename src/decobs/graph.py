@@ -118,7 +118,8 @@ def quotient_by_indistinguishability(g: ColoredGraph) -> Quotient:
 
     Edge colours between classes are inherited, which is well defined because
     class members share their signature.  A colour clash inside a class is
-    reported as a conflict rather than an error.
+    reported as a conflict rather than an error.  When no two nodes share a
+    signature, as in every decision graph, the quotient graph is ``g`` itself.
     """
     index_of_sig: dict[tuple, int] = {}
     classes: list[list[int]] = []
@@ -128,6 +129,13 @@ def quotient_by_indistinguishability(g: ColoredGraph) -> Quotient:
         else:
             index_of_sig[sig] = len(classes)
             classes.append([idx])
+    if len(classes) == len(g):
+        return Quotient(
+            graph=g,
+            conflict=None,
+            classes=tuple((idx,) for idx in range(len(g))),
+            class_of=tuple(range(len(g))),
+        )
     conflict = None
     for members in classes:
         first = members[0]

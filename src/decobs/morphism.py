@@ -166,15 +166,20 @@ def _search(src: ColoredGraph, dst: ColoredGraph, budget: int | None) -> list[in
     targets sharing coordinate i; so assigning ``v -> t`` prunes only the
     unassigned nodes in the buckets ``(i, sig_v[i])``, with one AND against
     the mask of targets whose coordinate i equals ``t[i]`` (forward
-    checking).  ``left`` counts each node's candidates, and assigned nodes
-    hold a count above any real one, so the next node, the one with the
-    fewest candidates and ties broken by declaration order, is its first
-    minimum.  Candidates are tried lowest bit first, which is target
-    declaration order, so the search is deterministic.  An explicit stack
-    replaces recursion, so the search depth is not limited; ``budget`` caps
-    the candidates tried.
+    checking).  A bucket is narrowed only by the first node carrying its
+    label that is assigned on the current path: every later unassigned
+    member is already confined to that coordinate.  So the frame that
+    assigns such a first node claims the bucket, prunes it for each of its
+    candidates and releases it when popped.  ``left`` counts each node's
+    candidates, and assigned nodes hold a count above any real one, so the
+    next node, the one with the fewest candidates and ties broken by
+    declaration order, is its first minimum.  Candidates are tried lowest
+    bit first, which is target declaration order, so the search is
+    deterministic.  An explicit stack replaces recursion, so the search depth
+    is not limited; ``budget`` caps the candidates tried.
     """
     buckets = _label_buckets(src)
+    claimed: set[tuple[int, Hashable]] = set()
     dst_sigs = dst.signatures
     colour_masks = [0, 0]
     coord_masks: list[dict[Hashable, int]] = [{} for _ in range(dst.n)]
@@ -189,11 +194,11 @@ def _search(src: ColoredGraph, dst: ColoredGraph, budget: int | None) -> list[in
     assignment = [-1] * len(src)
     expansions = 0
 
-    def prune(v: int, t: int, trail: dict[int, int]) -> bool:
-        """Narrow every unassigned node sharing a label with v to the targets
-        agreeing with t on that agent, recording replaced domains in trail;
-        False as soon as a domain empties."""
-        for i, label in enumerate(src.signatures[v]):
+    def prune(t: int, trail: dict[int, int], firsts: list[tuple[int, Hashable]]) -> bool:
+        """Narrow every unassigned node of the buckets ``(i, label)`` in
+        firsts to the targets agreeing with t on agent i, recording replaced
+        domains in trail; False as soon as a domain empties."""
+        for i, label in firsts:
             mask = coord_masks[i][dst_sigs[t][i]]
             for u in buckets[i][label]:
                 if assignment[u] >= 0:
@@ -209,7 +214,7 @@ def _search(src: ColoredGraph, dst: ColoredGraph, budget: int | None) -> list[in
         return True
 
     # One frame per assigned node: [node, its untried candidates as a mask,
-    # the domains its current candidate replaced].
+    # the domains its current candidate replaced, the buckets it claimed].
     stack: list[list] = []
     descend = True
     while True:
@@ -219,9 +224,11 @@ def _search(src: ColoredGraph, dst: ColoredGraph, budget: int | None) -> list[in
                 return assignment
             v = left.index(fewest)
             left[v] = done
-            stack.append([v, domains[v], {}])
+            firsts = [key for key in enumerate(src.signatures[v]) if key not in claimed]
+            claimed.update(firsts)
+            stack.append([v, domains[v], {}, firsts])
         frame = stack[-1]
-        v, rest, trail = frame
+        v, rest, trail, firsts = frame
         for u, old in trail.items():
             domains[u] = old
             left[u] = old.bit_count()
@@ -229,6 +236,7 @@ def _search(src: ColoredGraph, dst: ColoredGraph, budget: int | None) -> list[in
         if not rest:
             assignment[v] = -1
             left[v] = domains[v].bit_count()
+            claimed.difference_update(firsts)
             stack.pop()
             if not stack:
                 return None
@@ -241,7 +249,7 @@ def _search(src: ColoredGraph, dst: ColoredGraph, budget: int | None) -> list[in
             raise SearchLimitExceeded(f"morphism search exceeded {budget} node expansions")
         t = low.bit_length() - 1
         assignment[v] = t
-        descend = prune(v, t, trail)
+        descend = prune(t, trail, firsts)
 
 
 def find_morphism(

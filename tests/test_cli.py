@@ -487,6 +487,19 @@ class TestExitCodes:
         assert not witness.exists()
         assert "wrote" not in result.output
 
+    def test_unwritable_witness_leaves_no_solution(self, runner, ex1_file, tmp_path):
+        solution = tmp_path / "s.json"
+        result = runner.invoke(
+            main,
+            [
+                "solve", str(ex1_file), "--rule", "conjunctive:2",
+                "-o", str(solution), "--witness", str(tmp_path / "missing" / "w.json"),
+            ],
+        )
+        assert result.exit_code == 2, result.output
+        assert not solution.exists()
+        assert "wrote" not in result.output
+
     def test_ambiguous_witness_keys_on_solve_write_no_solution(self, runner, tmp_path):
         problem = tmp_path / "amb.json"
         files.dump_json(_ambiguous_problem(), problem)

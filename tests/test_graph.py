@@ -131,6 +131,16 @@ class TestQuotient:
         assert q.graph == g
         assert q.class_of == (0, 1, 2, 3)
 
+    @pytest.mark.parametrize("name", BUILTIN_RULES)
+    def test_decision_graph_is_its_own_quotient(self, name):
+        for n in range(1, 5):
+            g = build_decision_graph(builtin_rule(name, n))
+            q = quotient_by_indistinguishability(g)
+            assert q.graph is g
+            assert q.conflict is None
+            assert q.classes == tuple((v,) for v in range(len(g)))
+            assert q.class_of == tuple(range(len(g)))
+
     def test_colour_conflict_is_reported(self):
         p = ObservationProblem(
             n=1,

@@ -533,3 +533,59 @@ class TestAgainstPairwiseReference:
                 for u, v in report.edge_violations:
                     assert not dst.edge_colour(mapping[u], mapping[v]) <= src.edge_colour(u, v)
         assert seen[False] > seen[True] > 0
+
+    @pytest.mark.parametrize(
+        "source, target, n, exists, expansions",
+        [
+            ("conjunctive", "cpda", 6, False, 1176),
+            ("conjunctive_cd", "cpda", 6, False, 1192),
+            ("cpda", "conjunctive_cd", 6, True, 132),
+            ("conjunctive", "cpda", 5, False, 332),
+            ("conjunctive_cd", "cpda", 5, False, 340),
+        ],
+    )
+    def test_expansion_counts_where_the_reference_is_too_slow(
+        self, source, target, n, exists, expansions
+    ):
+        # Counts of the pairwise reference's search order, pinned because
+        # running it at n = 6 takes too long; --budget outcomes rest on them.
+        src = build_decision_graph(builtin_rule(source, n))
+        dst = build_decision_graph(builtin_rule(target, n))
+        assert (_search(src, dst, None) is not None) == exists
+        assert _expansions_needed(_search, src, dst) == expansions
+
+    def test_search_matches_on_sources_with_repeated_signatures(self):
+        # Unquotiented sources: every bucket holds several nodes, so later
+        # members are assigned after the first has already narrowed it, and
+        # backtracking must hand the bucket back to be narrowed again.
+        rng = random.Random(77)
+        outcomes = {True: 0, False: 0}
+        backtracked = 0
+        for _ in range(200):
+            n = rng.randint(2, 3)
+            src = _graph_with_repeated_signatures(rng, n, rng.randint(8, 12), rng.randint(3, 6))
+            dst = _graph_with_repeated_signatures(rng, n, rng.randint(6, 12), rng.randint(4, 8))
+            found = _search(src, dst, None)
+            assert found == pairwise_search(src, dst, None)
+            needed = _expansions_needed(_search, src, dst)
+            assert needed == _expansions_needed(pairwise_search, src, dst)
+            outcomes[found is not None] += 1
+            # Without backtracking a search tries one candidate per node.
+            backtracked += needed > (len(src) if found else 1)
+        assert min(outcomes.values()) > 50 and backtracked > 50
+
+
+def _graph_with_repeated_signatures(rng, n, size, distinct) -> ColoredGraph:
+    """``size`` nodes whose signatures are drawn from only ``distinct`` random
+    ones, so most repeat.  A node's colour is its signature's, flipped with
+    probability 0.1, so that many searches fail and backtrack."""
+    pools = [[f"v{k}" for k in range(3)] for _ in range(n)]
+    drawn = [tuple(rng.choice(pool) for pool in pools) for _ in range(distinct)]
+    colour_of = {sig: rng.randint(0, 1) for sig in drawn}
+    signatures = tuple(rng.choice(drawn) for _ in range(size))
+    return ColoredGraph(
+        n=n,
+        keys=tuple(range(size)),
+        signatures=signatures,
+        colours=tuple(colour_of[sig] ^ (rng.random() < 0.1) for sig in signatures),
+    )
