@@ -10,6 +10,8 @@ node's key is the array of its decision texts.
 from __future__ import annotations
 
 import json
+from itertools import chain, repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import Any
 
@@ -56,17 +58,49 @@ def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _string_from(obj: Any, where: str) -> Str:
-    _require(
-        isinstance(obj, list) and all(isinstance(t, str) for t in obj),
-        f"{where}: a string must be an array of token texts, got {obj!r}",
+def _is_texts(obj: Any) -> bool:
+    """A JSON array of texts.  One C-level join checks every element, instead
+    of a Python-level isinstance per element: join raises TypeError on the
+    first item that is not text."""
+    if not isinstance(obj, list):
+        return False
+    try:
+        "".join(obj)
+    except TypeError:
+        return False
+    return True
+
+
+def _are_strings(objs: list) -> bool:
+    """Every item is an array of texts, checked by C-level passes over all
+    items at once."""
+    return all(map(isinstance, objs, repeat(list))) and _is_texts(
+        list(chain.from_iterable(objs))
     )
+
+
+def _is_table(entries: list) -> bool:
+    """Every entry is a [string, label] pair with a text label, checked by
+    C-level passes over the whole table."""
+    return (
+        all(map(isinstance, entries, repeat(list)))
+        and set(map(len, entries)) <= {2}
+        and _are_strings(list(map(itemgetter(0), entries)))
+        and _is_texts(list(map(itemgetter(1), entries)))
+    )
+
+
+def _string_from(obj: Any, where: str) -> Str:
+    _require(_is_texts(obj), f"{where}: a string must be an array of token texts, got {obj!r}")
     return tuple(obj)
 
 
 def _language_from(obj: Any, where: str) -> tuple[Str, ...]:
     _require(isinstance(obj, list), f"{where}: expected an array of strings")
-    return tuple(_string_from(s, where) for s in obj)
+    if not _are_strings(obj):
+        for s in obj:  # raises at the first bad string
+            _string_from(s, where)
+    return tuple(map(tuple, obj))
 
 
 def _observation_from(obj: Any, where: str) -> ObservationFunction:
@@ -74,24 +108,20 @@ def _observation_from(obj: Any, where: str) -> ObservationFunction:
     kind = obj.get("kind")
     if kind == "projection":
         observable = obj.get("observable")
-        _require(
-            isinstance(observable, list) and all(isinstance(t, str) for t in observable),
-            f"{where}: 'observable' must be an array of tokens",
-        )
+        _require(_is_texts(observable), f"{where}: 'observable' must be an array of tokens")
         return Projection(frozenset(observable))
     if kind == "table":
         entries = obj.get("map")
         _require(isinstance(entries, list), f"{where}: 'map' must be an array of pairs")
-        parsed = []
-        for pair in entries:
-            _require(
-                isinstance(pair, list) and len(pair) == 2,
-                f"{where}: table entries must be [string, label] pairs",
-            )
-            s = _string_from(pair[0], where)
-            _require(isinstance(pair[1], str), f"{where}: table labels must be text")
-            parsed.append((s, pair[1]))
-        return ObservationTable(tuple(parsed))
+        if not _is_table(entries):
+            for pair in entries:  # raises at the first bad entry
+                _require(
+                    isinstance(pair, list) and len(pair) == 2,
+                    f"{where}: table entries must be [string, label] pairs",
+                )
+                _string_from(pair[0], where)
+                _require(isinstance(pair[1], str), f"{where}: table labels must be text")
+        return ObservationTable(tuple(entries))
     raise FileFormatError(f"{where}: unknown observation kind {kind!r}")
 
 
@@ -111,10 +141,7 @@ def parse_problem(obj: Any) -> Problem:
     agents = obj.get("agents")
     _require(_is_int(agents), "'agents' must be an integer")
     alphabet = obj.get("alphabet")
-    _require(
-        isinstance(alphabet, list) and all(isinstance(t, str) for t in alphabet),
-        "'alphabet' must be an array of tokens",
-    )
+    _require(_is_texts(alphabet), "'alphabet' must be an array of tokens")
     big_l = _language_from(obj.get("L"), "L")
     big_k = _language_from(obj.get("K"), "K")
     observations = obj.get("observations")
@@ -130,10 +157,7 @@ def parse_problem(obj: Any) -> Problem:
     _require(isinstance(controllable, list), "'controllable' must be an array of arrays")
     parsed = []
     for i, c in enumerate(controllable):
-        _require(
-            isinstance(c, list) and all(isinstance(t, str) for t in c),
-            f"controllable[{i}] must be an array of tokens",
-        )
+        _require(_is_texts(c), f"controllable[{i}] must be an array of tokens")
         parsed.append(frozenset(c))
     return ControlProblem(
         n=agents,
@@ -172,18 +196,12 @@ def parse_rule(obj: Any) -> FusionRule:
     _require(obj["type"] == RULE_TYPE, f"rule 'type' must be {RULE_TYPE!r}")
     _require(_is_int(obj["agents"]), "'agents' must be an integer")
     decisions = obj["decisions"]
-    _require(
-        isinstance(decisions, list) and all(isinstance(d, str) for d in decisions),
-        "'decisions' must be an array of decision texts",
-    )
+    _require(_is_texts(decisions), "'decisions' must be an array of decision texts")
     domain = obj["domain"]
     _require(isinstance(domain, list), "'domain' must be an array of tuples")
     combos = []
     for combo in domain:
-        _require(
-            isinstance(combo, list) and all(isinstance(d, str) for d in combo),
-            f"domain entries must be arrays of decisions, got {combo!r}",
-        )
+        _require(_is_texts(combo), f"domain entries must be arrays of decisions, got {combo!r}")
         combos.append(tuple(combo))
     output = obj["output"]
     _require(

@@ -22,7 +22,6 @@ from .model import (
     Str,
     Token,
     format_str,
-    observation_tuple,
 )
 
 AgentSet = frozenset[int]
@@ -69,6 +68,33 @@ class ColoredGraph:
     def key_index(self) -> dict[Hashable, int]:
         return {k: i for i, k in enumerate(self.keys)}
 
+    # The label indexes below are built once per graph and shared by every
+    # search and check that reads them; callers must not mutate them.
+
+    @cached_property
+    def label_buckets(self) -> tuple[dict[Hashable, list[int]], ...]:
+        """Per agent i, each label l mapped to the nodes whose signature has
+        ``sig[i] == l``, in node order."""
+        buckets: tuple[dict[Hashable, list[int]], ...] = tuple({} for _ in range(self.n))
+        for v, sig in enumerate(self.signatures):
+            for bucket, label in zip(buckets, sig):
+                bucket.setdefault(label, []).append(v)
+        return buckets
+
+    @cached_property
+    def label_masks(self) -> tuple[dict[Hashable, int], ...]:
+        """``label_buckets`` as bitmasks over node indices (bit v is node v)."""
+        return tuple(
+            {label: sum(1 << v for v in nodes) for label, nodes in by_label.items()}
+            for by_label in self.label_buckets
+        )
+
+    @cached_property
+    def colour_masks(self) -> tuple[int, int]:
+        """Bitmasks of the nodes of colour 0 and of colour 1."""
+        ones = sum(1 << v for v, colour in enumerate(self.colours) if colour)
+        return ((1 << len(self)) - 1) ^ ones, ones
+
     def pairs(self):
         """Unordered pairs of distinct node indices, in declaration order."""
         return itertools.combinations(range(len(self.keys)), 2)
@@ -77,10 +103,11 @@ class ColoredGraph:
 def build_observation_graph(p: ObservationProblem) -> ColoredGraph:
     """One node per string of L, coloured by membership in K; two strings are
     joined by the set of agents observing them differently."""
+    observers = [fn.observe for fn in p.P]
     return ColoredGraph(
         n=p.n,
         keys=p.L,
-        signatures=tuple(observation_tuple(p, s) for s in p.L),
+        signatures=tuple(tuple([observe(s) for observe in observers]) for s in p.L),
         colours=tuple(int(s in p.K_set) for s in p.L),
         kind="observation",
     )

@@ -51,7 +51,7 @@ class Projection:
         object.__setattr__(self, "observable", frozenset(self.observable))
 
     def observe(self, s: Str) -> Str:
-        return tuple(t for t in s if t in self.observable)
+        return tuple(filter(self.observable.__contains__, s))
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,6 @@ from .model import (
     Label,
     ObservationProblem,
     Token,
-    observation_tuple,
     observe,
 )
 
@@ -82,16 +81,6 @@ class MorphismReport:
         return not self.node_violations and not self.edge_violations
 
 
-def _label_buckets(g: ColoredGraph) -> tuple[dict[Hashable, list[int]], ...]:
-    """Per agent i, each label l mapped to the nodes whose signature has
-    ``sig[i] == l``, in node order."""
-    buckets: tuple[dict[Hashable, list[int]], ...] = tuple({} for _ in range(g.n))
-    for v, sig in enumerate(g.signatures):
-        for i, label in enumerate(sig):
-            buckets[i].setdefault(label, []).append(v)
-    return buckets
-
-
 def _label_clashes(g: ColoredGraph, images: list[tuple]) -> tuple[tuple[int, int], ...]:
     """The morphism condition on edges, one agent at a time.
 
@@ -102,7 +91,7 @@ def _label_clashes(g: ColoredGraph, images: list[tuple]) -> tuple[tuple[int, int
     first node sharing its label, sorted.
     """
     clashes = set()
-    for i, buckets in enumerate(_label_buckets(g)):
+    for i, buckets in enumerate(g.label_buckets):
         for nodes in buckets.values():
             first = nodes[0]
             want = images[first][i]
@@ -178,16 +167,11 @@ def _search(src: ColoredGraph, dst: ColoredGraph, budget: int | None) -> list[in
     deterministic.  An explicit stack replaces recursion, so the search depth
     is not limited; ``budget`` caps the candidates tried.
     """
-    buckets = _label_buckets(src)
+    buckets = src.label_buckets
     claimed: set[tuple[int, Hashable]] = set()
     dst_sigs = dst.signatures
-    colour_masks = [0, 0]
-    coord_masks: list[dict[Hashable, int]] = [{} for _ in range(dst.n)]
-    for t, (colour, sig) in enumerate(zip(dst.colours, dst_sigs)):
-        bit = 1 << t
-        colour_masks[colour] |= bit
-        for masks, coord in zip(coord_masks, sig):
-            masks[coord] = masks.get(coord, 0) | bit
+    coord_masks = dst.label_masks
+    colour_masks = dst.colour_masks
     domains = [colour_masks[c] for c in src.colours]
     left = [d.bit_count() for d in domains]
     done = len(dst) + 1
@@ -252,6 +236,54 @@ def _search(src: ColoredGraph, dst: ColoredGraph, budget: int | None) -> list[in
         descend = prune(t, trail, firsts)
 
 
+def _refute(src: ColoredGraph, dst: ColoredGraph) -> bool:
+    """True when label-level arc consistency proves that no morphism maps
+    src into dst; False means only that it found no proof.
+
+    The morphism condition makes each (agent i, label l) pair a variable
+    whose value is the coordinate i of the images of bucket ``(i, l)``, and
+    each source node v a table constraint over its variables
+    ``(i, sig_v[i])``: v's image is a target of v's colour.  ``allowed[i][l]``
+    is the mask of targets whose coordinate i is still possible for
+    ``(i, l)``.  Node v's support is its colour mask ANDed with
+    ``allowed[i][sig_v[i]]`` for every i.  An empty support refutes.
+    Otherwise each of v's variables keeps only the coordinates that the
+    support still meets, and when one shrinks, its bucket's nodes are checked
+    again, until nothing changes (AC-3, Mackworth 1977).  On conjunctive and
+    disjunctive targets it is exact: it refutes precisely the sources that
+    fail C&P co-observability (Rudie & Wonham 1992) or its D&A dual.
+    """
+    buckets = src.label_buckets
+    coord_masks = dst.label_masks
+    colour_masks = dst.colour_masks
+    every = colour_masks[0] | colour_masks[1]
+    allowed = [dict.fromkeys(by_label, every) for by_label in buckets]
+    sigs, colours = src.signatures, src.colours
+    pending = list(range(len(src)))
+    queued = [True] * len(src)
+    while pending:
+        v = pending.pop()
+        queued[v] = False
+        sig = sigs[v]
+        support = colour_masks[colours[v]]
+        for by_label, label in zip(allowed, sig):
+            support &= by_label[label]
+        if not support:
+            return True
+        for i, label in enumerate(sig):
+            kept = 0
+            for mask in coord_masks[i].values():
+                if mask & support:
+                    kept |= mask
+            if kept != allowed[i][label]:
+                allowed[i][label] = kept
+                for u in buckets[i][label]:
+                    if not queued[u]:
+                        queued[u] = True
+                        pending.append(u)
+    return False
+
+
 def find_morphism(
     source: ColoredGraph, target: ColoredGraph, budget: int | None = None
 ) -> Morphism | None:
@@ -264,25 +296,28 @@ def find_morphism(
     distinct signatures, so that case short-circuits to None; against targets
     with duplicated signatures the full graph is searched instead.
 
-    ``budget`` caps node expansions; exceeding it raises SearchLimitExceeded
-    rather than answering, so None always means "no morphism exists".
+    Before the search, a label-level arc-consistency pass (``_refute``)
+    settles many negatives without trying a single candidate.  ``budget``
+    caps the node expansions of the search that follows; exceeding it raises
+    SearchLimitExceeded rather than answering, so None always means "no
+    morphism exists".  A negative the pass refutes is answered under any
+    budget, 0 included.
     """
     if source.n != target.n:
         raise ArityMismatch(f"source has {source.n} agents, target has {target.n}")
     quotient = quotient_by_indistinguishability(source)
     if quotient.conflict is None:
-        image = _search(quotient.graph, target, budget)
-        if image is None:
-            return None
-        mapping = tuple(image[c] for c in quotient.class_of)
+        src, class_of = quotient.graph, quotient.class_of
     elif len(set(target.signatures)) == len(target.signatures):
         return None
     else:
-        image = _search(source, target, budget)
-        if image is None:
-            return None
-        mapping = tuple(image)
-    return Morphism(source, target, mapping)
+        src, class_of = source, range(len(source))
+    if _refute(src, target):
+        return None
+    image = _search(src, target, budget)
+    if image is None:
+        return None
+    return Morphism(source, target, tuple(image[c] for c in class_of))
 
 
 @dataclass(frozen=True)
@@ -329,13 +364,13 @@ def verify_solution(p: ObservationProblem, sol: Solution, r: FusionRule) -> bool
     combination outside the rule's domain) makes this False rather than an
     error: the object simply is not a solution.
     """
-    if len(sol.tables) != p.n or r.n != p.n:
+    if len(sol.tables) != p.n or len(p.P) != p.n or r.n != p.n:
         return False
+    agents = [(fn.observe, table) for fn, table in zip(p.P, sol.tables)]
     for s in p.L:
-        labels = observation_tuple(p, s)
         combo = []
-        for i, label in enumerate(labels):
-            decision = sol.tables[i].get(label, _MISSING)
+        for look, table in agents:
+            decision = table.get(look(s), _MISSING)
             if decision is _MISSING:
                 return False
             combo.append(decision)

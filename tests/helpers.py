@@ -112,3 +112,25 @@ def pairwise_search(src: ColoredGraph, dst: ColoredGraph, budget: int | None) ->
         return False
 
     return assignment if extend() else None
+
+
+def separable(inside, outside, n: int) -> bool:
+    """Every label tuple of ``outside`` has an agent whose label occurs in no
+    tuple of ``inside``."""
+    seen = [{labels[i] for labels in inside} for i in range(n)]
+    return all(any(labels[i] not in seen[i] for i in range(n)) for labels in outside)
+
+
+def closed_form_solvable(labels, in_k, rule: str) -> bool:
+    """Solvability from the label tuples alone, without a graph or a search:
+    C&P co-observability (Rudie & Wonham 1992) for the conjunctive rule, its
+    D&A dual for the disjunctive rule.  ``labels`` and ``in_k`` are parallel,
+    one entry per string of L.  O(|L|·n)."""
+    n = len(labels[0]) if labels else 0
+    k = [lab for lab, inside in zip(labels, in_k) if inside]
+    rest = [lab for lab, inside in zip(labels, in_k) if not inside]
+    if rule == "conjunctive":
+        return separable(k, rest, n)
+    if rule == "disjunctive":
+        return separable(rest, k, n)
+    raise ValueError(f"no closed-form oracle for {rule!r}")

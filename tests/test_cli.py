@@ -258,6 +258,15 @@ class TestCompareCommand:
         assert result.exit_code == 0
         assert "incomparable" in result.output
 
+    def test_refuted_negatives_answer_under_budget_0(self, runner):
+        # Both directions are refuted before the search tries a candidate,
+        # and --budget counts only the search's node expansions.
+        result = runner.invoke(
+            main, ["compare", "conjunctive:3", "disjunctive:3", "--budget", "0"]
+        )
+        assert result.exit_code == 0
+        assert result.output == "incomparable\n"
+
     def test_second_strictly_more_permissive(self, runner):
         result = runner.invoke(main, ["compare", "cpda:2", "conjunctive:2"])
         assert result.exit_code == 0

@@ -19,6 +19,7 @@ from decobs import (
     solvable_by_enumeration,
     verify_morphism,
 )
+from decobs.morphism import _search
 
 _MIRROR = {
     "equivalent": "equivalent",
@@ -98,6 +99,21 @@ class TestCompareIsOneMatrixEntry:
             except SearchLimitExceeded as e:
                 got = str(e)
             assert got == expected, budget
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_witnesses_are_those_of_the_search_alone(self, n):
+        """The arc-consistency pass before each search answers only
+        negatives: every positive keeps the mapping the search finds."""
+        rules = [builtin_rule(name, n) for name in BUILTIN_RULES]
+        graphs = [build_decision_graph(r) for r in rules]
+        verdicts = relation_matrix(rules).verdicts
+        for i, j in itertools.permutations(range(len(rules)), 2):
+            image = _search(graphs[i], graphs[j], None)
+            witness = verdicts[i][j].witness_fwd
+            if image is None:
+                assert witness is None
+            else:
+                assert witness.mapping == tuple(image)
 
     @pytest.mark.parametrize("name", BUILTIN_RULES)
     def test_diagonal_is_the_identity_without_a_search(self, name):

@@ -77,6 +77,43 @@ class TestProblemFiles:
                 }
             )
 
+    @pytest.mark.parametrize(
+        "language, message",
+        [
+            ([["a"], "b"], "L: a string must be an array of token texts, got 'b'"),
+            ([["a"], ["a", 1], [2]], "L: a string must be an array of token texts, got ['a', 1]"),
+            ([["a"], {"a": 1}], "L: a string must be an array of token texts, got {'a': 1}"),
+        ],
+    )
+    def test_bad_string_is_named_in_order(self, language, message):
+        obj = {"type": "observation", "agents": 1, "alphabet": ["a"], "L": language}
+        with pytest.raises(FileFormatError) as raised:
+            files.parse_problem(obj)
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            ([[["a"], "x"], "oops"], "table entries must be [string, label] pairs"),
+            ([[["a"], "x"], [["a"], "x", "y"]], "table entries must be [string, label] pairs"),
+            ([[["a", 1], "x"], [["a"], 2]], "a string must be an array of token texts, got ['a', 1]"),
+            ([[["a"], 2], [["a", 1], "x"]], "table labels must be text"),
+            ([[["a"], "x"], ["a", "y"]], "a string must be an array of token texts, got 'a'"),
+        ],
+    )
+    def test_first_bad_table_entry_decides_the_message(self, entries, message):
+        obj = {
+            "type": "observation",
+            "agents": 1,
+            "alphabet": ["a"],
+            "L": [["a"]],
+            "K": [],
+            "observations": [{"kind": "table", "map": entries}],
+        }
+        with pytest.raises(FileFormatError) as raised:
+            files.parse_problem(obj)
+        assert str(raised.value) == f"observations[0]: {message}"
+
     def test_not_json(self, tmp_path):
         path = tmp_path / "garbage.json"
         path.write_text("not json at all {")

@@ -26,9 +26,10 @@ from decobs import (
     verify_morphism,
     verify_solution,
 )
-from decobs.morphism import _search
+from decobs.morphism import _refute, _search
 from helpers import (
     brute_force_morphism_exists,
+    closed_form_solvable,
     pairwise_edge_ok,
     pairwise_search,
     random_colored_graph,
@@ -405,15 +406,15 @@ class TestSolutionMorphismCorrespondence:
 
 
 @st.composite
-def graph_pairs(draw):
+def graph_pairs(draw, max_nodes=6):
     seed = draw(st.integers(min_value=0, max_value=10_000))
     rng = random.Random(seed)
     n = rng.randint(1, 3)
     graphs = []
     for _ in range(2):
-        g = random_colored_graph(rng, max_nodes=6, max_agents=3)
+        g = random_colored_graph(rng, max_nodes=max_nodes, max_agents=3)
         while g.n != n:
-            g = random_colored_graph(rng, max_nodes=6, max_agents=3)
+            g = random_colored_graph(rng, max_nodes=max_nodes, max_agents=3)
         graphs.append(g)
     return graphs
 
@@ -589,3 +590,119 @@ def _graph_with_repeated_signatures(rng, n, size, distinct) -> ColoredGraph:
         signatures=signatures,
         colours=tuple(colour_of[sig] ^ (rng.random() < 0.1) for sig in signatures),
     )
+
+
+# For each builtin rule, the other builtin rules whose decision graphs its own
+# maps into, at every n >= 2.  The 17 ordered pairs not listed have no
+# morphism.
+_BUILTIN_MORPHISMS = {
+    "conjunctive": {"conjunctive_cd"},
+    "disjunctive": set(),
+    "cpda": {"conjunctive", "disjunctive", "conjunctive_cd"},
+    "conjunctive_cd": {"conjunctive"},
+    "const0": {"conjunctive", "disjunctive", "cpda", "conjunctive_cd"},
+    "const1": {"conjunctive", "disjunctive", "cpda", "conjunctive_cd"},
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(graph_pairs(max_nodes=5))  # small enough for brute force; signatures often repeat
+def test_refute_never_denies_an_existing_morphism(pair):
+    src, dst = pair
+    if _refute(src, dst):
+        assert pairwise_search(src, dst, None) is None
+        assert not brute_force_morphism_exists(src, dst)
+
+
+class TestRefute:
+    """The arc-consistency pass that find_morphism runs before the search."""
+
+    def test_sound_on_sources_and_targets_with_repeated_signatures(self):
+        # Unquotiented sources, as find_morphism searches them when a colour
+        # clash meets a target with duplicated signatures.
+        rng = random.Random(91)
+        refuted = 0
+        for _ in range(300):
+            n = rng.randint(2, 3)
+            src = _graph_with_repeated_signatures(rng, n, rng.randint(6, 12), rng.randint(3, 6))
+            dst = _graph_with_repeated_signatures(rng, n, rng.randint(4, 10), rng.randint(3, 8))
+            if _refute(src, dst):
+                assert pairwise_search(src, dst, None) is None
+                refuted += 1
+        assert refuted > 50
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_builtin_negatives_are_refuted_before_the_search(self, n):
+        graphs = {name: build_decision_graph(builtin_rule(name, n)) for name in BUILTIN_RULES}
+        negatives = 0
+        for source, targets in _BUILTIN_MORPHISMS.items():
+            for target in BUILTIN_RULES:
+                if target == source:
+                    continue
+                src, dst = graphs[source], graphs[target]
+                if target in targets:
+                    found = find_morphism(src, dst)
+                    assert found is not None and verify_morphism(found).ok
+                else:
+                    # A budget of 0 lets the search try no candidate at all.
+                    assert find_morphism(src, dst, budget=0) is None
+                    negatives += 1
+        assert negatives == 17
+
+
+def _problem_at_scale(rng, size, built_for):
+    """About ``size`` distinct strings over six tokens and three agents, each
+    observing three of them.  K is chosen through per-agent accepted labels so
+    that the problem is solvable under ``built_for`` (conjunctive: every label
+    accepted; disjunctive: some label accepted).  Label tuples and membership
+    are computed here, not by decobs, so the closed-form oracle stays
+    independent of the library."""
+    tokens = "abcdef"
+    observable = [frozenset(rng.sample(tokens, 3)) for _ in range(3)]
+    strings = set()
+    while len(strings) < size:
+        strings.add(tuple(rng.choice(tokens) for _ in range(rng.randint(0, 7))))
+    strings = sorted(strings)
+    labels = [tuple(tuple(t for t in s if t in obs) for obs in observable) for s in strings]
+    accepted = [{} for _ in range(3)]
+    share = 0.8 if built_for == "conjunctive" else 0.2
+    votes = [
+        [accepted[i].setdefault(label, rng.random() < share) for i, label in enumerate(labs)]
+        for labs in labels
+    ]
+    in_k = [all(v) if built_for == "conjunctive" else any(v) for v in votes]
+    return strings, observable, labels, in_k
+
+
+class TestClosedFormOracleAtScale:
+    def test_verdicts_match_co_observability(self):
+        targets = {
+            name: build_decision_graph(builtin_rule(name, 3))
+            for name in ("conjunctive", "disjunctive")
+        }
+        seen = set()
+        for seed in range(8):
+            rng = random.Random(seed)
+            built_for = ("conjunctive", "disjunctive")[seed % 2]
+            strings, observable, labels, in_k = _problem_at_scale(rng, 1000, built_for)
+            if seed % 4 >= 2:  # flip one string's membership: usually unsolvable
+                x = rng.randrange(len(strings))
+                in_k[x] = not in_k[x]
+            problem = ObservationProblem(
+                n=3,
+                alphabet=tuple("abcdef"),
+                L=tuple(strings),
+                K=tuple(s for s, inside in zip(strings, in_k) if inside),
+                P=tuple(Projection(obs) for obs in observable),
+            )
+            graph = build_observation_graph(problem)
+            for rule, target in targets.items():
+                expected = closed_form_solvable(labels, in_k, rule)
+                if expected:
+                    found = find_morphism(graph, target)
+                    assert found is not None and verify_morphism(found).ok
+                else:
+                    # On these two rules the pass before the search is exact.
+                    assert find_morphism(graph, target, budget=0) is None
+                seen.add((rule, expected))
+        assert len(seen) == 4
