@@ -38,7 +38,80 @@ def dump_json(obj: Any, path: str | Path) -> None:
 
 
 def to_json(obj: Any) -> str:
-    return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
+    """The JSON text json.dumps gives ``obj`` with an indent of 2 and
+    non-ASCII characters kept, byte for byte, plus a final newline.
+
+    json.dumps drops to its pure-Python encoder whenever ``indent`` is set, so
+    the layout is rendered here instead, a column of values at a time: each
+    column's strings in one C-level pass, each array of equal-length rows by
+    rendering its columns and filling one row template per row, and each
+    array object shared by several rows once.
+    """
+    return _value(obj, 0) + "\n"
+
+
+_encode_str = json.encoder.encode_basestring  # ensure_ascii=False string escaping
+_SCALAR_TYPES = {int, float, bool, type(None)}
+
+
+def _value(v: Any, level: int) -> str:
+    """JSON text of one value whose opening line is indented ``level`` steps."""
+    if isinstance(v, str):
+        return _encode_str(v)
+    if isinstance(v, (list, tuple)):
+        return _array(v, level)
+    if isinstance(v, dict):
+        return _object(v, level)
+    return json.dumps(v)  # numbers, booleans and null on the C path; TypeError otherwise
+
+
+def _array(items: list | tuple, level: int) -> str:
+    return _block("[", _column(items, level + 1), "]", level) if items else "[]"
+
+
+def _object(obj: dict, level: int) -> str:
+    if not obj:
+        return "{}"
+    keys = map(_encode_str, map(_key_text, obj))
+    values = _column(list(obj.values()), level + 1)
+    return _block("{", map("{}: {}".format, keys, values), "}", level)
+
+
+def _block(opening: str, texts, closing: str, level: int) -> str:
+    """A non-empty array or object, one member text per line."""
+    step = "\n" + "  " * (level + 1)
+    return opening + step + ("," + step).join(texts) + "\n" + "  " * level + closing
+
+
+def _key_text(key: Any) -> str:
+    """An object key as text, converted as json.dumps converts it."""
+    if isinstance(key, str):
+        return key
+    if key is None or isinstance(key, (int, float)):
+        return json.dumps(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _column(values: list | tuple, level: int) -> list[str]:
+    """JSON text of each value, all of them at indent ``level``."""
+    kinds = set(map(type, values))
+    if kinds == {str}:
+        return list(map(_encode_str, values))
+    if kinds <= _SCALAR_TYPES:
+        return list(map(json.dumps, values))
+    if not kinds <= {list, tuple}:
+        return [_value(v, level) for v in values]
+    distinct = dict(zip(map(id, values), values))
+    if len(distinct) < len(values):  # render each shared array once
+        texts = dict(zip(distinct, _column(list(distinct.values()), level)))
+        return list(map(texts.__getitem__, map(id, values)))
+    lengths = set(map(len, values))
+    if len(lengths) != 1 or 0 in lengths:  # ragged, or all empty
+        return list(map(_array, values, repeat(level)))
+    # Rows of equal length: render each column once, then lay out every row
+    # with one template whose fixed text holds no braces.
+    row = _block("[", ["{}"] * lengths.pop(), "]", level)
+    return list(map(row.format, *(_column(col, level + 1) for col in zip(*values))))
 
 
 def read_json(path: str | Path) -> Any:
@@ -246,8 +319,7 @@ def node_key(g: ColoredGraph, idx: int) -> Any:
 
 def _key_lookup(g: ColoredGraph) -> dict:
     lookup = {}
-    for idx in range(len(g)):
-        raw = node_key(g, idx)
+    for idx, raw in enumerate(_node_keys(g)):
         hashable = tuple(raw) if isinstance(raw, list) else raw
         if hashable in lookup:
             raise FileFormatError(
@@ -257,12 +329,22 @@ def _key_lookup(g: ColoredGraph) -> dict:
     return lookup
 
 
+def _node_keys(g: ColoredGraph) -> list:
+    """``node_key`` of every node, in node order, one list object per node."""
+    if g.kind == "observation":
+        return list(map("".join, g.keys))
+    if g.kind == "decision":
+        return list(map(list, g.keys))
+    return list(g.keys)
+
+
 def morphism_to_obj(m: Morphism) -> list:
-    _key_lookup(m.source)
-    return [
-        [node_key(m.source, v), node_key(m.target, m.mapping[v])]
-        for v in range(len(m.source))
-    ]
+    source_keys = _node_keys(m.source)
+    # Graph keys are distinct, so only joined token texts can collide.
+    if m.source.kind == "observation" and len(set(source_keys)) != len(source_keys):
+        _key_lookup(m.source)  # raises, naming the colliding key
+    target_keys = _node_keys(m.target)  # rows mapped to one node share its key
+    return list(map(list, zip(source_keys, map(target_keys.__getitem__, m.mapping))))
 
 
 def parse_morphism(obj: Any, source: ColoredGraph, target: ColoredGraph) -> Morphism:

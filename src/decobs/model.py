@@ -30,13 +30,7 @@ def format_str(s: Str) -> str:
 
 
 def _unique(items: Iterable) -> tuple:
-    seen = set()
-    out = []
-    for item in items:
-        if item not in seen:
-            seen.add(item)
-            out.append(item)
-    return tuple(out)
+    return tuple(dict.fromkeys(items))
 
 
 @dataclass(frozen=True)

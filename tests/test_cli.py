@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import os
@@ -424,6 +425,64 @@ class TestDeterminism:
             assert result.exit_code == 0
             pairs.append((witness.read_bytes(), solution.read_bytes()))
         assert pairs[0] == pairs[1]
+
+    # SHA-256 of every file each command writes, keyed by its path relative to
+    # the output directory.  A change to how any output file is rendered,
+    # down to one byte of whitespace, fails here.
+    GOLDEN = {
+        "check": {
+            "w.json": "e04c836e3e18e3af72eb8adc31cf81b1e7200b422a2363fa90d899f4aca913a8",
+        },
+        "solve": {
+            "s.json": "ef21e08b5cd61e200483c1e6be9c612f62487ecd508d85c2412fd956774bd54e",
+            "w.json": "e04c836e3e18e3af72eb8adc31cf81b1e7200b422a2363fa90d899f4aca913a8",
+        },
+        "compare": {
+            "sep_second_not_first.json": "cd8730a60bf3b1569051706804ba85f7faad94f6f7fa926ddf2f557ddd41257d",
+            "v.json": "8dbfc8adad3124723dc7c4de3ab5bd73a59ed5dac52998e3be13216bc998c55e",
+            "w_fwd.json": "f157d3e5a27a18828c1c5a98bbef6c6d945e0fd07446a9761c0b5f1e5d2aec13",
+        },
+        "poset": {
+            "p.json": "945f1e35cfa5b2bfe8837e5d0ce3e40037baac2341c052fe7d50c73b6f7439c0",
+        },
+        "d2o-unary": {
+            "d.bijection.json": "eed372afb037a12a361912ba8a625a1ede36436fb6c9225903200dc0daa90a6e",
+            "d.problem.json": "cd8730a60bf3b1569051706804ba85f7faad94f6f7fa926ddf2f557ddd41257d",
+        },
+        "d2o-tagged": {
+            "d.bijection.json": "b6caf6c8eb5fe2ade01ef3dbcb987d81b573518a259a0c3b99547e773fdc17db",
+            "d.problem.json": "a9f84497c60ac42e1b45c7cb01fdb41d1bcbbb282afba6287f03ba476aa390fe",
+        },
+        "reduce": {
+            "manifest.json": "63d8ae1845638dd7941b80acc578f64f1f82cae7dad92f90bbda813039021345",
+            "obs_u03b3.json": "ed9d5563cd187bf15d60ff5de7b9aacbeeae1a8e032ea5e17279184f00eb276f",
+        },
+    }
+
+    @pytest.mark.parametrize("command", sorted(GOLDEN))
+    def test_output_file_bytes_are_pinned(self, runner, ex1_file, control_file, tmp_path, command):
+        out = tmp_path / "out"
+        args = {
+            "check": ["check", str(ex1_file), "--rule", "conjunctive:2",
+                      "--witness", str(out / "w.json")],
+            "solve": ["solve", str(ex1_file), "--rule", "conjunctive:2",
+                      "-o", str(out / "s.json"), "--witness", str(out / "w.json")],
+            "compare": ["compare", "cpda:2", "conjunctive:2", "--witness", str(out / "w"),
+                        "--separating", str(out / "sep"), "-o", str(out / "v.json")],
+            "poset": ["poset", "conjunctive:2", "disjunctive:2", "cpda:2",
+                      "-o", str(out / "p.json")],
+            "d2o-unary": ["d2o", "conjunctive:2", "--encoding", "unary", "-o", str(out / "d")],
+            "d2o-tagged": ["d2o", "cpda:2", "--encoding", "tagged", "-o", str(out / "d")],
+            "reduce": ["reduce", str(control_file), "-o", str(out)],
+        }[command]
+        out.mkdir()
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        written = {
+            path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in out.rglob("*")
+        }
+        assert written == self.GOLDEN[command]
 
     def test_dot_bytes_are_stable(self, runner, ex1_file, tmp_path):
         outputs = []

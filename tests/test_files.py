@@ -1,4 +1,8 @@
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from decobs import (
     ColoredGraph,
@@ -13,6 +17,7 @@ from decobs import (
     build_observation_graph,
     builtin_rule,
     decision_graph_to_observation,
+    extract_solution,
     find_morphism,
 )
 from decobs import files
@@ -269,3 +274,137 @@ class TestHelpers:
 
     def test_json_text_ends_with_newline(self, ex1):
         assert files.to_json(files.problem_to_obj(ex1)).endswith("\n")
+
+
+def _reference(value) -> str:
+    """The text every output file must match: json.dumps's own indented
+    layout, kept here as the renderer's reference."""
+    return json.dumps(value, indent=2, ensure_ascii=False) + "\n"
+
+
+_TEXTS = st.one_of(
+    st.text(),
+    # Escapes, non-ASCII, and braces that a format template must never read.
+    st.text(st.sampled_from('a γ"\\\n\t\x00\x1f\x7f{}😀é'), max_size=6),
+    st.sampled_from(["", "{}", "{0}", "}{", "{x}"]),
+)
+_SCALARS = st.one_of(_TEXTS, st.integers(), st.floats(), st.booleans(), st.none())
+
+
+@st.composite
+def _rows(draw, children):
+    """An array of equal-length rows, some of them one shared list object,
+    optionally paired with a key as witness rows are."""
+    width = draw(st.integers(0, 3))
+    row = st.lists(children, min_size=width, max_size=width)
+    shared = draw(row)
+    rows = draw(st.lists(st.one_of(st.just(shared), row), min_size=1, max_size=6))
+    if draw(st.booleans()):
+        rows = [[draw(children), r] for r in rows]
+    return draw(st.sampled_from([rows, [tuple(r) for r in rows]]))
+
+
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(_TEXTS, children, max_size=4),
+        _rows(children),
+    ),
+    max_leaves=30,
+)
+
+
+class TestRenderer:
+    @settings(max_examples=200, deadline=None)
+    @given(_VALUES)
+    def test_matches_json_dumps(self, value):
+        assert files.to_json(value) == _reference(value)
+
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            "observation-witness",
+            "decision-witness",
+            "generic-witness",
+            "solution",
+            "poset",
+            "verdict",
+            "problem",
+            "table-problem",
+            "control-problem",
+            "bijection",
+            "manifest",
+        ],
+    )
+    def test_matches_json_dumps_on_every_written_shape(self, ex1, gamma_control, shape):
+        value = _written_shape(shape, ex1, gamma_control)
+        assert files.to_json(value) == _reference(value)
+
+    def test_non_text_keys_convert_as_json_dumps_converts_them(self):
+        value = {1: "a", -2.5: [], True: {}, False: 0, None: [[1], [2]], float("inf"): None}
+        assert files.to_json(value) == _reference(value)
+
+    def test_unserialisable_values_raise_as_json_dumps_does(self):
+        for value in ({"k": {1, 2}}, {(1,): 0}, [object()]):
+            with pytest.raises(TypeError):
+                _reference(value)
+            with pytest.raises(TypeError):
+                files.to_json(value)
+
+
+def _written_shape(shape: str, ex1, gamma_control):
+    conj2 = build_decision_graph(builtin_rule("conjunctive", 2))
+    if shape == "observation-witness":
+        # Into conjunctive:3, so many rows share one target key list.
+        p = decision_graph_to_observation(builtin_rule("cpda", 3)).problem
+        target = build_decision_graph(builtin_rule("conjunctive", 3))
+        return files.morphism_to_obj(find_morphism(build_observation_graph(p), target))
+    if shape == "decision-witness":
+        cpda2 = build_decision_graph(builtin_rule("cpda", 2))
+        return files.morphism_to_obj(find_morphism(cpda2, conj2))
+    if shape == "generic-witness":
+        g = ColoredGraph(n=1, keys=(0, 1, 2), signatures=(("x",), ("y",), ("x",)), colours=(0, 0, 0))
+        return files.morphism_to_obj(Morphism(g, g, (0, 1, 0)))
+    if shape == "solution":
+        m = find_morphism(build_observation_graph(ex1), conj2)
+        projected = extract_solution(m, ex1, builtin_rule("conjunctive", 2))
+        assert () in projected.tables[0]  # the empty label, written as []
+        tables = Solution(({("a",): "0", (): "1"}, {"loud": "1", "quiet": "0"}))
+        return files.solution_to_obj(projected) + files.solution_to_obj(tables)
+    if shape == "poset":
+        return {
+            "type": "poset",
+            "rules": ["conjunctive:2", "disjunctive:2", "cpda:2"],
+            "matrix": [
+                ["equivalent", "incomparable", "first strictly more permissive"],
+                ["incomparable", "equivalent", "first strictly more permissive"],
+                ["second strictly more permissive", "second strictly more permissive", "equivalent"],
+            ],
+            "classes": [["conjunctive:2"], ["disjunctive:2"], ["cpda:2"]],
+            "hasse": [[2, 0], [2, 1]],
+        }
+    if shape == "verdict":
+        cpda2 = build_decision_graph(builtin_rule("cpda", 2))
+        return {
+            "type": "verdict",
+            "relation": "second strictly more permissive",
+            "witness_fwd": files.morphism_to_obj(find_morphism(cpda2, conj2)),
+            "witness_bwd": None,
+        }
+    if shape == "problem":
+        return files.problem_to_obj(ex1)
+    if shape == "table-problem":
+        table = ObservationTable.from_mapping({(): "quiet", ("a",): "loud", ("a", "a"): "{}"})
+        return files.problem_to_obj(
+            ObservationProblem(n=1, alphabet=("a",), L=((), ("a",), ("a", "a")), K=(("a",),), P=(table,))
+        )
+    if shape == "control-problem":
+        return files.problem_to_obj(gamma_control)
+    if shape == "bijection":
+        return files.bijection_to_obj(
+            decision_graph_to_observation(builtin_rule("conjunctive", 2), "unary")
+        )
+    assert shape == "manifest"
+    return {"type": "manifest", "files": {"obs_u03b3.json": "γ", "obs_a.json": "a"}}
