@@ -5,7 +5,9 @@ Exit codes: 0 for a positive analysis result, 1 for a negative one
 (including files that cannot be read or written, and witnesses whose node
 keys are ambiguous), 3 when a search budget was exhausted, 4 for an internal
 error.  Commands raise library exceptions; ``_Main.invoke`` is the one place
-that turns them into exit codes.
+that turns them into exit codes.  Each command builds every JSON value it
+writes first and hands them to ``_write`` in one call, so it leaves all of its
+output files or none of those it wrote.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import re
 import sys
 from pathlib import Path
+from typing import Any
 
 import click
 
@@ -59,6 +62,23 @@ _PHRASES = {
 def _fail(code: int, message: str):
     click.echo(f"error: {message}", err=True)
     sys.exit(code)
+
+
+def _write(outputs: list[tuple[str | Path, Any]]) -> None:
+    """Write each (path, JSON value) pair in order, then print one ``wrote``
+    line per file.  A write that fails removes the files this call already
+    wrote, overwritten ones included, and re-raises."""
+    written: list[str | Path] = []
+    try:
+        for path, obj in outputs:
+            files.dump_json(obj, path)
+            written.append(path)
+    except BaseException:
+        for path in written:
+            Path(path).unlink(missing_ok=True)
+        raise
+    for path, _ in outputs:
+        click.echo(f"wrote {path}")
 
 
 def _require_valid(problem: Problem) -> None:
@@ -167,6 +187,7 @@ def reduce(control_file, outdir, allow_uncontrollable):
     out = Path(outdir)
     out.mkdir(parents=True, exist_ok=True)
     manifest: dict[str, str] = {}
+    outputs = []
     for reduced in family:
         base = files.sanitize_token(reduced.event) or "event"
         name = f"obs_{base}.json"
@@ -174,11 +195,9 @@ def reduce(control_file, outdir, allow_uncontrollable):
         while name in manifest:
             name = f"obs_{base}_{suffix}.json"
             suffix += 1
-        files.dump_json(files.problem_to_obj(reduced.problem), out / name)
         manifest[name] = reduced.event
-        click.echo(f"wrote {out / name}")
-    files.dump_json({"type": "manifest", "files": manifest}, out / "manifest.json")
-    click.echo(f"wrote {out / 'manifest.json'}")
+        outputs.append((out / name, files.problem_to_obj(reduced.problem)))
+    _write([*outputs, (out / "manifest.json", {"type": "manifest", "files": manifest})])
 
 
 @main.command()
@@ -191,9 +210,7 @@ def check(problem_file, rule_spec, witness_path, budget):
     _, _, found = _solve_or_exit(problem_file, rule_spec, budget)
     if not verify_morphism(found).ok:
         raise RuntimeError("found morphism failed verification")
-    if witness_path:
-        files.dump_json(files.morphism_to_obj(found), witness_path)
-        click.echo(f"wrote {witness_path}")
+    _write([(witness_path, files.morphism_to_obj(found))] if witness_path else [])
     click.echo("SOLVABLE")
 
 
@@ -209,19 +226,8 @@ def solve(problem_file, rule_spec, solution_path, witness_path, budget):
     solution = extract_solution(found, problem, rule)
     if not check_solution(problem, solution, rule):
         raise RuntimeError("extracted solution failed verification")
-    # Serialise both, then write the solution first: a witness that cannot be
-    # serialised, or a solution path that cannot be written, leaves no file,
-    # and a witness path that cannot be written takes the solution back.
-    witness = files.morphism_to_obj(found) if witness_path else None
-    files.dump_json(files.solution_to_obj(solution), solution_path)
-    if witness_path:
-        try:
-            files.dump_json(witness, witness_path)
-        except BaseException:
-            Path(solution_path).unlink(missing_ok=True)
-            raise
-        click.echo(f"wrote {witness_path}")
-    click.echo(f"wrote {solution_path}")
+    outputs = [(witness_path, files.morphism_to_obj(found))] if witness_path else []
+    _write([*outputs, (solution_path, files.solution_to_obj(solution))])
     click.echo("SOLVABLE")
 
 
@@ -253,12 +259,11 @@ def compare_cmd(rule_a, rule_b, witness_prefix, separating_prefix, budget, out_p
     second, _ = _resolve_rule(rule_b)
     verdict = run_compare(first, second, budget=budget)
     click.echo(_PHRASES[verdict.relation])
+    outputs = []
     if witness_prefix:
         for tag, witness in (("fwd", verdict.witness_fwd), ("bwd", verdict.witness_bwd)):
             if witness is not None:
-                path = f"{witness_prefix}_{tag}.json"
-                files.dump_json(files.morphism_to_obj(witness), path)
-                click.echo(f"wrote {path}")
+                outputs.append((f"{witness_prefix}_{tag}.json", files.morphism_to_obj(witness)))
     if separating_prefix:
         for tag, donor, witness in (
             ("first_not_second", first, verdict.witness_fwd),
@@ -266,9 +271,9 @@ def compare_cmd(rule_a, rule_b, witness_prefix, separating_prefix, budget, out_p
         ):
             if witness is None:
                 result = decision_graph_to_observation(donor)
-                path = f"{separating_prefix}_{tag}.json"
-                files.dump_json(files.problem_to_obj(result.problem), path)
-                click.echo(f"wrote {path}")
+                outputs.append(
+                    (f"{separating_prefix}_{tag}.json", files.problem_to_obj(result.problem))
+                )
     if out_path:
         obj = {
             "type": "verdict",
@@ -280,8 +285,8 @@ def compare_cmd(rule_a, rule_b, witness_prefix, separating_prefix, budget, out_p
             if verdict.witness_bwd
             else None,
         }
-        files.dump_json(obj, out_path)
-        click.echo(f"wrote {out_path}")
+        outputs.append((out_path, obj))
+    _write(outputs)
 
 
 @main.command()
@@ -315,8 +320,7 @@ def poset(rule_specs, budget, out_path):
             "classes": [[labels[i] for i in cls] for cls in matrix.classes],
             "hasse": [list(edge) for edge in matrix.hasse],
         }
-        files.dump_json(obj, out_path)
-        click.echo(f"wrote {out_path}")
+        _write([(out_path, obj)])
 
 
 @main.command()
@@ -334,12 +338,12 @@ def d2o(rule_spec, encoding, prefix):
     result = decision_graph_to_observation(rule, encoding)
     if not verify_d2o(result, rule):
         raise RuntimeError("conversion failed its isomorphism check")
-    problem_path = f"{prefix}.problem.json"
-    bijection_path = f"{prefix}.bijection.json"
-    files.dump_json(files.problem_to_obj(result.problem), problem_path)
-    files.dump_json(files.bijection_to_obj(result), bijection_path)
-    click.echo(f"wrote {problem_path}")
-    click.echo(f"wrote {bijection_path}")
+    _write(
+        [
+            (f"{prefix}.problem.json", files.problem_to_obj(result.problem)),
+            (f"{prefix}.bijection.json", files.bijection_to_obj(result)),
+        ]
+    )
 
 
 @main.command("graph")

@@ -13,7 +13,7 @@ import json
 from itertools import chain, repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from .errors import FileFormatError
 from .graph import ColoredGraph, D2OResult
@@ -306,15 +306,16 @@ def load_rule(path: str | Path) -> FusionRule:
     return parse_rule(read_json(path))
 
 
+def _key_form(g: ColoredGraph) -> Callable[[Any], Any]:
+    """How a node key of ``g`` is written: joined token text for strings,
+    a fresh array of decision texts for decision tuples, the raw key
+    otherwise."""
+    return {"observation": "".join, "decision": list}.get(g.kind, lambda key: key)
+
+
 def node_key(g: ColoredGraph, idx: int) -> Any:
-    """JSON key of one node: joined token text for strings, array of decision
-    texts for decision tuples, the raw key otherwise."""
-    key = g.keys[idx]
-    if g.kind == "observation":
-        return "".join(key)
-    if g.kind == "decision":
-        return list(key)
-    return key
+    """JSON key of one node."""
+    return _key_form(g)(g.keys[idx])
 
 
 def _key_lookup(g: ColoredGraph) -> dict:
@@ -331,11 +332,7 @@ def _key_lookup(g: ColoredGraph) -> dict:
 
 def _node_keys(g: ColoredGraph) -> list:
     """``node_key`` of every node, in node order, one list object per node."""
-    if g.kind == "observation":
-        return list(map("".join, g.keys))
-    if g.kind == "decision":
-        return list(map(list, g.keys))
-    return list(g.keys)
+    return list(map(_key_form(g), g.keys))
 
 
 def morphism_to_obj(m: Morphism) -> list:

@@ -58,9 +58,6 @@ class Morphism:
             if not 0 <= t < len(self.target):
                 raise ValueError(f"target index {t} out of range")
 
-    def image_key(self, v: int) -> Hashable:
-        return self.target.keys[self.mapping[v]]
-
 
 @dataclass(frozen=True)
 class MorphismReport:
@@ -116,11 +113,12 @@ def verify_morphism(m: Morphism) -> MorphismReport:
 
 
 def verify_d2o(res: D2OResult, rule: FusionRule) -> bool:
-    """True iff the recorded bijection is a colour-preserving isomorphism
-    between the rule's decision graph and the problem's observation graph:
-    node colours match, and for every agent the relation between decision
-    coordinate and observation label is a bijection (each side's buckets map
-    to one label of the other side)."""
+    """True iff the recorded bijection is an isomorphism between the rule's
+    decision graph and the problem's observation graph: the bijection and its
+    inverse are both morphisms.  A problem whose agent count differs from the
+    rule's is not a conversion of it."""
+    if res.problem.n != rule.n:
+        return False
     decision_graph = build_decision_graph(rule)
     observation_graph = build_observation_graph(res.problem)
     forward = dict(res.bijection)
@@ -133,16 +131,12 @@ def verify_d2o(res: D2OResult, rule: FusionRule) -> bool:
         return False
     to_node = observation_graph.key_index
     image = [to_node[forward[k]] for k in decision_graph.keys]
-    for v in range(len(decision_graph)):
-        if decision_graph.colours[v] != observation_graph.colours[image[v]]:
-            return False
     preimage = [0] * len(image)
     for v, t in enumerate(image):
         preimage[t] = v
-    return not _label_clashes(
-        decision_graph, [observation_graph.signatures[t] for t in image]
-    ) and not _label_clashes(
-        observation_graph, [decision_graph.signatures[v] for v in preimage]
+    return (
+        verify_morphism(Morphism(decision_graph, observation_graph, image)).ok
+        and verify_morphism(Morphism(observation_graph, decision_graph, preimage)).ok
     )
 
 

@@ -195,6 +195,22 @@ class TestCheckAndSolve:
         assert verify.exit_code == 0
         assert "verified" in verify.output
 
+    def test_one_path_for_witness_and_solution_ends_holding_the_solution(
+        self, runner, ex1_file, tmp_path
+    ):
+        both = tmp_path / "both.json"
+        result = runner.invoke(
+            main,
+            ["solve", str(ex1_file), "--rule", "conjunctive:2",
+             "-o", str(both), "--witness", str(both)],
+        )
+        assert result.exit_code == 0, result.output
+        assert result.output == f"wrote {both}\nwrote {both}\nSOLVABLE\n"
+        verify = runner.invoke(
+            main, ["verify-solution", str(ex1_file), str(both), "--rule", "conjunctive:2"]
+        )
+        assert verify.exit_code == 0, verify.output
+
     def test_verify_rejects_tampered_solution(self, runner, ex1_file, tmp_path):
         solution = tmp_path / "sol.json"
         runner.invoke(
@@ -484,6 +500,38 @@ class TestDeterminism:
         }
         assert written == self.GOLDEN[command]
 
+    # The arguments of each command of GOLDEN and the files its `wrote` lines
+    # name, in order: the order the files are written in.
+    WROTE = {
+        "check": (["check", "{problem}", "--rule", "conjunctive:2", "--witness", "{out}/w.json"],
+                  ["w.json"]),
+        "solve": (["solve", "{problem}", "--rule", "conjunctive:2",
+                   "-o", "{out}/s.json", "--witness", "{out}/w.json"],
+                  ["w.json", "s.json"]),
+        "compare": (["compare", "cpda:2", "conjunctive:2", "--witness", "{out}/w",
+                     "--separating", "{out}/sep", "-o", "{out}/v.json"],
+                    ["w_fwd.json", "sep_second_not_first.json", "v.json"]),
+        "poset": (["poset", "conjunctive:2", "disjunctive:2", "cpda:2", "-o", "{out}/p.json"],
+                  ["p.json"]),
+        "d2o-unary": (["d2o", "conjunctive:2", "--encoding", "unary", "-o", "{out}/d"],
+                      ["d.problem.json", "d.bijection.json"]),
+        "d2o-tagged": (["d2o", "cpda:2", "--encoding", "tagged", "-o", "{out}/d"],
+                       ["d.problem.json", "d.bijection.json"]),
+        "reduce": (["reduce", "{control}", "-o", "{out}"], ["obs_u03b3.json", "manifest.json"]),
+    }
+
+    @pytest.mark.parametrize("command", sorted(WROTE))
+    def test_wrote_lines_are_pinned(self, runner, ex1_file, control_file, tmp_path, command):
+        out = tmp_path / "out"
+        args, names = self.WROTE[command]
+        args = [a.format(problem=ex1_file, control=control_file, out=out) for a in args]
+        out.mkdir()
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        wrote = [line for line in result.output.splitlines() if line.startswith("wrote ")]
+        assert wrote == [f"wrote {out / name}" for name in names]
+        assert sorted(names) == sorted(self.GOLDEN[command])
+
     def test_dot_bytes_are_stable(self, runner, ex1_file, tmp_path):
         outputs = []
         for tag in ("one", "two"):
@@ -582,6 +630,38 @@ class TestExitCodes:
         assert result.exit_code == 2, result.output
         assert "node keys are ambiguous" in result.output
         assert not solution.exists() and not witness.exists()
+
+    def test_unwritable_bijection_leaves_no_problem_file(self, runner, tmp_path):
+        (tmp_path / "d.bijection.json").mkdir()
+        result = runner.invoke(main, ["d2o", "conjunctive:2", "-o", str(tmp_path / "d")])
+        assert result.exit_code == 2, result.output
+        assert "wrote" not in result.output
+        assert not (tmp_path / "d.problem.json").exists()
+
+    @pytest.mark.parametrize(
+        "rules", [("conjunctive:2", "disjunctive:2"), ("cpda:2", "conjunctive:2")]
+    )
+    def test_unwritable_verdict_leaves_no_witness_or_separating_file(
+        self, runner, tmp_path, rules
+    ):
+        result = runner.invoke(
+            main,
+            [
+                "compare", *rules, "--witness", str(tmp_path / "w"),
+                "--separating", str(tmp_path / "s"), "-o", str(tmp_path / "missing" / "v.json"),
+            ],
+        )
+        assert result.exit_code == 2, result.output
+        assert "wrote" not in result.output
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unwritable_manifest_leaves_no_problem_files(self, runner, control_file, tmp_path):
+        out = tmp_path / "out"
+        (out / "manifest.json").mkdir(parents=True)
+        result = runner.invoke(main, ["reduce", str(control_file), "-o", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "wrote" not in result.output
+        assert [path.name for path in out.iterdir()] == ["manifest.json"]
 
     def test_internal_failure_exits_4(self, runner, ex1_file, monkeypatch):
         monkeypatch.setattr(

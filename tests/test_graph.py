@@ -227,6 +227,14 @@ class TestD2O:
         res = decision_graph_to_observation(rule, encoding)
         assert verify_d2o(res, rule)
 
+    @pytest.mark.parametrize("agents", [1, 3])
+    def test_verify_rejects_another_agent_count(self, agents):
+        rule = builtin_rule("conjunctive", 2)
+        res = decision_graph_to_observation(rule, "unary")
+        # The same strings, so the bijection covers both node sets exactly.
+        problem = dataclasses.replace(res.problem, n=agents, P=(res.problem.P * 2)[:agents])
+        assert not verify_d2o(D2OResult(problem, res.bijection, res.encoding), rule)
+
     def test_verify_rejects_broken_node_colours(self):
         rule = builtin_rule("conjunctive", 2)
         res = decision_graph_to_observation(rule, "unary")
