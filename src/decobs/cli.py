@@ -259,11 +259,17 @@ def compare_cmd(rule_a, rule_b, witness_prefix, separating_prefix, budget, out_p
     second, _ = _resolve_rule(rule_b)
     verdict = run_compare(first, second, budget=budget)
     click.echo(_PHRASES[verdict.relation])
-    outputs = []
-    if witness_prefix:
-        for tag, witness in (("fwd", verdict.witness_fwd), ("bwd", verdict.witness_bwd)):
-            if witness is not None:
-                outputs.append((f"{witness_prefix}_{tag}.json", files.morphism_to_obj(witness)))
+    # Each witness's JSON value, built once for every file that holds it.
+    witnesses = {
+        tag: files.morphism_to_obj(witness)
+        for tag, witness in (("fwd", verdict.witness_fwd), ("bwd", verdict.witness_bwd))
+        if witness is not None and (witness_prefix or out_path)
+    }
+    outputs = (
+        [(f"{witness_prefix}_{tag}.json", obj) for tag, obj in witnesses.items()]
+        if witness_prefix
+        else []
+    )
     if separating_prefix:
         for tag, donor, witness in (
             ("first_not_second", first, verdict.witness_fwd),
@@ -278,12 +284,8 @@ def compare_cmd(rule_a, rule_b, witness_prefix, separating_prefix, budget, out_p
         obj = {
             "type": "verdict",
             "relation": verdict.relation,
-            "witness_fwd": files.morphism_to_obj(verdict.witness_fwd)
-            if verdict.witness_fwd
-            else None,
-            "witness_bwd": files.morphism_to_obj(verdict.witness_bwd)
-            if verdict.witness_bwd
-            else None,
+            "witness_fwd": witnesses.get("fwd"),
+            "witness_bwd": witnesses.get("bwd"),
         }
         outputs.append((out_path, obj))
     _write(outputs)

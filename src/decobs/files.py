@@ -313,11 +313,6 @@ def _key_form(g: ColoredGraph) -> Callable[[Any], Any]:
     return {"observation": "".join, "decision": list}.get(g.kind, lambda key: key)
 
 
-def node_key(g: ColoredGraph, idx: int) -> Any:
-    """JSON key of one node."""
-    return _key_form(g)(g.keys[idx])
-
-
 def _key_lookup(g: ColoredGraph) -> dict:
     lookup = {}
     for idx, raw in enumerate(_node_keys(g)):
@@ -331,7 +326,8 @@ def _key_lookup(g: ColoredGraph) -> dict:
 
 
 def _node_keys(g: ColoredGraph) -> list:
-    """``node_key`` of every node, in node order, one list object per node."""
+    """The JSON key of every node of ``g`` (see ``_key_form``), in node
+    order, one list object per decision node."""
     return list(map(_key_form(g), g.keys))
 
 

@@ -95,6 +95,11 @@ class ColoredGraph:
         ones = sum(1 << v for v, colour in enumerate(self.colours) if colour)
         return ((1 << len(self)) - 1) ^ ones, ones
 
+    @cached_property
+    def quotient(self) -> Quotient:
+        """``quotient_by_indistinguishability(self)``, built once per graph."""
+        return quotient_by_indistinguishability(self)
+
     def pairs(self):
         """Unordered pairs of distinct node indices, in declaration order."""
         return itertools.combinations(range(len(self.keys)), 2)
@@ -127,11 +132,14 @@ def build_decision_graph(r: FusionRule) -> ColoredGraph:
 
 @dataclass(frozen=True)
 class Quotient:
-    """Result of merging nodes with identical signatures.
+    """Result of merging nodes that share both signature and colour.
 
+    Such nodes are interchangeable on either side of a morphism, so every
+    class is uniform and the quotient graph is a correct coloured graph.
     ``conflict`` names two keys that share a signature but disagree in node
-    colour (such a graph folds into no decision graph); ``class_of`` sends
-    each original node index to its class index in the quotient graph.
+    colour (they stay in separate classes; such a graph folds into no graph
+    whose signatures each carry one colour); ``class_of`` sends each
+    original node index to its class index in the quotient graph.
     """
 
     graph: ColoredGraph
@@ -141,36 +149,34 @@ class Quotient:
 
 
 def quotient_by_indistinguishability(g: ColoredGraph) -> Quotient:
-    """Merge nodes connected by empty-set edges (identical signatures).
+    """Merge the nodes that share both signature and colour.
 
-    Edge colours between classes are inherited, which is well defined because
-    class members share their signature.  A colour clash inside a class is
-    reported as a conflict rather than an error.  When no two nodes share a
-    signature, as in every decision graph, the quotient graph is ``g`` itself.
+    Classes are ordered by their first member, which also represents them in
+    the quotient graph.  Edge colours between classes are inherited, which is
+    well defined because class members share their signature.  Two classes
+    that share a signature (a colour clash) are reported as a conflict rather
+    than an error.  When no two nodes share a signature, as in every decision
+    graph, the quotient graph is ``g`` itself.
     """
-    index_of_sig: dict[tuple, int] = {}
-    classes: list[list[int]] = []
-    for idx, sig in enumerate(g.signatures):
-        if sig in index_of_sig:
-            classes[index_of_sig[sig]].append(idx)
-        else:
-            index_of_sig[sig] = len(classes)
-            classes.append([idx])
-    if len(classes) == len(g):
+    if len(set(g.signatures)) == len(g):
         return Quotient(
             graph=g,
             conflict=None,
             classes=tuple((idx,) for idx in range(len(g))),
             class_of=tuple(range(len(g))),
         )
-    conflict = None
-    for members in classes:
-        first = members[0]
-        clashing = next((m for m in members[1:] if g.colours[m] != g.colours[first]), None)
-        if clashing is not None:
-            conflict = (g.keys[first], g.keys[clashing])
-            break
-    reps = [members[0] for members in classes]
+    # Each (signature, colour) pair numbered by its first occurrence.
+    index: dict[tuple, int] = {}
+    class_of = [index.setdefault(key, len(index)) for key in zip(g.signatures, g.colours)]
+    classes: list[list[int]] = [[] for _ in index]
+    for idx, ci in enumerate(class_of):
+        classes[ci].append(idx)
+    reps = [c[0] for c in classes]
+    reps_of_sig: dict[tuple, list[int]] = {}
+    for r in reps:
+        reps_of_sig.setdefault(g.signatures[r], []).append(r)
+    clash = next((pair for pair in reps_of_sig.values() if len(pair) > 1), None)
+    conflict = None if clash is None else (g.keys[clash[0]], g.keys[clash[1]])
     quotient_graph = ColoredGraph(
         n=g.n,
         keys=tuple(g.keys[r] for r in reps),
@@ -178,14 +184,10 @@ def quotient_by_indistinguishability(g: ColoredGraph) -> Quotient:
         colours=tuple(g.colours[r] for r in reps),
         kind=g.kind,
     )
-    class_of = [0] * len(g)
-    for ci, members in enumerate(classes):
-        for m in members:
-            class_of[m] = ci
     return Quotient(
         graph=quotient_graph,
         conflict=conflict,
-        classes=tuple(tuple(m) for m in classes),
+        classes=tuple(map(tuple, classes)),
         class_of=tuple(class_of),
     )
 

@@ -25,7 +25,6 @@ from .graph import (
     D2OResult,
     build_decision_graph,
     build_observation_graph,
-    quotient_by_indistinguishability,
 )
 from .model import (
     FusionRule,
@@ -283,35 +282,33 @@ def find_morphism(
 ) -> Morphism | None:
     """Deterministic, complete search for a morphism from source to target.
 
-    The source is first folded along its empty-set edges: nodes with identical
-    signatures must share an image whenever the target carries no empty-set
-    edge itself, and merging them is harmless even when it does.  A colour
-    clash inside one such class rules out every morphism into a target with
-    distinct signatures, so that case short-circuits to None; against targets
-    with duplicated signatures the full graph is searched instead.
+    Nodes enter the morphism condition only through their signature and
+    colour, so nodes that agree in both are interchangeable on either side:
+    the search runs between the two quotients (``ColoredGraph.quotient``,
+    built once per graph), and the witness maps each source node through its
+    class to the first member of its image class.  Two source nodes with one
+    signature and two colours need a target signature that carries both
+    colours, so a source conflict into a conflict-free target is None at once.
 
     Before the search, a label-level arc-consistency pass (``_refute``)
     settles many negatives without trying a single candidate.  ``budget``
-    caps the node expansions of the search that follows; exceeding it raises
-    SearchLimitExceeded rather than answering, so None always means "no
-    morphism exists".  A negative the pass refutes is answered under any
-    budget, 0 included.
+    caps the candidates tried by the search between the two quotients;
+    exceeding it raises SearchLimitExceeded rather than answering, so None
+    always means "no morphism exists".  A negative the pass refutes is
+    answered under any budget, 0 included.
     """
     if source.n != target.n:
         raise ArityMismatch(f"source has {source.n} agents, target has {target.n}")
-    quotient = quotient_by_indistinguishability(source)
-    if quotient.conflict is None:
-        src, class_of = quotient.graph, quotient.class_of
-    elif len(set(target.signatures)) == len(target.signatures):
+    src, dst = source.quotient, target.quotient
+    if src.conflict is not None and dst.conflict is None:
         return None
-    else:
-        src, class_of = source, range(len(source))
-    if _refute(src, target):
+    if _refute(src.graph, dst.graph):
         return None
-    image = _search(src, target, budget)
+    image = _search(src.graph, dst.graph, budget)
     if image is None:
         return None
-    return Morphism(source, target, tuple(image[c] for c in class_of))
+    images = [dst.classes[t][0] for t in image]
+    return Morphism(source, target, tuple(map(images.__getitem__, src.class_of)))
 
 
 @dataclass(frozen=True)

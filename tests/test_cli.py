@@ -314,6 +314,35 @@ class TestCompareCommand:
         assert verdict["relation"] == "equivalent"
         assert verdict["witness_fwd"] is not None
 
+    def test_each_witness_is_serialised_once(self, runner, tmp_path, monkeypatch):
+        calls = []
+        serialise = files.morphism_to_obj
+
+        def counted(m):
+            calls.append(m)
+            return serialise(m)
+
+        monkeypatch.setattr(files, "morphism_to_obj", counted)
+        prefix, verdict_path = tmp_path / "w", tmp_path / "v.json"
+        result = runner.invoke(
+            main,
+            [
+                "compare",
+                "conjunctive:2",
+                "conjunctive_cd:2",
+                "--witness",
+                str(prefix),
+                "-o",
+                str(verdict_path),
+            ],
+        )
+        assert result.exit_code == 0, result.output
+        assert len(calls) == 2
+        verdict = json.loads(verdict_path.read_text())
+        for tag in ("fwd", "bwd"):
+            witness = json.loads(Path(f"{prefix}_{tag}.json").read_text())
+            assert verdict[f"witness_{tag}"] == witness
+
     def test_separating_files(self, runner, tmp_path):
         prefix = tmp_path / "sep"
         result = runner.invoke(

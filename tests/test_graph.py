@@ -184,6 +184,33 @@ class TestQuotient:
                     assert q.graph.edge_colour(cu, cv) == g.edge_colour(u, v)
 
 
+    def test_classes_are_uniform_and_distinct(self):
+        rng = random.Random(22)
+        conflicts = 0
+        for _ in range(300):
+            g = random_colored_graph(rng)
+            q = quotient_by_indistinguishability(g)
+            kinds = [(g.signatures[c[0]], g.colours[c[0]]) for c in q.classes]
+            for c, kind in zip(q.classes, kinds):
+                assert all((g.signatures[m], g.colours[m]) == kind for m in c)
+            assert len(set(kinds)) == len(kinds)
+            assert list(zip(q.graph.signatures, q.graph.colours)) == kinds
+            shared = len({sig for sig, _ in kinds}) < len(kinds)
+            assert (q.conflict is not None) == shared
+            if q.conflict is not None:
+                u, v = (g.key_index[key] for key in q.conflict)
+                assert g.signatures[u] == g.signatures[v] and g.colours[u] != g.colours[v]
+                conflicts += 1
+            assert sorted(m for c in q.classes for m in c) == list(range(len(g)))
+            assert all(q.class_of[m] == ci for ci, c in enumerate(q.classes) for m in c)
+        assert conflicts > 50
+
+    def test_quotient_is_cached_per_graph(self):
+        g = random_colored_graph(random.Random(23), min_nodes=6)
+        assert g.quotient is g.quotient
+        assert g.quotient == quotient_by_indistinguishability(g)
+
+
 class TestD2O:
     def test_unary_conjunctive_strings(self):
         res = decision_graph_to_observation(builtin_rule("conjunctive", 2), "unary")

@@ -158,6 +158,57 @@ class TestFindMorphism:
         m = find_morphism(g, g)
         assert m is not None and verify_morphism(m).ok
 
+    def test_conflict_into_conflict_free_target_is_none_at_budget_0(self):
+        # The target repeats a signature, but never in both colours, so no
+        # target can take the two source nodes apart; the search never starts.
+        # Each colour's targets cover the same coordinates, so the
+        # arc-consistency pass alone proves nothing here.
+        src = ColoredGraph(
+            n=2, keys=("s", "t"), signatures=(("x", "y"), ("x", "y")), colours=(0, 1)
+        )
+        dst = ColoredGraph(
+            n=2,
+            keys=tuple(range(5)),
+            signatures=(("a", "b"), ("c", "d"), ("a", "d"), ("c", "b"), ("a", "b")),
+            colours=(0, 0, 1, 1, 0),
+        )
+        assert not _refute(src, dst)
+        assert find_morphism(src, dst, budget=0) is None
+
+    def test_duplicate_targets_fold_into_one_candidate(self):
+        # Five (signature, colour) kinds, 24 copies each, in blocks.  Without
+        # the fold every failing subtree is repeated once per copy, and the
+        # search needs more than 60,000 candidates; with it, 15.
+        kinds = [
+            (("c2", "c0", "c1"), 1),
+            (("c2", "c1", "c2"), 0),
+            (("c1", "c1", "c1"), 0),
+            (("c2", "c0", "c2"), 0),
+            (("c2", "c1", "c0"), 1),
+        ]
+        copies = [kind for kind in kinds for _ in range(24)]
+        dst = ColoredGraph(
+            n=3,
+            keys=tuple(range(len(copies))),
+            signatures=tuple(sig for sig, _ in copies),
+            colours=tuple(colour for _, colour in copies),
+        )
+        labels = [
+            ("l1", "l0", "l1"), ("l2", "l2", "l2"), ("l2", "l1", "l3"),
+            ("l0", "l2", "l2"), ("l2", "l0", "l1"), ("l1", "l0", "l2"),
+            ("l0", "l1", "l0"), ("l3", "l0", "l3"), ("l2", "l1", "l0"),
+        ]
+        src = ColoredGraph(
+            n=3,
+            keys=tuple(range(9)),
+            signatures=tuple(labels),
+            colours=(1, 1, 1, 1, 1, 1, 1, 0, 1),
+        )
+        found = find_morphism(src, dst, budget=50)
+        assert found is not None and verify_morphism(found).ok
+        # Each target class is represented by its first member.
+        assert {t % 24 for t in found.mapping} == {0}
+
     def test_arity_mismatch(self, conj_graph):
         with pytest.raises(ArityMismatch):
             find_morphism(conj_graph, build_decision_graph(builtin_rule("conjunctive", 3)))
@@ -430,6 +481,16 @@ def test_found_morphisms_always_verify(pair):
         assert again.mapping == found.mapping
 
 
+@settings(max_examples=150, deadline=None)
+@given(graph_pairs(max_nodes=5))  # conflicts and duplicate targets are both common
+def test_find_morphism_agrees_with_brute_force(pair):
+    src, dst = pair
+    found = find_morphism(src, dst)
+    assert (found is not None) == brute_force_morphism_exists(src, dst)
+    if found is not None:
+        assert verify_morphism(found).ok
+
+
 def _same_arity_pairs(rng, count, max_nodes):
     pairs = []
     while len(pairs) < count:
@@ -618,8 +679,8 @@ class TestRefute:
     """The arc-consistency pass that find_morphism runs before the search."""
 
     def test_sound_on_sources_and_targets_with_repeated_signatures(self):
-        # Unquotiented sources, as find_morphism searches them when a colour
-        # clash meets a target with duplicated signatures.
+        # Unquotiented graphs on both sides: find_morphism hands the pass
+        # only quotients, but its soundness does not rest on that.
         rng = random.Random(91)
         refuted = 0
         for _ in range(300):
