@@ -10,8 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ArityMismatch
-from .graph import build_decision_graph, decision_graph_to_observation
-from .model import FusionRule, ObservationProblem
+from .graph import build_decision_graph
+from .model import FusionRule
 from .morphism import Morphism, find_morphism
 
 RELATIONS = ("equivalent", "first_strictly_less", "first_strictly_more", "incomparable")
@@ -23,7 +23,10 @@ class PermissivenessVerdict:
 
     ``witness_fwd`` maps the first rule's decision graph into the second's
     (present iff the second is at least as permissive), ``witness_bwd`` the
-    converse.
+    converse.  A missing ``witness_fwd`` means that
+    ``decision_graph_to_observation(first).problem`` is solvable under the
+    first rule and not under the second, so it separates them; likewise for
+    a missing ``witness_bwd`` with the second rule.
     """
 
     relation: str
@@ -46,29 +49,6 @@ def compare(
 ) -> PermissivenessVerdict:
     """Compare the classes of problems solvable under two rules."""
     return relation_matrix((first, second), budget).verdicts[0][1]
-
-
-def separating_problem(
-    first: FusionRule,
-    second: FusionRule,
-    encoding: str = "unary",
-    budget: int | None = None,
-) -> ObservationProblem | None:
-    """A problem solvable under the first rule but not under the second.
-
-    Exists exactly when no morphism maps the first decision graph into the
-    second; the first rule's own decision graph, recast as an observation
-    problem, is such a witness.  Returns None when the second rule is at
-    least as permissive.
-    """
-    if first.n != second.n:
-        raise ArityMismatch(f"first rule has {first.n} agents, second has {second.n}")
-    fwd = find_morphism(
-        build_decision_graph(first), build_decision_graph(second), budget=budget
-    )
-    if fwd is not None:
-        return None
-    return decision_graph_to_observation(first, encoding).problem
 
 
 @dataclass(frozen=True)

@@ -397,7 +397,11 @@ def parse_solution(obj: Any) -> Solution:
                 f"tables[{i}] entries must be [label, decision] pairs",
             )
             _require(isinstance(pair[1], str), f"tables[{i}]: decisions must be text")
-            entries[_label_from(pair[0], f"tables[{i}] label")] = pair[1]
+            label = _label_from(pair[0], f"tables[{i}] label")
+            _require(
+                entries.setdefault(label, pair[1]) == pair[1],
+                f"tables[{i}]: label {pair[0]!r} has two decisions",
+            )
         parsed.append(entries)
     return Solution(tuple(parsed))
 

@@ -275,18 +275,15 @@ def _edge_attrs(colour: AgentSet) -> str:
     return f'label="{label}", style={style}'
 
 
-def export_dot(g: ColoredGraph, name: str = "G", include_empty_edges: bool = True) -> str:
+def export_dot(g: ColoredGraph) -> str:
     """Deterministic DOT text: doubly-circled nodes carry colour 1, edges are
     dotted for {1}, dashed for {2}, solid otherwise, grey for the empty set."""
-    lines = [f'graph "{name}" {{']
+    lines = ['graph "G" {']
     for idx in range(len(g)):
         shape = "doublecircle" if g.colours[idx] == 1 else "circle"
         label = _node_label(g, idx).replace('"', '\\"')
         lines.append(f'  n{idx} [label="{label}", shape={shape}];')
     for u, v in g.pairs():
-        colour = g.edge_colour(u, v)
-        if not colour and not include_empty_edges:
-            continue
-        lines.append(f"  n{u} -- n{v} [{_edge_attrs(colour)}];")
+        lines.append(f"  n{u} -- n{v} [{_edge_attrs(g.edge_colour(u, v))}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

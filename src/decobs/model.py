@@ -50,7 +50,9 @@ class Projection:
 
 @dataclass(frozen=True)
 class ObservationTable:
-    """Explicit observation map, total on the language it was declared for.
+    """Explicit observation map, total on the language it was declared for
+    and a function on it: ``validate_problem`` reports a string listed with
+    two labels.
 
     Labels are opaque and compare by equality only.
     """
@@ -84,11 +86,6 @@ class ObservationTable:
 
 
 ObservationFunction = Union[Projection, ObservationTable]
-
-
-def observe(fn: ObservationFunction, s: Str) -> Label:
-    """Apply one agent's observation function to a string."""
-    return fn.observe(tuple(s))
 
 
 class _ProblemFields:
@@ -199,6 +196,11 @@ def validate_problem(p: Problem) -> ValidationReport:
                     f"P_{i + 1} table is partial on L: missing "
                     + ", ".join(format_str(s) for s in absent)
                 )
+            # Two labels for one string; the set is built only if a string repeats.
+            if len(fn.entries) != len(fn.domain) and len(set(fn.entries)) != len(fn.domain):
+                first = dict(fn.entries[::-1])  # each string's first label
+                for s in _unique(s for s, label in fn.entries if first[s] != label):
+                    v.append(f"P_{i + 1} table maps {format_str(s)} to two labels")
     if isinstance(p, ControlProblem):
         if len(p.controllable) != p.n:
             v.append(
@@ -214,27 +216,15 @@ def validate_problem(p: Problem) -> ValidationReport:
     return ValidationReport(tuple(v))
 
 
-def observation_tuple(p: ObservationProblem, s: Str) -> tuple[Label, ...]:
-    """Broadcast a string of L to every agent's observation function."""
-    s = tuple(s)
-    if s not in p.L_set:
-        raise UnknownString(f"{format_str(s)} is not in L")
-    return tuple(observe(fn, s) for fn in p.P)
-
-
 def controllability_witness(c: ControlProblem) -> tuple[Str, Token] | None:
-    """First (s, u) with s ∈ K, u uncontrollable, su ∈ L − K, if any."""
+    """First (s, u) with s ∈ K, u uncontrollable, su ∈ L − K; None exactly
+    when the problem is controllable."""
     for s in c.K:
         for u in c.sigma_u:
             su = s + (u,)
             if su in c.L_set and su not in c.K_set:
                 return s, u
     return None
-
-
-def check_controllability(c: ControlProblem) -> bool:
-    """True iff every uncontrollable continuation of K inside L stays in K."""
-    return controllability_witness(c) is None
 
 
 @dataclass(frozen=True)
@@ -250,24 +240,9 @@ class ReducedProblem:
     problem: ObservationProblem
 
 
-@dataclass(frozen=True)
-class ReducedFamily:
-    """The per-controllable-event observation problems of a control problem."""
-
-    problems: tuple[ReducedProblem, ...]
-
-    @property
-    def events(self) -> tuple[Token, ...]:
-        return tuple(rp.event for rp in self.problems)
-
-    def __iter__(self):
-        return iter(self.problems)
-
-    def __len__(self) -> int:
-        return len(self.problems)
-
-
-def reduce_control(c: ControlProblem, allow_uncontrollable: bool = False) -> ReducedFamily:
+def reduce_control(
+    c: ControlProblem, allow_uncontrollable: bool = False
+) -> tuple[ReducedProblem, ...]:
     """Split a control problem into one observation problem per controllable
     event σ, over the languages
 
@@ -293,7 +268,7 @@ def reduce_control(c: ControlProblem, allow_uncontrollable: bool = False) -> Red
             P=tuple(c.P[i] for i in agents),
         )
         reduced.append(ReducedProblem(sigma, agents, problem))
-    return ReducedFamily(tuple(reduced))
+    return tuple(reduced)
 
 
 @dataclass(frozen=True)
@@ -339,10 +314,6 @@ class FusionRule:
     @cached_property
     def _output_of(self) -> dict[tuple[Token, ...], int]:
         return dict(zip(self.domain, self.outputs))
-
-    @cached_property
-    def domain_set(self) -> frozenset[tuple[Token, ...]]:
-        return frozenset(self.domain)
 
     def output(self, combo: Iterable[Token]) -> int:
         combo = tuple(combo)

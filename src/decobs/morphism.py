@@ -31,7 +31,6 @@ from .model import (
     Label,
     ObservationProblem,
     Token,
-    observe,
 )
 
 _MISSING = object()
@@ -365,10 +364,11 @@ def verify_solution(p: ObservationProblem, sol: Solution, r: FusionRule) -> bool
             if decision is _MISSING:
                 return False
             combo.append(decision)
-        combo = tuple(combo)
-        if combo not in r.domain_set:
+        try:
+            fused = r.output(combo)
+        except KeyError:  # not an allowed combination
             return False
-        if r.output(combo) != (1 if s in p.K_set else 0):
+        if fused != (1 if s in p.K_set else 0):
             return False
     return True
 
@@ -388,7 +388,7 @@ def solvable_by_enumeration(
     for fn in p.P:
         seen: list[Label] = []
         for s in p.L:
-            label = observe(fn, s)
+            label = fn.observe(s)
             if label not in seen:
                 seen.append(label)
         labels_per_agent.append(seen)

@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 
 import decobs
 from decobs import (
+    ControlProblem,
     MorphismReport,
+    Projection,
     build_decision_graph,
     build_observation_graph,
     builtin_rule,
@@ -64,6 +66,29 @@ class TestValidate:
         result = runner.invoke(main, ["validate", str(path)])
         assert result.exit_code == 2
         assert "K is not a subset of L" in result.output
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["a-x-first", "a-y-first"])
+    def test_table_with_two_labels_for_one_string_exits_2(self, runner, tmp_path, reverse):
+        entries = [[["a"], "x"], [["b"], "y"], [["a"], "y"]]
+        path = tmp_path / "two.json"
+        obj = {
+            "type": "observation",
+            "agents": 2,
+            "alphabet": ["a", "b"],
+            "L": [["a"], ["b"]],
+            "K": [["a"]],
+            "observations": [
+                {"kind": "table", "map": entries[::-1] if reverse else entries},
+                {"kind": "projection", "observable": []},
+            ],
+        }
+        files.dump_json(obj, path)
+        result = runner.invoke(main, ["validate", str(path)])
+        assert result.exit_code == 2
+        assert result.output == "P_1 table maps a to two labels\n"
+        result = runner.invoke(main, ["check", str(path), "--rule", "conjunctive:2"])
+        assert result.exit_code == 2
+        assert "invalid: P_1 table maps a to two labels" in result.output
 
     def test_malformed_file(self, runner, tmp_path):
         path = tmp_path / "junk.json"
@@ -124,6 +149,29 @@ class TestReduce:
         result = runner.invoke(main, ["reduce", str(ex1_file), "-o", str(tmp_path / "x")])
         assert result.exit_code == 2
 
+    def test_events_with_one_file_name_get_numbered(self, runner, tmp_path):
+        # é is spelled u00e9 in a file name, which is also the other event's name.
+        control = ControlProblem(
+            n=1,
+            alphabet=("é", "u00e9"),
+            controllable=(frozenset({"é", "u00e9"}),),
+            L=((), ("é",), ("u00e9",)),
+            K=((), ("é",), ("u00e9",)),
+            P=(Projection(frozenset({"é", "u00e9"})),),
+        )
+        path = tmp_path / "c.json"
+        files.dump_json(files.problem_to_obj(control), path)
+        outdir = tmp_path / "out"
+        result = runner.invoke(main, ["reduce", str(path), "-o", str(outdir)])
+        assert result.exit_code == 0, result.output
+        manifest = json.loads((outdir / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["files"] == {"obs_u00e9.json": "é", "obs_u00e9_2.json": "u00e9"}
+        assert sorted(p.name for p in outdir.iterdir()) == [
+            "manifest.json",
+            "obs_u00e9.json",
+            "obs_u00e9_2.json",
+        ]
+
 
 class TestCheckAndSolve:
     def test_solvable_with_witness(self, runner, ex1, ex1_file, tmp_path):
@@ -138,6 +186,11 @@ class TestCheckAndSolve:
         target = build_decision_graph(builtin_rule("conjunctive", 2))
         loaded = files.load_morphism(witness, source, target)
         assert verify_morphism(loaded).ok
+
+    def test_control_problem_exits_2(self, runner, control_file):
+        result = runner.invoke(main, ["check", str(control_file), "--rule", "conjunctive:2"])
+        assert result.exit_code == 2
+        assert "expected an observation problem" in result.output
 
     def test_unsolvable(self, runner, ex1_file):
         result = runner.invoke(main, ["check", str(ex1_file), "--rule", "const0:2"])
@@ -361,6 +414,27 @@ class TestCompareCommand:
     def test_arity_mismatch(self, runner):
         result = runner.invoke(main, ["compare", "conjunctive:2", "conjunctive:3"])
         assert result.exit_code == 2
+
+    def test_builtin_rule_with_no_agents_exits_2(self, runner):
+        result = runner.invoke(main, ["compare", "conjunctive:0", "conjunctive:2"])
+        assert result.exit_code == 2
+        assert "error: agent count must be at least 1, got 0" in result.output
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"agents": 0, "domain": [], "output": []}, "agent count must be at least 1"),
+            ({"decisions": [], "domain": [], "output": []}, "decision set must be nonempty"),
+            ({"decisions": ["0", "1", "0"]}, "decision set contains duplicates"),
+        ],
+        ids=["no-agents", "no-decisions", "duplicate-decisions"],
+    )
+    def test_malformed_rule_file_exits_2(self, runner, tmp_path, fields, message):
+        path = tmp_path / "rule.json"
+        files.dump_json({**files.rule_to_obj(builtin_rule("conjunctive", 2)), **fields}, path)
+        result = runner.invoke(main, ["compare", str(path), "conjunctive:2"])
+        assert result.exit_code == 2
+        assert f"error: {message}" in result.output
 
 
 class TestPoset:
@@ -716,6 +790,20 @@ class TestExitCodes:
         result = runner.invoke(main, [*args, "--budget", "-1"])
         assert result.exit_code == 2, result.output
         assert "exceeded" not in result.output
+
+    def test_solution_with_two_decisions_for_one_label_exits_2(self, runner, ex1_file, tmp_path):
+        # Keeping the last decision for ["a"] would make this a solution of ex1.
+        solution = tmp_path / "sol.json"
+        tables = [
+            [[["a"], "1"], [["a"], "0"], [[], "1"]],
+            [[[], "0"], [["b"], "1"], [["b", "b"], "0"]],
+        ]
+        files.dump_json(tables, solution)
+        result = runner.invoke(
+            main, ["verify-solution", str(ex1_file), str(solution), "--rule", "conjunctive:2"]
+        )
+        assert result.exit_code == 2, result.output
+        assert "has two decisions" in result.output
 
     @pytest.mark.parametrize("label", [{"x": 1}, [["b"]]], ids=["object", "nested-array"])
     def test_malformed_solution_label_exits_2(self, runner, ex1_file, tmp_path, label):

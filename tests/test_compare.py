@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from decobs import (
@@ -13,12 +14,14 @@ from decobs import (
     builtin_rule,
     compare,
     compose,
+    decision_graph_to_observation,
     find_morphism,
     relation_matrix,
-    separating_problem,
     solvable_by_enumeration,
     verify_morphism,
 )
+from decobs import files
+from decobs.cli import main
 from decobs.morphism import _search
 
 _MIRROR = {
@@ -127,12 +130,26 @@ class TestCompareIsOneMatrixEntry:
             compare(builtin_rule("conjunctive", 2), builtin_rule("cpda", 3))
 
 
+def _separating(tmp_path, first: str, second: str) -> dict:
+    """Run ``compare FIRST SECOND --separating`` and load the problems it
+    wrote, keyed by tag."""
+    prefix = tmp_path / "sep"
+    result = CliRunner().invoke(main, ["compare", first, second, "--separating", str(prefix)])
+    assert result.exit_code == 0, result.output
+    written = {}
+    for tag in ("first_not_second", "second_not_first"):
+        path = tmp_path / f"sep_{tag}.json"
+        if path.exists():
+            written[tag] = files.load_problem(path)
+    return written
+
+
 class TestSeparatingProblem:
-    def test_conjunctive_not_disjunctive(self):
+    def test_conjunctive_not_disjunctive(self, tmp_path):
         conj = builtin_rule("conjunctive", 2)
         disj = builtin_rule("disjunctive", 2)
-        problem = separating_problem(conj, disj)
-        assert problem is not None
+        problem = _separating(tmp_path, "conjunctive:2", "disjunctive:2")["first_not_second"]
+        assert problem == decision_graph_to_observation(conj).problem
         graph = build_observation_graph(problem)
         # Solvable with the first rule, refuted for the second, via both the
         # search and the exhaustive table oracle.
@@ -141,22 +158,43 @@ class TestSeparatingProblem:
         assert solvable_by_enumeration(problem, conj) is True
         assert solvable_by_enumeration(problem, disj) is False
 
-    def test_mirrored_pair(self):
+    def test_mirrored_pair(self, tmp_path):
         conj = builtin_rule("conjunctive", 2)
         disj = builtin_rule("disjunctive", 2)
-        problem = separating_problem(disj, conj)
+        written = _separating(tmp_path, "conjunctive:2", "disjunctive:2")
+        problem = written["second_not_first"]
+        assert problem == decision_graph_to_observation(disj).problem
         assert solvable_by_enumeration(problem, disj) is True
         assert solvable_by_enumeration(problem, conj) is False
 
-    def test_none_when_second_rule_subsumes(self):
-        assert separating_problem(builtin_rule("cpda", 2), builtin_rule("conjunctive", 2)) is None
+    def test_none_when_second_rule_subsumes(self, tmp_path):
+        written = _separating(tmp_path, "cpda:2", "conjunctive:2")
+        assert "first_not_second" not in written
+        problem = written["second_not_first"]
+        assert solvable_by_enumeration(problem, builtin_rule("conjunctive", 2)) is True
+        assert solvable_by_enumeration(problem, builtin_rule("cpda", 2)) is False
 
     def test_tagged_encoding_also_separates(self):
         conj = builtin_rule("conjunctive", 2)
         disj = builtin_rule("disjunctive", 2)
-        problem = separating_problem(conj, disj, encoding="tagged")
+        problem = decision_graph_to_observation(conj, "tagged").problem
         assert solvable_by_enumeration(problem, conj) is True
         assert solvable_by_enumeration(problem, disj) is False
+
+    @pytest.mark.parametrize("first, second", itertools.permutations(BUILTIN_RULES, 2))
+    def test_written_exactly_when_a_witness_is_missing(self, tmp_path, first, second):
+        rules = {"first": builtin_rule(first, 2), "second": builtin_rule(second, 2)}
+        verdict = compare(rules["first"], rules["second"])
+        written = _separating(tmp_path, f"{first}:2", f"{second}:2")
+        expected = {
+            "first_not_second": verdict.witness_fwd is None,
+            "second_not_first": verdict.witness_bwd is None,
+        }
+        assert {tag: tag in written for tag in expected} == expected
+        for tag, problem in written.items():
+            donor, other = tag.split("_not_")
+            assert solvable_by_enumeration(problem, rules[donor]) is True
+            assert solvable_by_enumeration(problem, rules[other]) is False
 
 
 class TestRelationMatrix:

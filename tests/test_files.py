@@ -250,6 +250,15 @@ class TestSolutionFiles:
         with pytest.raises(FileFormatError, match="tables\\[0\\] label"):
             files.parse_solution([[[label, "0"]]])
 
+    @pytest.mark.parametrize("label", ["x", ["a", "b"]], ids=["text", "string"])
+    def test_rejects_a_label_with_two_decisions(self, label):
+        with pytest.raises(FileFormatError, match="tables\\[1\\]: label .* has two decisions"):
+            files.parse_solution([[], [[label, "0"], [label, "1"]]])
+
+    def test_repeated_identical_pairs_are_accepted(self):
+        sol = files.parse_solution([[["x", "0"], [["a"], "1"], ["x", "0"]]])
+        assert sol == Solution(({"x": "0", ("a",): "1"},))
+
 
 class TestBijectionFiles:
     def test_bijection_entries_pair_tuples_with_strings(self):

@@ -15,7 +15,6 @@ from decobs import (
     builtin_rule,
     decision_graph_to_observation,
     export_dot,
-    observation_tuple,
     quotient_by_indistinguishability,
     verify_d2o,
 )
@@ -47,8 +46,8 @@ class TestObservationGraph:
         # Recompute every edge straight from the definition.
         g = build_observation_graph(ex1)
         for u, v in g.pairs():
-            tu = observation_tuple(ex1, g.keys[u])
-            tv = observation_tuple(ex1, g.keys[v])
+            tu = tuple(fn.observe(g.keys[u]) for fn in ex1.P)
+            tv = tuple(fn.observe(g.keys[v]) for fn in ex1.P)
             assert g.edge_colour(u, v) == frozenset(
                 i for i in range(2) if tu[i] != tv[i]
             )
@@ -272,6 +271,24 @@ class TestD2O:
         )
         assert not verify_d2o(broken, rule)
 
+    @pytest.mark.parametrize(
+        "defect",
+        ["repeated-combination", "missing-combination", "repeated-string", "unknown-string"],
+    )
+    def test_verify_rejects_a_bijection_that_is_not_one(self, defect):
+        rule = builtin_rule("conjunctive", 2)
+        res = decision_graph_to_observation(rule, "unary")
+        pairs = list(res.bijection)
+        if defect == "repeated-combination":
+            pairs.append(pairs[0])
+        elif defect == "missing-combination":
+            pairs.pop()
+        elif defect == "repeated-string":
+            pairs[1] = (pairs[1][0], pairs[0][1])
+        else:
+            pairs[1] = (pairs[1][0], ("1_1",))
+        assert not verify_d2o(D2OResult(res.problem, tuple(pairs), res.encoding), rule)
+
     def test_verify_rejects_swapped_strings(self):
         rule = builtin_rule("conjunctive", 2)
         res = decision_graph_to_observation(rule, "unary")
@@ -344,7 +361,6 @@ class TestExportDot:
         )
         text = export_dot(g)
         assert "∅" in text
-        assert len(export_dot(g, include_empty_edges=False).splitlines()) == 4
 
     def test_epsilon_label_for_empty_string(self):
         p = ObservationProblem(

@@ -11,11 +11,9 @@ from decobs import (
     Projection,
     UnknownRuleName,
     UnknownString,
+    build_observation_graph,
     builtin_rule,
-    check_controllability,
     controllability_witness,
-    observation_tuple,
-    observe,
     reduce_control,
     validate_problem,
 )
@@ -23,23 +21,23 @@ from decobs import (
 
 class TestObserve:
     def test_projection_keeps_observable_tokens(self):
-        assert observe(Projection(frozenset({"a"})), ("a", "b")) == ("a",)
+        assert Projection(frozenset({"a"})).observe(("a", "b")) == ("a",)
 
     def test_projection_can_be_identity_on_a_string(self):
-        assert observe(Projection(frozenset({"b"})), ("b", "b")) == ("b", "b")
+        assert Projection(frozenset({"b"})).observe(("b", "b")) == ("b", "b")
 
     def test_projection_of_empty_string(self):
-        assert observe(Projection(frozenset({"a"})), ()) == ()
+        assert Projection(frozenset({"a"})).observe(()) == ()
 
     def test_table_lookup(self):
         table = ObservationTable.from_mapping({("a",): "x", (): "y"})
-        assert observe(table, ("a",)) == "x"
-        assert observe(table, ()) == "y"
+        assert table.observe(("a",)) == "x"
+        assert table.observe(()) == "y"
 
     def test_table_unknown_string(self):
         table = ObservationTable.from_mapping({("a",): "x"})
         with pytest.raises(UnknownString):
-            observe(table, ("b",))
+            table.observe(("b",))
 
     @given(
         st.lists(st.sampled_from("abcd"), max_size=6),
@@ -47,19 +45,21 @@ class TestObserve:
     )
     def test_projection_idempotent_and_contracting(self, tokens, observable):
         fn = Projection(observable)
-        once = observe(fn, tuple(tokens))
+        once = fn.observe(tuple(tokens))
         assert len(once) <= len(tokens)
-        assert observe(fn, once) == once
+        assert fn.observe(once) == once
+
+
+def observation_tuple(p: ObservationProblem, s) -> tuple:
+    """The signature of string s in the observation graph of p."""
+    g = build_observation_graph(p)
+    return g.signatures[g.key_index[s]]
 
 
 class TestObservationTuple:
     def test_example_values(self, ex1):
         assert observation_tuple(ex1, ("a", "b")) == (("a",), ("b",))
         assert observation_tuple(ex1, ("b",)) == ((), ("b",))
-
-    def test_requires_membership_in_l(self, ex1):
-        with pytest.raises(UnknownString):
-            observation_tuple(ex1, ("b", "a"))
 
     def test_single_fully_observing_agent(self):
         p = ObservationProblem(
@@ -97,6 +97,39 @@ class TestValidate:
         assert len(report.violations) == 1
         assert "P_1 table is partial on L" in report.violations[0]
         assert "b b" in report.violations[0]
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["a-x-first", "a-y-first"])
+    def test_table_mapping_one_string_to_two_labels_is_reported(self, reverse):
+        # Neither order of the entries makes the table a function.
+        entries = ((("a",), "x"), (("b",), "y"), (("a",), "y"))
+        table = ObservationTable(entries[::-1] if reverse else entries)
+        p = ObservationProblem(
+            n=2,
+            alphabet=("a", "b"),
+            L=(("a",), ("b",)),
+            K=(("a",),),
+            P=(table, Projection(frozenset())),
+        )
+        assert validate_problem(p).violations == ("P_1 table maps a to two labels",)
+
+    def test_each_string_with_two_labels_is_reported_once(self):
+        table = ObservationTable(
+            ((("a",), "x"), (("a",), "y"), (("a",), "z"), ((), "x"), ((), "y"))
+        )
+        p = ObservationProblem(
+            n=1, alphabet=("a",), L=(("a",), ()), K=(), P=(table,)
+        )
+        assert validate_problem(p).violations == (
+            "P_1 table maps a to two labels",
+            "P_1 table maps ε to two labels",
+        )
+
+    def test_repeated_identical_table_entries_are_accepted(self):
+        table = ObservationTable(((("a",), "x"), (("b",), "y"), (("a",), "x")))
+        p = ObservationProblem(
+            n=1, alphabet=("a", "b"), L=(("a",), ("b",)), K=(("a",),), P=(table,)
+        )
+        assert validate_problem(p).ok
 
     def test_out_of_alphabet_tokens(self, ex1):
         p = ObservationProblem(n=2, alphabet=("a",), L=ex1.L, K=ex1.K, P=ex1.P)
@@ -138,7 +171,6 @@ def _controllable_by_definition(c: ControlProblem) -> bool:
 class TestControllability:
     def test_gamma_problem_is_controllable(self, gamma_control):
         assert _controllable_by_definition(gamma_control) is True
-        assert check_controllability(gamma_control) is True
         assert controllability_witness(gamma_control) is None
 
     def test_uncontrollable_continuation_detected(self):
@@ -150,7 +182,6 @@ class TestControllability:
             K=((),),
             P=(Projection(frozenset()),),
         )
-        assert check_controllability(c) is False
         s, u = controllability_witness(c)
         assert s + (u,) in c.L_set and s + (u,) not in c.K_set
         assert s in c.K_set
@@ -165,14 +196,14 @@ class TestControllability:
             P=(Projection(frozenset({"a"})),),
         )
         assert c.sigma_u == ()
-        assert check_controllability(c) is True
+        assert controllability_witness(c) is None
 
 
 class TestReduce:
     def test_gamma_reduction(self, gamma_control):
         family = reduce_control(gamma_control)
-        assert family.events == ("γ",)
-        reduced = family.problems[0]
+        assert [rp.event for rp in family] == ["γ"]
+        reduced = family[0]
         assert reduced.agents == (0, 1)
         # Independent evaluation of the defining comprehensions.
         expected_l = tuple(
@@ -229,9 +260,9 @@ class TestReduce:
             reduce_control(c)
         assert info.value.event == "u"
         family = reduce_control(c, allow_uncontrollable=True)
-        assert family.events == ("c",)
-        assert family.problems[0].problem.L == ((),)
-        assert family.problems[0].problem.K == ((),)
+        assert [rp.event for rp in family] == ["c"]
+        assert family[0].problem.L == ((),)
+        assert family[0].problem.K == ((),)
 
 
 class TestBuiltinRules:
@@ -265,7 +296,9 @@ class TestBuiltinRules:
         assert rule.output(("cd", "cd")) == 1
         assert rule.output(("1", "cd")) == 1
         assert rule.output(("0", "cd")) == 0
-        assert ("0", "1") not in rule.domain_set
+        assert ("0", "1") not in rule.domain
+        with pytest.raises(KeyError):
+            rule.output(("0", "1"))
 
     def test_constant_rules(self):
         zero = builtin_rule("const0", 2)
@@ -339,7 +372,7 @@ def test_reduce_iterates_sigma_c_in_alphabet_order():
         P=(Projection(frozenset({"x"})), Projection(frozenset({"z"}))),
     )
     family = reduce_control(p)
-    assert family.events == ("x", "z")
-    assert family.problems[0].agents == (1,)
-    assert family.problems[1].agents == (0, 1)
-    assert family.problems[0].problem.n == 1
+    assert [rp.event for rp in family] == ["x", "z"]
+    assert family[0].agents == (1,)
+    assert family[1].agents == (0, 1)
+    assert family[0].problem.n == 1

@@ -302,6 +302,14 @@ class TestExtractSolution:
         with pytest.raises(InconsistentMorphism):
             extract_solution(bad, p, rule)
 
+    def test_source_mismatch(self, ex1, ex1_graph, conj_graph):
+        m = Morphism(ex1_graph, conj_graph, (0, 0, 0, 0))
+        other = ObservationProblem(
+            n=2, alphabet=ex1.alphabet, L=ex1.L[::-1], K=ex1.K, P=ex1.P
+        )
+        with pytest.raises(GraphMismatch, match="source"):
+            extract_solution(m, other, builtin_rule("conjunctive", 2))
+
     def test_graph_mismatch(self, ex1, ex1_graph):
         rule = builtin_rule("conjunctive", 2)
         other = build_decision_graph(builtin_rule("disjunctive", 2))
@@ -406,13 +414,11 @@ def _first_solution_by_enumeration(p, rule):
     """Independent solution constructor: first table assignment that verifies."""
     import itertools
 
-    from decobs import observe
-
     labels_per_agent = []
     for fn in p.P:
         seen = []
         for s in p.L:
-            label = observe(fn, s)
+            label = fn.observe(s)
             if label not in seen:
                 seen.append(label)
         labels_per_agent.append(seen)
