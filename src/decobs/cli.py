@@ -5,9 +5,10 @@ Exit codes: 0 for a positive analysis result, 1 for a negative one
 (including files that cannot be read or written, and witnesses whose node
 keys are ambiguous), 3 when a search budget was exhausted, 4 for an internal
 error.  Commands raise library exceptions; ``_Main.invoke`` is the one place
-that turns them into exit codes.  Each command builds every JSON value it
-writes first and hands them to ``_write`` in one call, so it leaves all of its
-output files or none of those it wrote.
+that turns them into exit codes.  Every argument that names a rule or a
+problem is read by ``_load``, which also checks the result's kind.  Each
+command builds every JSON value it writes first and hands them to ``_write``
+in one call, so it leaves all of its output files or none of those it wrote.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .errors import (
 )
 from .graph import (
     ENCODINGS,
-    ColoredGraph,
     build_decision_graph,
     build_observation_graph,
     decision_graph_to_observation,
@@ -50,6 +50,13 @@ from .morphism import verify_solution as check_solution
 
 _SELECTOR = re.compile(r"^([a-z0-9_]+):(\d+)$")
 _BUDGET = click.IntRange(min=0)
+
+# How a wrong-kind message names each kind of argument.
+_KINDS = {
+    FusionRule: "a fusion rule",
+    ObservationProblem: "an observation problem",
+    ControlProblem: "a control problem",
+}
 
 _PHRASES = {
     "equivalent": "equivalent",
@@ -89,31 +96,41 @@ def _require_valid(problem: Problem) -> None:
         sys.exit(2)
 
 
-def _load_valid_observation(path: str) -> ObservationProblem:
-    problem = files.load_problem(path)
-    if not isinstance(problem, ObservationProblem):
-        _fail(2, f"{path}: expected an observation problem (reduce control problems first)")
-    _require_valid(problem)
-    return problem
+def _load(source: str, *expected: type) -> tuple[Any, str]:
+    """The rule or valid problem an argument names, with its label.
 
-
-def _resolve_rule(spec: str) -> tuple[FusionRule, str]:
-    """Resolve 'name:agents' builtin selectors or rule file paths."""
-    selector = _SELECTOR.match(spec)
+    A builtin ``name:agents`` selector comes first and is its own label.
+    Anything else must be a file, labelled by its stem and read as a rule when
+    only a rule is ``expected`` or its ``type`` is a rule's, as a problem
+    otherwise.  Every result of a kind that is not ``expected`` exits 2, and
+    so does an invalid problem.
+    """
+    selector = _SELECTOR.match(source)
     if selector and selector.group(1) in BUILTIN_RULES:
         try:
-            return builtin_rule(selector.group(1), int(selector.group(2))), spec
+            loaded, label = builtin_rule(selector.group(1), int(selector.group(2))), source
         except ValueError as e:
             _fail(2, str(e))
-    path = Path(spec)
-    if path.exists():
-        return files.load_rule(path), path.stem
-    _fail(2, f"{spec!r} is neither a builtin rule (name:agents) nor a rule file")
+    else:
+        path = Path(source)
+        if not path.exists():
+            _fail(2, f"{source!r} is neither a builtin rule (name:agents) nor a file")
+        obj = files.read_json(path)
+        as_rule = expected == (FusionRule,) or (
+            isinstance(obj, dict) and obj.get("type") == files.RULE_TYPE
+        )
+        loaded, label = (files.parse_rule if as_rule else files.parse_problem)(obj), path.stem
+    if not isinstance(loaded, expected):
+        wanted = " or ".join(_KINDS[kind] for kind in expected)
+        _fail(2, f"{source}: expected {wanted}, got {_KINDS[type(loaded)]}")
+    if not isinstance(loaded, FusionRule):
+        _require_valid(loaded)
+    return loaded, label
 
 
 def _problem_and_rule(problem_file: str, rule_spec: str) -> tuple[ObservationProblem, FusionRule]:
-    problem = _load_valid_observation(problem_file)
-    rule, _ = _resolve_rule(rule_spec)
+    problem, _ = _load(problem_file, ObservationProblem)
+    rule, _ = _load(rule_spec, FusionRule)
     if problem.n != rule.n:
         raise ArityMismatch(f"problem has {problem.n} agents, rule has {rule.n}")
     return problem, rule
@@ -176,10 +193,7 @@ def validate(problem_file):
 @click.option("--allow-uncontrollable", is_flag=True, help="Reduce even if controllability fails.")
 def reduce(control_file, outdir, allow_uncontrollable):
     """Split a control problem into per-event observation problem files."""
-    problem = files.load_problem(control_file)
-    if not isinstance(problem, ControlProblem):
-        _fail(2, f"{control_file}: expected a control problem")
-    _require_valid(problem)
+    problem, _ = _load(control_file, ControlProblem)
     try:
         family = reduce_control(problem, allow_uncontrollable=allow_uncontrollable)
     except ControllabilityViolation as e:
@@ -255,8 +269,8 @@ def verify_solution_cmd(problem_file, solution_file, rule_spec):
 @click.option("-o", "--out", "out_path", type=click.Path(), help="Write the verdict as JSON.")
 def compare_cmd(rule_a, rule_b, witness_prefix, separating_prefix, budget, out_path):
     """Compare the permissiveness of two fusion rules."""
-    first, _ = _resolve_rule(rule_a)
-    second, _ = _resolve_rule(rule_b)
+    first, _ = _load(rule_a, FusionRule)
+    second, _ = _load(rule_b, FusionRule)
     verdict = run_compare(first, second, budget=budget)
     click.echo(_PHRASES[verdict.relation])
     # Each witness's JSON value, built once for every file that holds it.
@@ -297,7 +311,7 @@ def compare_cmd(rule_a, rule_b, witness_prefix, separating_prefix, budget, out_p
 @click.option("-o", "--out", "out_path", type=click.Path(), help="Write the matrix as JSON.")
 def poset(rule_specs, budget, out_path):
     """Pairwise permissiveness matrix and Hasse diagram for several rules."""
-    resolved = [_resolve_rule(spec) for spec in rule_specs]
+    resolved = [_load(spec, FusionRule) for spec in rule_specs]
     rules = [rule for rule, _ in resolved]
     labels = [label for _, label in resolved]
     matrix = relation_matrix(rules, budget=budget)
@@ -336,7 +350,7 @@ def poset(rule_specs, budget, out_path):
 @click.option("-o", "--out", "prefix", required=True, help="Output path prefix.")
 def d2o(rule_spec, encoding, prefix):
     """Recast a rule's decision graph as an observation problem."""
-    rule, _ = _resolve_rule(rule_spec)
+    rule, _ = _load(rule_spec, FusionRule)
     result = decision_graph_to_observation(rule, encoding)
     if not verify_d2o(result, rule):
         raise RuntimeError("conversion failed its isomorphism check")
@@ -353,34 +367,14 @@ def d2o(rule_spec, encoding, prefix):
 @click.option("--dot", "dot_path", type=click.Path(), help="Write DOT here instead of stdout.")
 def graph_cmd(source, dot_path):
     """Export the observation or decision graph of a problem file or rule."""
-    built = _resolve_graph_source(source)
-    text = export_dot(built)
+    loaded, _ = _load(source, ObservationProblem, FusionRule)
+    build = build_decision_graph if isinstance(loaded, FusionRule) else build_observation_graph
+    text = export_dot(build(loaded))
     if dot_path:
         Path(dot_path).write_text(text, encoding="utf-8")
         click.echo(f"wrote {dot_path}")
     else:
         click.echo(text, nl=False)
-
-
-def _resolve_graph_source(source: str) -> ColoredGraph:
-    selector = _SELECTOR.match(source)
-    if selector and selector.group(1) in BUILTIN_RULES:
-        rule, _ = _resolve_rule(source)
-        return build_decision_graph(rule)
-    path = Path(source)
-    if not path.exists():
-        _fail(2, f"{source!r} is neither a builtin rule (name:agents) nor a file")
-    obj = files.read_json(path)
-    kind = obj.get("type") if isinstance(obj, dict) else None
-    if kind == files.RULE_TYPE:
-        return build_decision_graph(files.parse_rule(obj))
-    if kind == "observation":
-        problem = files.parse_problem(obj)
-        _require_valid(problem)
-        return build_observation_graph(problem)
-    if kind == "control":
-        _fail(2, "control problems have no graph of their own; reduce first")
-    _fail(2, f"{source}: cannot build a graph from a {kind!r} file")
 
 
 if __name__ == "__main__":

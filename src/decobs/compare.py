@@ -14,8 +14,6 @@ from .graph import build_decision_graph
 from .model import FusionRule
 from .morphism import Morphism, find_morphism
 
-RELATIONS = ("equivalent", "first_strictly_less", "first_strictly_more", "incomparable")
-
 
 @dataclass(frozen=True)
 class PermissivenessVerdict:

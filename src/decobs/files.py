@@ -226,16 +226,11 @@ def parse_problem(obj: Any) -> Problem:
         return ObservationProblem(
             n=agents, alphabet=tuple(alphabet), L=big_l, K=big_k, P=functions
         )
-    controllable = obj.get("controllable")
-    _require(isinstance(controllable, list), "'controllable' must be an array of arrays")
-    parsed = []
-    for i, c in enumerate(controllable):
-        _require(_is_texts(c), f"controllable[{i}] must be an array of tokens")
-        parsed.append(frozenset(c))
+    controllable = _language_from(obj.get("controllable"), "controllable")
     return ControlProblem(
         n=agents,
         alphabet=tuple(alphabet),
-        controllable=tuple(parsed),
+        controllable=tuple(map(frozenset, controllable)),
         L=big_l,
         K=big_k,
         P=functions,
@@ -270,12 +265,7 @@ def parse_rule(obj: Any) -> FusionRule:
     _require(_is_int(obj["agents"]), "'agents' must be an integer")
     decisions = obj["decisions"]
     _require(_is_texts(decisions), "'decisions' must be an array of decision texts")
-    domain = obj["domain"]
-    _require(isinstance(domain, list), "'domain' must be an array of tuples")
-    combos = []
-    for combo in domain:
-        _require(_is_texts(combo), f"domain entries must be arrays of decisions, got {combo!r}")
-        combos.append(tuple(combo))
+    domain = _language_from(obj["domain"], "domain")
     output = obj["output"]
     _require(
         isinstance(output, list) and all(_is_int(o) and o in (0, 1) for o in output),
@@ -285,7 +275,7 @@ def parse_rule(obj: Any) -> FusionRule:
         return FusionRule(
             n=obj["agents"],
             decisions=tuple(decisions),
-            domain=tuple(combos),
+            domain=domain,
             outputs=tuple(output),
         )
     except ValueError as e:
@@ -300,10 +290,6 @@ def rule_to_obj(r: FusionRule) -> dict:
         "domain": [list(combo) for combo in r.domain],
         "output": list(r.outputs),
     }
-
-
-def load_rule(path: str | Path) -> FusionRule:
-    return parse_rule(read_json(path))
 
 
 def _key_form(g: ColoredGraph) -> Callable[[Any], Any]:

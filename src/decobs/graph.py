@@ -281,7 +281,7 @@ def export_dot(g: ColoredGraph) -> str:
     lines = ['graph "G" {']
     for idx in range(len(g)):
         shape = "doublecircle" if g.colours[idx] == 1 else "circle"
-        label = _node_label(g, idx).replace('"', '\\"')
+        label = _node_label(g, idx).replace("\\", "\\\\").replace('"', '\\"')
         lines.append(f'  n{idx} [label="{label}", shape={shape}];')
     for u, v in g.pairs():
         lines.append(f"  n{u} -- n{v} [{_edge_attrs(g.edge_colour(u, v))}];")

@@ -21,9 +21,6 @@ Str = tuple[Token, ...]
 # Observation labels: a Str for projections, opaque text for tables.
 Label = Hashable
 
-EPSILON: Str = ()
-
-
 def format_str(s: Str) -> str:
     """Human-readable rendering of a string; the empty string prints as ε."""
     return " ".join(s) if s else "ε"
@@ -65,10 +62,6 @@ class ObservationTable:
         object.__setattr__(
             self, "entries", tuple((tuple(s), label) for s, label in self.entries)
         )
-
-    @classmethod
-    def from_mapping(cls, mapping) -> "ObservationTable":
-        return cls(tuple(mapping.items()))
 
     @cached_property
     def _lookup(self) -> dict[Str, Label]:

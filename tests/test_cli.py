@@ -21,6 +21,8 @@ from decobs import (
     build_observation_graph,
     builtin_rule,
     decision_graph_to_observation,
+    extract_solution,
+    find_morphism,
     verify_morphism,
 )
 from decobs import files
@@ -522,6 +524,74 @@ class TestGraphCommand:
         assert "'agents' must be an integer" in result.output
 
 
+# Every command slot that takes a rule or a problem: its arguments, with "{}"
+# for the slot, and the argument kinds it accepts.
+_RULES = {"selector", "rule"}
+_SLOTS = {
+    "check problem": (["check", "{}", "--rule", "conjunctive:2"], {"observation"}),
+    "check rule": (["check", "{observation}", "--rule", "{}"], _RULES),
+    "solve problem": (["solve", "{}", "--rule", "conjunctive:2", "-o", "{dir}/s.json"], {"observation"}),
+    "solve rule": (["solve", "{observation}", "--rule", "{}", "-o", "{dir}/s.json"], _RULES),
+    "verify problem": (["verify-solution", "{}", "{sol}", "--rule", "conjunctive:2"], {"observation"}),
+    "verify rule": (["verify-solution", "{observation}", "{sol}", "--rule", "{}"], _RULES),
+    "compare first": (["compare", "{}", "conjunctive:2"], _RULES),
+    "compare second": (["compare", "conjunctive:2", "{}"], _RULES),
+    "poset": (["poset", "{}", "conjunctive:2"], _RULES),
+    "d2o": (["d2o", "{}", "-o", "{dir}/x"], _RULES),
+    "reduce": (["reduce", "{}", "-o", "{dir}/d"], {"control"}),
+    "graph": (["graph", "{}"], _RULES | {"observation"}),
+}
+_READABLE = {"selector", "rule", "observation", "control"}  # a rule or a problem
+
+
+@pytest.fixture
+def arguments(ex1, gamma_control, tmp_path):
+    """One argument of each kind, plus the files the slots' other arguments name."""
+    rule = builtin_rule("conjunctive", 2)
+    documents = {
+        "rule": files.rule_to_obj(rule),
+        "observation": files.problem_to_obj(ex1),
+        "control": files.problem_to_obj(gamma_control),
+        "array": [1, 2],
+        "untyped": {"agents": 2},
+        "sol": files.solution_to_obj(
+            extract_solution(
+                find_morphism(build_observation_graph(ex1), build_decision_graph(rule)), ex1, rule
+            )
+        ),
+    }
+    paths = {"selector": "conjunctive:2", "missing": str(tmp_path / "missing.json"), "dir": str(tmp_path)}
+    for kind, doc in documents.items():
+        paths[kind] = str(tmp_path / f"{kind}.json")
+        files.dump_json(doc, paths[kind])
+    return paths
+
+
+class TestArgumentKinds:
+    @pytest.mark.parametrize("kind", ["selector", "rule", "observation", "control", "missing", "array", "untyped"])
+    @pytest.mark.parametrize("slot", list(_SLOTS))
+    def test_each_slot_reads_each_kind_of_argument(self, runner, arguments, slot, kind):
+        template, accepted = _SLOTS[slot]
+        args = [arguments[kind] if a == "{}" else a.format(**arguments) for a in template]
+        result = runner.invoke(main, args)
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert result.exit_code == (0 if kind in accepted else 2), result.output
+        # A rule or problem of the wrong kind is named as such; a rule-only
+        # slot reads every file as a rule and reports what the rule lacks.
+        wrong_kind = accepted != _RULES and kind in _READABLE - accepted
+        assert ("expected " in result.output) == wrong_kind, result.output
+
+    def test_a_selector_in_a_problem_slot_is_the_wrong_kind(self, runner, tmp_path):
+        result = runner.invoke(main, ["check", "conjunctive:2", "--rule", "conjunctive:2"])
+        assert result.exit_code == 2
+        assert "error: conjunctive:2: expected an observation problem, got a fusion rule" in result.output
+        result = runner.invoke(main, ["reduce", "conjunctive:2", "-o", str(tmp_path / "d")])
+        assert result.exit_code == 2
+        assert "error: conjunctive:2: expected a control problem, got a fusion rule" in result.output
+        assert not (tmp_path / "d").exists()
+
+
 class TestDeterminism:
     def test_witness_and_solution_bytes_are_stable(self, runner, ex1_file, tmp_path):
         pairs = []
@@ -939,6 +1009,10 @@ class TestMutatedInputs:
             ["graph", problem],
             ["graph", rule],
             ["verify-solution", problem, solution, "--rule", rule],
+            ["compare", rule, "conjunctive:2"],
+            ["poset", rule, "conjunctive:2"],
+            ["d2o", rule, "-o", str(tmp_path / "x")],
+            ["graph", solution],
         ):
             result = runner.invoke(main, args)
             assert result.exception is None or isinstance(result.exception, SystemExit), (

@@ -35,7 +35,7 @@ class TestProblemFiles:
             alphabet=("a",),
             L=((), ("a",)),
             K=(("a",),),
-            P=(ObservationTable.from_mapping({(): "quiet", ("a",): "loud"}),),
+            P=(ObservationTable(tuple({(): "quiet", ("a",): "loud"}.items())),),
         )
         path = tmp_path / "p.json"
         files.dump_json(files.problem_to_obj(p), path)
@@ -119,6 +119,21 @@ class TestProblemFiles:
             files.parse_problem(obj)
         assert str(raised.value) == f"observations[0]: {message}"
 
+    @pytest.mark.parametrize(
+        "controllable, message",
+        [
+            ("γ", "controllable: expected an array of strings"),
+            ([["γ"], "γ", [1]], "controllable: a string must be an array of token texts, got 'γ'"),
+        ],
+    )
+    def test_first_bad_controllable_entry_decides_the_message(
+        self, gamma_control, controllable, message
+    ):
+        obj = dict(files.problem_to_obj(gamma_control), controllable=controllable)
+        with pytest.raises(FileFormatError) as raised:
+            files.parse_problem(obj)
+        assert str(raised.value) == message
+
     def test_not_json(self, tmp_path):
         path = tmp_path / "garbage.json"
         path.write_text("not json at all {")
@@ -145,7 +160,7 @@ class TestRuleFiles:
         rule = builtin_rule("cpda", 2)
         path = tmp_path / "r.json"
         files.dump_json(files.rule_to_obj(rule), path)
-        assert files.load_rule(path) == rule
+        assert files.parse_rule(files.read_json(path)) == rule
 
     def test_fields_are_exact(self):
         obj = files.rule_to_obj(builtin_rule("conjunctive", 2))
@@ -163,6 +178,19 @@ class TestRuleFiles:
         obj["output"] = obj["output"] + [0]
         with pytest.raises(FileFormatError, match="duplicate"):
             files.parse_rule(obj)
+
+    @pytest.mark.parametrize(
+        "domain, message",
+        [
+            ({"0": 1}, "domain: expected an array of strings"),
+            ([["0"], ["1", 0], "1"], "domain: a string must be an array of token texts, got ['1', 0]"),
+        ],
+    )
+    def test_first_bad_domain_entry_decides_the_message(self, domain, message):
+        obj = dict(files.rule_to_obj(builtin_rule("conjunctive", 1)), domain=domain)
+        with pytest.raises(FileFormatError) as raised:
+            files.parse_rule(obj)
+        assert str(raised.value) == message
 
     def test_output_must_be_binary(self):
         obj = files.rule_to_obj(builtin_rule("conjunctive", 2))
@@ -405,7 +433,7 @@ def _written_shape(shape: str, ex1, gamma_control):
     if shape == "problem":
         return files.problem_to_obj(ex1)
     if shape == "table-problem":
-        table = ObservationTable.from_mapping({(): "quiet", ("a",): "loud", ("a", "a"): "{}"})
+        table = ObservationTable(tuple({(): "quiet", ("a",): "loud", ("a", "a"): "{}"}.items()))
         return files.problem_to_obj(
             ObservationProblem(n=1, alphabet=("a",), L=((), ("a",), ("a", "a")), K=(("a",),), P=(table,))
         )

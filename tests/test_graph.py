@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+import re
 
 import pytest
 
@@ -8,6 +9,7 @@ from decobs import (
     BUILTIN_RULES,
     ColoredGraph,
     D2OResult,
+    FusionRule,
     ObservationProblem,
     Projection,
     build_decision_graph,
@@ -372,3 +374,22 @@ class TestExportDot:
     def test_deterministic(self, ex1):
         g = build_observation_graph(ex1)
         assert export_dot(g) == export_dot(g)
+
+    @pytest.mark.parametrize("kind", ["observation", "decision"])
+    def test_backslashes_and_quotes_in_labels_are_escaped(self, kind):
+        tokens = ("a\\", 'b"')
+        if kind == "observation":
+            p = ObservationProblem(
+                n=1,
+                alphabet=tokens,
+                L=tuple((t,) for t in tokens),
+                K=((tokens[0],),),
+                P=(Projection(frozenset(tokens)),),
+            )
+            g, labels = build_observation_graph(p), list(tokens)
+        else:
+            rule = FusionRule(n=1, decisions=tokens, domain=tuple((t,) for t in tokens), outputs=(0, 1))
+            g, labels = build_decision_graph(rule), [f"({t})" for t in tokens]
+        # Each label is one DOT string that reads back as the node's text.
+        quoted = re.findall(r'\[label="((?:[^"\\]|\\.)*)", shape=\w+\];', export_dot(g))
+        assert [re.sub(r"\\(.)", r"\1", q) for q in quoted] == labels

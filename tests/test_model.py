@@ -30,12 +30,12 @@ class TestObserve:
         assert Projection(frozenset({"a"})).observe(()) == ()
 
     def test_table_lookup(self):
-        table = ObservationTable.from_mapping({("a",): "x", (): "y"})
+        table = ObservationTable(tuple({("a",): "x", (): "y"}.items()))
         assert table.observe(("a",)) == "x"
         assert table.observe(()) == "y"
 
     def test_table_unknown_string(self):
-        table = ObservationTable.from_mapping({("a",): "x"})
+        table = ObservationTable(tuple({("a",): "x"}.items()))
         with pytest.raises(UnknownString):
             table.observe(("b",))
 
@@ -89,9 +89,7 @@ class TestValidate:
         assert "K is not a subset of L" in report.violations[0]
 
     def test_partial_table_is_reported(self, ex1):
-        table = ObservationTable.from_mapping(
-            {("a",): "1", ("b",): "2", ("a", "b"): "3"}
-        )
+        table = ObservationTable(tuple({("a",): "1", ("b",): "2", ("a", "b"): "3"}.items()))
         p = ObservationProblem(n=2, alphabet=ex1.alphabet, L=ex1.L, K=ex1.K, P=(table, ex1.P[1]))
         report = validate_problem(p)
         assert len(report.violations) == 1
