@@ -5,10 +5,12 @@ Exit codes: 0 for a positive analysis result, 1 for a negative one
 (including files that cannot be read or written, and witnesses whose node
 keys are ambiguous), 3 when a search budget was exhausted, 4 for an internal
 error.  Commands raise library exceptions; ``_Main.invoke`` is the one place
-that turns them into exit codes.  Every argument that names a rule or a
-problem is read by ``_load``, which also checks the result's kind.  Each
-command builds every JSON value it writes first and hands them to ``_write``
-in one call, so it leaves all of its output files or none of those it wrote.
+that turns them into exit codes.  Every file argument is read by ``_read``,
+which names a missing path in one message; every argument that names a rule
+or a problem to analyse goes through ``_load``, which also checks the
+result's kind.  Each command builds every JSON value it writes first and
+hands them to ``_write`` in one call, so it leaves all of its output files or
+none of those it wrote.
 """
 
 from __future__ import annotations
@@ -96,6 +98,15 @@ def _require_valid(problem: Problem) -> None:
         sys.exit(2)
 
 
+def _read(source: str, missing: str = "does not exist") -> Any:
+    """The JSON value in the file an argument names.  When no such path
+    exists, exit 2 with the quoted argument followed by ``missing``."""
+    path = Path(source)
+    if not path.exists():
+        _fail(2, f"{source!r} {missing}")
+    return files.read_json(path)
+
+
 def _load(source: str, *expected: type) -> tuple[Any, str]:
     """The rule or valid problem an argument names, with its label.
 
@@ -112,14 +123,12 @@ def _load(source: str, *expected: type) -> tuple[Any, str]:
         except ValueError as e:
             _fail(2, str(e))
     else:
-        path = Path(source)
-        if not path.exists():
-            _fail(2, f"{source!r} is neither a builtin rule (name:agents) nor a file")
-        obj = files.read_json(path)
+        obj = _read(source, "is neither a builtin rule (name:agents) nor a file")
         as_rule = expected == (FusionRule,) or (
             isinstance(obj, dict) and obj.get("type") == files.RULE_TYPE
         )
-        loaded, label = (files.parse_rule if as_rule else files.parse_problem)(obj), path.stem
+        loaded = (files.parse_rule if as_rule else files.parse_problem)(obj)
+        label = Path(source).stem
     if not isinstance(loaded, expected):
         wanted = " or ".join(_KINDS[kind] for kind in expected)
         _fail(2, f"{source}: expected {wanted}, got {_KINDS[type(loaded)]}")
@@ -177,7 +186,7 @@ def main():
 @click.argument("problem_file")
 def validate(problem_file):
     """Report every violated invariant of a problem file."""
-    problem = files.load_problem(problem_file)
+    problem = files.parse_problem(_read(problem_file))
     report = validate_problem(problem)
     if report.ok:
         click.echo("valid")
@@ -252,7 +261,7 @@ def solve(problem_file, rule_spec, solution_path, witness_path, budget):
 def verify_solution_cmd(problem_file, solution_file, rule_spec):
     """Re-check a solution file against a problem and a rule."""
     problem, rule = _problem_and_rule(problem_file, rule_spec)
-    solution = files.load_solution(solution_file)
+    solution = files.parse_solution(_read(solution_file))
     if check_solution(problem, solution, rule):
         click.echo("verified")
     else:

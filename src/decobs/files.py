@@ -251,10 +251,6 @@ def problem_to_obj(p: Problem) -> dict:
     return obj
 
 
-def load_problem(path: str | Path) -> Problem:
-    return parse_problem(read_json(path))
-
-
 def parse_rule(obj: Any) -> FusionRule:
     _require(isinstance(obj, dict), "rule file must hold a JSON object")
     _require(
@@ -390,10 +386,6 @@ def parse_solution(obj: Any) -> Solution:
             )
         parsed.append(entries)
     return Solution(tuple(parsed))
-
-
-def load_solution(path: str | Path) -> Solution:
-    return parse_solution(read_json(path))
 
 
 def bijection_to_obj(res: D2OResult) -> list:

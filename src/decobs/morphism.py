@@ -151,13 +151,17 @@ def _search(src: ColoredGraph, dst: ColoredGraph, budget: int | None) -> list[in
     label that is assigned on the current path: every later unassigned
     member is already confined to that coordinate.  So the frame that
     assigns such a first node claims the bucket, prunes it for each of its
-    candidates and releases it when popped.  ``left`` counts each node's
-    candidates, and assigned nodes hold a count above any real one, so the
-    next node, the one with the fewest candidates and ties broken by
-    declaration order, is its first minimum.  Candidates are tried lowest
-    bit first, which is target declaration order, so the search is
-    deterministic.  An explicit stack replaces recursion, so the search depth
-    is not limited; ``budget`` caps the candidates tried.
+    candidates and releases it when popped.  The next node is the one with
+    the fewest candidates, ties broken by declaration order.  ``left[u]``
+    counts node u's candidates, and ``by_count[c]`` is the bitmask of the
+    unassigned nodes with c candidates, a bucket queue keyed by count: a
+    node's bit moves whenever its count changes and is absent while the node
+    is assigned.  So the lowest set bit of the first non-zero entry of
+    ``by_count`` is that node, found without scanning every node.
+    Candidates are tried lowest bit first, which is target declaration
+    order, so the search is deterministic.  An explicit stack replaces
+    recursion, so the search depth is not limited; ``budget`` caps the
+    candidates tried.
     """
     buckets = src.label_buckets
     claimed: set[tuple[int, Hashable]] = set()
@@ -166,7 +170,9 @@ def _search(src: ColoredGraph, dst: ColoredGraph, budget: int | None) -> list[in
     colour_masks = dst.colour_masks
     domains = [colour_masks[c] for c in src.colours]
     left = [d.bit_count() for d in domains]
-    done = len(dst) + 1
+    by_count = [0] * (len(dst) + 1)
+    for u, count in enumerate(left):
+        by_count[count] |= 1 << u
     assignment = [-1] * len(src)
     expansions = 0
 
@@ -184,7 +190,10 @@ def _search(src: ColoredGraph, dst: ColoredGraph, budget: int | None) -> list[in
                 if kept != old:
                     trail.setdefault(u, old)
                     domains[u] = kept
-                    left[u] = kept.bit_count()
+                    bit = 1 << u
+                    by_count[left[u]] ^= bit
+                    left[u] = count = kept.bit_count()
+                    by_count[count] |= bit
                 if not kept:
                     return False
         return True
@@ -195,11 +204,11 @@ def _search(src: ColoredGraph, dst: ColoredGraph, budget: int | None) -> list[in
     descend = True
     while True:
         if descend:
-            fewest = min(left, default=done)
-            if fewest == done:
+            tied = next(filter(None, by_count), 0)
+            if not tied:
                 return assignment
-            v = left.index(fewest)
-            left[v] = done
+            v = (tied & -tied).bit_length() - 1
+            by_count[left[v]] = tied & (tied - 1)
             firsts = [key for key in enumerate(src.signatures[v]) if key not in claimed]
             claimed.update(firsts)
             stack.append([v, domains[v], {}, firsts])
@@ -207,11 +216,14 @@ def _search(src: ColoredGraph, dst: ColoredGraph, budget: int | None) -> list[in
         v, rest, trail, firsts = frame
         for u, old in trail.items():
             domains[u] = old
-            left[u] = old.bit_count()
+            bit = 1 << u
+            by_count[left[u]] ^= bit
+            left[u] = count = old.bit_count()
+            by_count[count] |= bit
         trail.clear()
         if not rest:
             assignment[v] = -1
-            left[v] = domains[v].bit_count()
+            by_count[left[v]] |= 1 << v
             claimed.difference_update(firsts)
             stack.pop()
             if not stack:

@@ -108,7 +108,7 @@ class TestReduce:
         assert result.exit_code == 0
         manifest = json.loads((outdir / "manifest.json").read_text())
         assert manifest["files"] == {"obs_u03b3.json": "γ"}
-        reduced = files.load_problem(outdir / "obs_u03b3.json")
+        reduced = files.parse_problem(files.read_json(outdir / "obs_u03b3.json"))
         assert reduced.L == (("a",), ("b",))
         assert reduced.K == (("a",),)
         assert reduced.n == 2
@@ -405,7 +405,7 @@ class TestCompareCommand:
             ["compare", "conjunctive:2", "disjunctive:2", "--separating", str(prefix)],
         )
         assert result.exit_code == 0
-        first = files.load_problem(f"{prefix}_first_not_second.json")
+        first = files.parse_problem(files.read_json(f"{prefix}_first_not_second.json"))
         expected = decision_graph_to_observation(builtin_rule("conjunctive", 2)).problem
         assert first == expected
         check = runner.invoke(
@@ -461,7 +461,7 @@ class TestD2O:
             main, ["d2o", "conjunctive:2", "--encoding", "unary", "-o", str(prefix)]
         )
         assert result.exit_code == 0
-        problem = files.load_problem(f"{prefix}.problem.json")
+        problem = files.parse_problem(files.read_json(f"{prefix}.problem.json"))
         expected = decision_graph_to_observation(builtin_rule("conjunctive", 2), "unary")
         assert problem == expected.problem
         bij = json.loads((tmp_path / "conj.bijection.json").read_text())
@@ -474,7 +474,7 @@ class TestD2O:
             main, ["d2o", "cpda:2", "--encoding", "tagged", "-o", str(prefix)]
         )
         assert result.exit_code == 0
-        problem = files.load_problem(f"{prefix}.problem.json")
+        problem = files.parse_problem(files.read_json(f"{prefix}.problem.json"))
         assert len(problem.L) == 6
 
 
@@ -590,6 +590,20 @@ class TestArgumentKinds:
         assert result.exit_code == 2
         assert "error: conjunctive:2: expected a control problem, got a fusion rule" in result.output
         assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize(
+        "template, says",
+        [
+            (["validate", "{missing}"], "does not exist"),
+            (["verify-solution", "{observation}", "{missing}", "--rule", "conjunctive:2"], "does not exist"),
+            (["check", "{missing}", "--rule", "conjunctive:2"], "is neither a builtin rule (name:agents) nor a file"),
+        ],
+        ids=["validate", "verify-solution solution", "check problem"],
+    )
+    def test_a_missing_file_is_named_in_decobs_words(self, runner, arguments, template, says):
+        result = runner.invoke(main, [a.format(**arguments) for a in template])
+        assert result.exit_code == 2
+        assert result.output == f"error: {arguments['missing']!r} {says}\n"
 
 
 class TestDeterminism:

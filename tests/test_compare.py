@@ -140,7 +140,7 @@ def _separating(tmp_path, first: str, second: str) -> dict:
     for tag in ("first_not_second", "second_not_first"):
         path = tmp_path / f"sep_{tag}.json"
         if path.exists():
-            written[tag] = files.load_problem(path)
+            written[tag] = files.parse_problem(files.read_json(path))
     return written
 
 

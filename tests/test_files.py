@@ -27,7 +27,7 @@ class TestProblemFiles:
     def test_observation_round_trip(self, ex1, tmp_path):
         path = tmp_path / "p.json"
         files.dump_json(files.problem_to_obj(ex1), path)
-        assert files.load_problem(path) == ex1
+        assert files.parse_problem(files.read_json(path)) == ex1
 
     def test_table_round_trip(self, tmp_path):
         p = ObservationProblem(
@@ -39,12 +39,12 @@ class TestProblemFiles:
         )
         path = tmp_path / "p.json"
         files.dump_json(files.problem_to_obj(p), path)
-        assert files.load_problem(path) == p
+        assert files.parse_problem(files.read_json(path)) == p
 
     def test_control_round_trip(self, gamma_control, tmp_path):
         path = tmp_path / "c.json"
         files.dump_json(files.problem_to_obj(gamma_control), path)
-        loaded = files.load_problem(path)
+        loaded = files.parse_problem(files.read_json(path))
         assert isinstance(loaded, ControlProblem)
         assert loaded == gamma_control
 
@@ -138,7 +138,7 @@ class TestProblemFiles:
         path = tmp_path / "garbage.json"
         path.write_text("not json at all {")
         with pytest.raises(FileFormatError, match="not valid JSON"):
-            files.load_problem(path)
+            files.parse_problem(files.read_json(path))
 
     @pytest.mark.parametrize(
         "data",
@@ -152,7 +152,7 @@ class TestProblemFiles:
         path = tmp_path / "p.json"
         path.write_bytes(data)
         with pytest.raises(FileFormatError, match="not valid JSON"):
-            files.load_problem(path)
+            files.parse_problem(files.read_json(path))
 
 
 class TestRuleFiles:
@@ -262,7 +262,7 @@ class TestSolutionFiles:
         sol = Solution(({("a",): "0", (): "1"}, {"loud": "1"}))
         path = tmp_path / "s.json"
         files.dump_json(files.solution_to_obj(sol), path)
-        assert files.load_solution(path) == sol
+        assert files.parse_solution(files.read_json(path)) == sol
 
     def test_rejects_non_text_decisions(self):
         obj = [[[["a"], 7]]]

@@ -227,6 +227,19 @@ class TestFindMorphism:
         dst = ColoredGraph(n=2, keys=(0, 1), signatures=(("a", "b"), ("a", "c")), colours=(0, 0))
         assert find_morphism(src, dst, budget=0) is None
 
+    def test_4096_classes_take_one_expansion_each(self):
+        # The observation problem of conjunctive:12 is its decision graph
+        # again, 4,096 classes that each need exactly one candidate, so the
+        # exact budget answers and one less does not.
+        rule = builtin_rule("conjunctive", 12)
+        src = build_observation_graph(decision_graph_to_observation(rule).problem)
+        dst = build_decision_graph(rule)
+        assert len(src.quotient.graph) == 4096
+        found = find_morphism(src, dst, budget=4096)
+        assert found is not None and verify_morphism(found).ok
+        with pytest.raises(SearchLimitExceeded):
+            find_morphism(src, dst, budget=4095)
+
     def test_agrees_with_exhaustive_map_enumeration(self):
         rng = random.Random(99)
         for _ in range(60):
@@ -641,6 +654,51 @@ class TestAgainstPairwiseReference:
             # Without backtracking a search tries one candidate per node.
             backtracked += needed > (len(src) if found else 1)
         assert min(outcomes.values()) > 50 and backtracked > 50
+
+    def test_search_matches_where_counts_tie_and_change_at_every_level(self):
+        # Ring sources: most nodes start on one count, and nearly every
+        # assignment narrows a free neighbour, so the pick breaks ties on
+        # counts that keep changing.
+        rng = random.Random(12)
+        outcomes = {True: 0, False: 0}
+        backtracked = 0
+        for _ in range(150):
+            src = _ring_graph(rng, 2 * rng.randint(5, 8))
+            pool = rng.randint(2, 4)
+            size = rng.randint(6, 12)
+            dst = ColoredGraph(
+                n=2,
+                keys=tuple(range(size)),
+                signatures=tuple(
+                    (f"x{rng.randrange(pool)}", f"y{rng.randrange(pool)}") for _ in range(size)
+                ),
+                colours=tuple(int(rng.random() < 0.3) for _ in range(size)),
+            )
+            found = _search(src, dst, None)
+            assert found == pairwise_search(src, dst, None)
+            needed = _expansions_needed(_search, src, dst)
+            assert needed == _expansions_needed(pairwise_search, src, dst)
+            outcomes[found is not None] += 1
+            backtracked += needed > (len(src) if found else 1)
+        assert min(outcomes.values()) > 20 and backtracked > 20
+
+
+def _ring_graph(rng, size) -> ColoredGraph:
+    """``size`` (even) nodes in a ring, each sharing its agent-1 label with
+    one ring neighbour and its agent-2 label with the other, declared in a
+    shuffled order.  Most nodes have colour 0, so they tie on their first
+    count, and assigning a node can narrow a neighbour that is still free."""
+    order = list(range(size))
+    rng.shuffle(order)
+    signatures = [()] * size
+    for position, v in enumerate(order):
+        signatures[v] = (f"a{position // 2}", f"b{(position + 1) // 2 % (size // 2)}")
+    return ColoredGraph(
+        n=2,
+        keys=tuple(range(size)),
+        signatures=tuple(signatures),
+        colours=tuple(int(rng.random() < 0.25) for _ in range(size)),
+    )
 
 
 def _graph_with_repeated_signatures(rng, n, size, distinct) -> ColoredGraph:
