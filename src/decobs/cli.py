@@ -6,11 +6,11 @@ Exit codes: 0 for a positive analysis result, 1 for a negative one
 keys are ambiguous), 3 when a search budget was exhausted, 4 for an internal
 error.  Commands raise library exceptions; ``_Main.invoke`` is the one place
 that turns them into exit codes.  Every file argument is read by ``_read``,
-which names a missing path in one message; every argument that names a rule
-or a problem to analyse goes through ``_load``, which also checks the
-result's kind.  Each command builds every JSON value it writes first and
-hands them to ``_write`` in one call, so it leaves all of its output files or
-none of those it wrote.
+which names a missing path or a directory in one message; every argument
+that names a rule or a problem to analyse goes through ``_load``, which also
+checks the result's kind.  Each command builds every JSON value it writes
+first and hands them to ``_write`` in one call, so it leaves all of its JSON
+output files or none of those it wrote.
 """
 
 from __future__ import annotations
@@ -100,10 +100,14 @@ def _require_valid(problem: Problem) -> None:
 
 def _read(source: str, missing: str = "does not exist") -> Any:
     """The JSON value in the file an argument names.  When no such path
-    exists, exit 2 with the quoted argument followed by ``missing``."""
+    exists, exit 2 with the quoted argument followed by ``missing``; when it
+    is a directory, exit 2 saying so.  Other paths, such as ``/dev/stdin``,
+    are read as they are."""
     path = Path(source)
     if not path.exists():
         _fail(2, f"{source!r} {missing}")
+    if path.is_dir():
+        _fail(2, f"{source!r} is a directory")
     return files.read_json(path)
 
 

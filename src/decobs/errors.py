@@ -41,11 +41,8 @@ class InconsistentMorphism(DecobsError):
 
 
 class SearchLimitExceeded(DecobsError):
-    """Morphism search hit its node-expansion budget before settling the question."""
-
-
-class BudgetExceeded(DecobsError):
-    """An exhaustive enumeration would be larger than the configured budget."""
+    """A search hit its budget before settling the question: the morphism
+    search's node expansions, or the size of an exhaustive table enumeration."""
 
 
 class FileFormatError(DecobsError):

@@ -202,7 +202,6 @@ class D2OResult:
 
     problem: ObservationProblem
     bijection: tuple[tuple[tuple[Token, ...], Str], ...]
-    encoding: str
 
 
 def decision_graph_to_observation(rule: FusionRule, encoding: str = "unary") -> D2OResult:
@@ -215,42 +214,34 @@ def decision_graph_to_observation(rule: FusionRule, encoding: str = "unary") -> 
     unary: alphabet {0_i, 1_i}; decision d is encoded for agent i as
     0_i repeated (index of d in the declared decision order) followed by 1_i.
     The encoding is prefix-free, so the node-to-string map is injective.
+
+    Either way agent i observes exactly ``symbols[i]``, and a combination is
+    spelled by concatenating ``spell[i][d_i]``.
     """
     if encoding not in ENCODINGS:
         raise ValueError(f"unknown encoding {encoding!r}; choose from {ENCODINGS}")
-    n = rule.n
-    if encoding == "tagged":
-        alphabet = tuple(f"{d}^{i + 1}" for i in range(n) for d in rule.decisions)
-        observers = tuple(
-            Projection(frozenset(f"{d}^{i + 1}" for d in rule.decisions)) for i in range(n)
-        )
-
-        def encode(combo: tuple[Token, ...]) -> Str:
-            return tuple(f"{combo[i]}^{i + 1}" for i in range(n))
-
-    else:
-        alphabet = tuple(tok for i in range(n) for tok in (f"0_{i + 1}", f"1_{i + 1}"))
-        observers = tuple(
-            Projection(frozenset({f"0_{i + 1}", f"1_{i + 1}"})) for i in range(n)
-        )
-        rank = {d: j for j, d in enumerate(rule.decisions)}
-
-        def encode(combo: tuple[Token, ...]) -> Str:
-            out: list[Token] = []
-            for i in range(n):
-                out.extend([f"0_{i + 1}"] * rank[combo[i]])
-                out.append(f"1_{i + 1}")
-            return tuple(out)
-
-    bijection = tuple((combo, encode(combo)) for combo in rule.domain)
-    problem = ObservationProblem(
-        n=n,
-        alphabet=alphabet,
-        L=tuple(s for _, s in bijection),
-        K=tuple(s for combo, s in bijection if rule.output(combo) == 1),
-        P=observers,
+    symbols: list[tuple[Token, ...]] = []
+    spell: list[dict[Token, Str]] = []
+    for i in range(1, rule.n + 1):
+        if encoding == "tagged":
+            symbols.append(tuple(f"{d}^{i}" for d in rule.decisions))
+            spell.append({d: (tok,) for d, tok in zip(rule.decisions, symbols[-1])})
+        else:
+            zero, one = f"0_{i}", f"1_{i}"
+            symbols.append((zero, one))
+            spell.append({d: (zero,) * j + (one,) for j, d in enumerate(rule.decisions)})
+    bijection = tuple(
+        (combo, tuple(tok for words, d in zip(spell, combo) for tok in words[d]))
+        for combo in rule.domain
     )
-    return D2OResult(problem=problem, bijection=bijection, encoding=encoding)
+    problem = ObservationProblem(
+        n=rule.n,
+        alphabet=tuple(tok for tokens in symbols for tok in tokens),
+        L=tuple(s for _, s in bijection),
+        K=tuple(s for (_, s), out in zip(bijection, rule.outputs) if out == 1),
+        P=tuple(map(Projection, symbols)),
+    )
+    return D2OResult(problem=problem, bijection=bijection)
 
 
 def _node_label(g: ColoredGraph, idx: int) -> str:

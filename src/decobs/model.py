@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import ClassVar, Hashable, Iterable, Union
+from typing import Callable, Hashable, Iterable, Union
 
 from .errors import ControllabilityViolation, UnknownRuleName, UnknownString
 
@@ -36,8 +36,6 @@ class Projection:
 
     observable: frozenset[Token]
 
-    kind: ClassVar[str] = "projection"
-
     def __post_init__(self):
         object.__setattr__(self, "observable", frozenset(self.observable))
 
@@ -56,8 +54,6 @@ class ObservationTable:
 
     entries: tuple[tuple[Str, Label], ...]
 
-    kind: ClassVar[str] = "table"
-
     def __post_init__(self):
         object.__setattr__(
             self, "entries", tuple((tuple(s), label) for s, label in self.entries)
@@ -66,10 +62,6 @@ class ObservationTable:
     @cached_property
     def _lookup(self) -> dict[Str, Label]:
         return dict(self.entries)
-
-    @cached_property
-    def domain(self) -> frozenset[Str]:
-        return frozenset(self._lookup)
 
     def observe(self, s: Str) -> Label:
         try:
@@ -183,14 +175,15 @@ def validate_problem(p: Problem) -> ValidationReport:
         v.append("K is not a subset of L: " + ", ".join(format_str(s) for s in outside))
     for i, fn in enumerate(p.P):
         if isinstance(fn, ObservationTable):
-            absent = [s for s in p.L if s not in fn.domain]
+            lookup = fn._lookup
+            absent = [s for s in p.L if s not in lookup]
             if absent:
                 v.append(
                     f"P_{i + 1} table is partial on L: missing "
                     + ", ".join(format_str(s) for s in absent)
                 )
             # Two labels for one string; the set is built only if a string repeats.
-            if len(fn.entries) != len(fn.domain) and len(set(fn.entries)) != len(fn.domain):
+            if len(fn.entries) != len(lookup) and len(set(fn.entries)) != len(lookup):
                 first = dict(fn.entries[::-1])  # each string's first label
                 for s in _unique(s for s, label in fn.entries if first[s] != label):
                     v.append(f"P_{i + 1} table maps {format_str(s)} to two labels")
@@ -316,52 +309,52 @@ class FusionRule:
             raise KeyError(f"{combo!r} is not an allowed decision combination") from None
 
 
-BUILTIN_RULES = ("conjunctive", "disjunctive", "cpda", "conjunctive_cd", "const0", "const1")
+def _no_zero(combo: tuple[Token, ...]) -> int:
+    return int("0" not in combo)
+
+
+def _no_conflict(combo: tuple[Token, ...]) -> bool:
+    return not ("0" in combo and "1" in combo)
+
+
+# name: (decision set D, the decisions its combinations use, the filter a
+# combination must pass or None for every combination, the fused output).
+# Combinations come in the product order of the decisions they use.
+_BUILTINS: dict[str, tuple[tuple[Token, ...], tuple[Token, ...], Callable | None, Callable]] = {
+    # Every combination allowed, fuse by AND.
+    "conjunctive": (("0", "1"), ("0", "1"), None, _no_zero),
+    # Every combination allowed, fuse by OR.
+    "disjunctive": (("0", "1"), ("0", "1"), None, lambda combo: int("1" in combo)),
+    # Combinations mixing 0 and 1, or consisting solely of dk, are
+    # disallowed; fuse to 0 iff some 0.
+    "cpda": (
+        ("0", "1", "dk"),
+        ("0", "1", "dk"),
+        lambda combo: _no_conflict(combo) and set(combo) != {"dk"},
+        _no_zero,
+    ),
+    # Only the 0/1 conflicts are disallowed; fuse to 0 iff some 0 (all-cd
+    # fuses to 1).
+    "conjunctive_cd": (("0", "1", "cd"), ("0", "1", "cd"), _no_conflict, _no_zero),
+    # A single all-0 (all-1) combination with constant output.
+    "const0": (("0", "1"), ("0",), None, lambda combo: 0),
+    "const1": (("0", "1"), ("1",), None, lambda combo: 1),
+}
+
+BUILTIN_RULES = tuple(_BUILTINS)
 
 
 def builtin_rule(name: str, n: int) -> FusionRule:
-    """Construct one of the standard architectures for n agents.
-
-    conjunctive     D={0,1}, every combination allowed, fuse by AND.
-    disjunctive     D={0,1}, every combination allowed, fuse by OR.
-    cpda            D={0,1,dk}; combinations mixing 0 and 1 or consisting
-                    solely of dk are disallowed; fuse to 0 iff some 0.
-    conjunctive_cd  D={0,1,cd}; only the 0/1 conflicts are disallowed; fuse
-                    to 0 iff some 0 (all-cd fuses to 1).
-    const0/const1   a single all-0 (all-1) combination with constant output.
-    """
+    """Construct the standard architecture ``name`` for n agents, as the
+    table ``_BUILTINS`` defines it."""
     if n < 1:
         raise ValueError(f"agent count must be at least 1, got {n}")
-    if name == "conjunctive":
-        decisions = ("0", "1")
-        domain = tuple(itertools.product(decisions, repeat=n))
-        outputs = tuple(int(all(d == "1" for d in combo)) for combo in domain)
-    elif name == "disjunctive":
-        decisions = ("0", "1")
-        domain = tuple(itertools.product(decisions, repeat=n))
-        outputs = tuple(int(any(d == "1" for d in combo)) for combo in domain)
-    elif name == "cpda":
-        decisions = ("0", "1", "dk")
-        domain = tuple(
-            combo
-            for combo in itertools.product(decisions, repeat=n)
-            if not ("0" in combo and "1" in combo) and any(d != "dk" for d in combo)
-        )
-        outputs = tuple(0 if "0" in combo else 1 for combo in domain)
-    elif name == "conjunctive_cd":
-        decisions = ("0", "1", "cd")
-        domain = tuple(
-            combo
-            for combo in itertools.product(decisions, repeat=n)
-            if not ("0" in combo and "1" in combo)
-        )
-        outputs = tuple(0 if "0" in combo else 1 for combo in domain)
-    elif name == "const0":
-        return FusionRule(n, ("0", "1"), (("0",) * n,), (0,))
-    elif name == "const1":
-        return FusionRule(n, ("0", "1"), (("1",) * n,), (1,))
-    else:
+    try:
+        decisions, used, allowed, fuse = _BUILTINS[name]
+    except KeyError:
         raise UnknownRuleName(
             f"unknown builtin rule {name!r}; choose from {', '.join(BUILTIN_RULES)}"
-        )
-    return FusionRule(n, decisions, domain, outputs)
+        ) from None
+    # Every combination is a nonempty tuple, so filter(None, ...) keeps all.
+    domain = tuple(filter(allowed, itertools.product(used, repeat=n)))
+    return FusionRule(n, decisions, domain, tuple(map(fuse, domain)))

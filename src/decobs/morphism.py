@@ -15,7 +15,6 @@ from typing import Hashable
 
 from .errors import (
     ArityMismatch,
-    BudgetExceeded,
     GraphMismatch,
     InconsistentMorphism,
     SearchLimitExceeded,
@@ -31,6 +30,7 @@ from .model import (
     Label,
     ObservationProblem,
     Token,
+    _unique,
 )
 
 _MISSING = object()
@@ -391,23 +391,16 @@ def solvable_by_enumeration(
     """Decide solvability by trying every assignment of decision tables.
 
     Exhaustive over |D| ** (total number of distinct observation labels)
-    candidates, checked with verify_solution; raises BudgetExceeded when that
-    count is above ``budget`` (None removes the cap).
+    candidates, checked with verify_solution; raises SearchLimitExceeded when
+    that count is above ``budget`` (None removes the cap).
     """
     if r.n != p.n:
         raise ArityMismatch(f"problem has {p.n} agents, rule has {r.n}")
-    labels_per_agent = []
-    for fn in p.P:
-        seen: list[Label] = []
-        for s in p.L:
-            label = fn.observe(s)
-            if label not in seen:
-                seen.append(label)
-        labels_per_agent.append(seen)
+    labels_per_agent = [_unique(map(fn.observe, p.L)) for fn in p.P]
     slots = sum(len(labels) for labels in labels_per_agent)
     count = len(r.decisions) ** slots
     if budget is not None and count > budget:
-        raise BudgetExceeded(f"{count} table assignments exceed the budget of {budget}")
+        raise SearchLimitExceeded(f"{count} table assignments exceed the budget of {budget}")
     for assignment in itertools.product(r.decisions, repeat=slots):
         tables = []
         pos = 0

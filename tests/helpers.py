@@ -1,6 +1,7 @@
 """Generators and small oracles shared between test modules."""
 
 import functools
+import itertools
 import random
 
 from decobs import ColoredGraph, SearchLimitExceeded
@@ -134,3 +135,28 @@ def closed_form_solvable(labels, in_k, rule: str) -> bool:
     if rule == "disjunctive":
         return separable(rest, k, n)
     raise ValueError(f"no closed-form oracle for {rule!r}")
+
+
+def restated_builtin(name: str, n: int) -> tuple[tuple, tuple, tuple]:
+    """A builtin rule's decision set, allowed combinations and fused outputs,
+    restated from the definitions.  The combinations come in the
+    lexicographic order of the decision set; that order fixes the witness
+    target order and the bytes ``d2o`` writes."""
+    if name in ("const0", "const1"):
+        decision = name[-1]
+        return ("0", "1"), ((decision,) * n,), (int(decision),)
+    extra = {"cpda": ("dk",), "conjunctive_cd": ("cd",)}.get(name, ())
+    decisions = ("0", "1") + extra
+    domain, outputs = [], []
+    for combo in itertools.product(decisions, repeat=n):
+        conflict = "0" in combo and "1" in combo
+        if (extra and conflict) or (name == "cpda" and all(d == "dk" for d in combo)):
+            continue
+        domain.append(combo)
+        if name == "conjunctive":
+            outputs.append(int(all(d == "1" for d in combo)))
+        elif name == "disjunctive":
+            outputs.append(int(any(d == "1" for d in combo)))
+        else:  # cpda and conjunctive_cd fuse to 0 exactly when some agent says 0
+            outputs.append(0 if "0" in combo else 1)
+    return decisions, tuple(domain), tuple(outputs)

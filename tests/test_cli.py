@@ -605,6 +605,21 @@ class TestArgumentKinds:
         assert result.exit_code == 2
         assert result.output == f"error: {arguments['missing']!r} {says}\n"
 
+    @pytest.mark.parametrize(
+        "template",
+        [
+            ["validate", "{dir}"],
+            ["check", "{dir}", "--rule", "conjunctive:2"],
+            ["check", "{observation}", "--rule", "{dir}"],
+            ["verify-solution", "{observation}", "{dir}", "--rule", "conjunctive:2"],
+        ],
+        ids=["validate", "check problem", "check rule", "verify-solution solution"],
+    )
+    def test_a_directory_is_named_in_decobs_words(self, runner, arguments, template):
+        result = runner.invoke(main, [a.format(**arguments) for a in template])
+        assert result.exit_code == 2
+        assert result.output == f"error: {arguments['dir']!r} is a directory\n"
+
 
 class TestDeterminism:
     def test_witness_and_solution_bytes_are_stable(self, runner, ex1_file, tmp_path):
@@ -909,21 +924,37 @@ class TestExitCodes:
         assert "'output' must be an array of 0/1" in result.output
 
     def test_real_process_exits_2_without_traceback(self, tmp_path):
-        env = dict(os.environ)
-        src = str(Path(decobs.__file__).resolve().parent.parent)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         out = tmp_path / "missing" / "v.json"
         proc = subprocess.run(
             [sys.executable, "-m", "decobs", "compare", "cpda:2", "conjunctive:2", "-o", str(out)],
             capture_output=True,
             text=True,
-            env=env,
+            env=_process_env(),
             timeout=60,
         )
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: ")
 
+    def test_a_problem_can_be_read_from_standard_input(self, ex1):
+        proc = subprocess.run(
+            [sys.executable, "-m", "decobs", "validate", "/dev/stdin"],
+            input=files.to_json(files.problem_to_obj(ex1)),
+            capture_output=True,
+            text=True,
+            env=_process_env(),
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (0, "valid\n"), proc.stderr
+
+
+def _process_env() -> dict:
+    """The environment of a real ``python -m decobs`` process that imports
+    this checkout's package."""
+    env = dict(os.environ)
+    src = str(Path(decobs.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def _json_values():

@@ -20,7 +20,7 @@ from decobs import (
     quotient_by_indistinguishability,
     verify_d2o,
 )
-from helpers import random_colored_graph
+from helpers import random_colored_graph, restated_builtin
 
 
 def edges_by_key(g: ColoredGraph) -> dict:
@@ -212,7 +212,53 @@ class TestQuotient:
         assert g.quotient == quotient_by_indistinguishability(g)
 
 
+def restated_d2o(decisions, domain, outputs, encoding):
+    """Alphabet, L, K and each agent's observable tokens of the d2o problem,
+    restated from the two encodings' definitions (agents numbered from 1)."""
+    n = len(domain[0])
+    if encoding == "tagged":
+        observable = [[f"{d}^{i}" for d in decisions] for i in range(1, n + 1)]
+
+        def spell(combo):
+            return tuple(f"{d}^{i}" for i, d in enumerate(combo, 1))
+
+    else:
+        observable = [[f"0_{i}", f"1_{i}"] for i in range(1, n + 1)]
+
+        def spell(combo):
+            return tuple(
+                tok
+                for i, d in enumerate(combo, 1)
+                for tok in [f"0_{i}"] * decisions.index(d) + [f"1_{i}"]
+            )
+
+    strings = tuple(map(spell, domain))
+    in_k = tuple(s for s, out in zip(strings, outputs) if out == 1)
+    alphabet = tuple(tok for tokens in observable for tok in tokens)
+    return alphabet, strings, in_k, [frozenset(tokens) for tokens in observable]
+
+
 class TestD2O:
+    @pytest.mark.parametrize("encoding", ["tagged", "unary"])
+    @pytest.mark.parametrize(
+        "name, n",
+        [(name, n) for name in BUILTIN_RULES for n in range(1, 5)] + [("one decision", 2)],
+    )
+    def test_matches_the_encodings_definition_in_order(self, name, n, encoding):
+        if name == "one decision":
+            rule = FusionRule(n, ("x",), (("x",) * n,), (1,))
+            definition = (rule.decisions, rule.domain, rule.outputs)
+        else:
+            rule = builtin_rule(name, n)
+            definition = restated_builtin(name, n)
+        alphabet, strings, in_k, observable = restated_d2o(*definition, encoding)
+        res = decision_graph_to_observation(rule, encoding)
+        assert res.problem.alphabet == alphabet
+        assert res.problem.L == strings
+        assert res.problem.K == in_k
+        assert [fn.observable for fn in res.problem.P] == observable
+        assert res.bijection == tuple(zip(definition[1], strings))
+
     def test_unary_conjunctive_strings(self):
         res = decision_graph_to_observation(builtin_rule("conjunctive", 2), "unary")
         assert set(res.problem.L) == {
@@ -261,7 +307,7 @@ class TestD2O:
         res = decision_graph_to_observation(rule, "unary")
         # The same strings, so the bijection covers both node sets exactly.
         problem = dataclasses.replace(res.problem, n=agents, P=(res.problem.P * 2)[:agents])
-        assert not verify_d2o(D2OResult(problem, res.bijection, res.encoding), rule)
+        assert not verify_d2o(D2OResult(problem, res.bijection), rule)
 
     def test_verify_rejects_broken_node_colours(self):
         rule = builtin_rule("conjunctive", 2)
@@ -269,7 +315,6 @@ class TestD2O:
         broken = D2OResult(
             problem=dataclasses.replace(res.problem, K=()),
             bijection=res.bijection,
-            encoding=res.encoding,
         )
         assert not verify_d2o(broken, rule)
 
@@ -289,7 +334,7 @@ class TestD2O:
             pairs[1] = (pairs[1][0], pairs[0][1])
         else:
             pairs[1] = (pairs[1][0], ("1_1",))
-        assert not verify_d2o(D2OResult(res.problem, tuple(pairs), res.encoding), rule)
+        assert not verify_d2o(D2OResult(res.problem, tuple(pairs)), rule)
 
     def test_verify_rejects_swapped_strings(self):
         rule = builtin_rule("conjunctive", 2)
@@ -300,7 +345,6 @@ class TestD2O:
         swapped = D2OResult(
             problem=res.problem,
             bijection=tuple(entries.items()),
-            encoding=res.encoding,
         )
         assert not verify_d2o(swapped, rule)
 
@@ -324,7 +368,7 @@ class TestD2O:
                     for _ in range(swaps):
                         a, b = rng.randrange(len(strings)), rng.randrange(len(strings))
                         strings[a], strings[b] = strings[b], strings[a]
-                    perturbed = D2OResult(problem, tuple(zip(combos, strings)), encoding)
+                    perturbed = D2OResult(problem, tuple(zip(combos, strings)))
                     og = build_observation_graph(problem)
                     image = [og.key_index[s] for s in strings]
                     expected = all(

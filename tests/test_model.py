@@ -1,3 +1,5 @@
+import signal
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -17,6 +19,7 @@ from decobs import (
     reduce_control,
     validate_problem,
 )
+from helpers import restated_builtin
 
 
 class TestObserve:
@@ -264,6 +267,31 @@ class TestReduce:
 
 
 class TestBuiltinRules:
+    def test_names_in_order(self):
+        assert BUILTIN_RULES == (
+            "conjunctive", "disjunctive", "cpda", "conjunctive_cd", "const0", "const1"
+        )
+
+    @pytest.mark.parametrize("name", BUILTIN_RULES)
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_its_definition_in_order(self, name, n):
+        rule = builtin_rule(name, n)
+        assert (rule.decisions, rule.domain, rule.outputs) == restated_builtin(name, n)
+
+    @pytest.mark.parametrize("name", ["const0", "const1"])
+    def test_constant_rules_do_not_enumerate_every_combination(self, name):
+        def too_slow(signum, frame):
+            raise TimeoutError(f"{name}:40 did not build within 5 s")
+
+        previous = signal.signal(signal.SIGALRM, too_slow)
+        signal.alarm(5)
+        try:
+            rule = builtin_rule(name, 40)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert (rule.decisions, rule.domain, rule.outputs) == restated_builtin(name, 40)
+
     def test_conjunctive_outputs(self):
         rule = builtin_rule("conjunctive", 2)
         assert dict(zip(rule.domain, rule.outputs)) == {

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from decobs import (
     ArityMismatch,
     BUILTIN_RULES,
-    BudgetExceeded,
     ColoredGraph,
     GraphMismatch,
     InconsistentMorphism,
@@ -389,7 +388,7 @@ class TestSolvableByEnumeration:
         assert solvable_by_enumeration(p, builtin_rule("const1", 2)) is True
 
     def test_budget_guard(self, ex1):
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(SearchLimitExceeded):
             solvable_by_enumeration(ex1, builtin_rule("conjunctive", 2), budget=3)
         assert solvable_by_enumeration(ex1, builtin_rule("conjunctive", 2), budget=None)
 
