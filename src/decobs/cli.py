@@ -10,7 +10,8 @@ which names a missing path or a directory in one message; every argument
 that names a rule or a problem to analyse goes through ``_load``, which also
 checks the result's kind.  Each command builds every JSON value it writes
 first and hands them to ``_write`` in one call, so it leaves all of its JSON
-output files or none of those it wrote.
+output files or none of those it wrote; an output path that is a directory
+is named in the same words as a directory given as input.
 """
 
 from __future__ import annotations
@@ -76,11 +77,15 @@ def _fail(code: int, message: str):
 def _write(outputs: list[tuple[str | Path, Any]]) -> None:
     """Write each (path, JSON value) pair in order, then print one ``wrote``
     line per file.  A write that fails removes the files this call already
-    wrote, overwritten ones included, and re-raises."""
+    wrote, overwritten ones included, and re-raises; a path that is a
+    directory exits 2 saying so."""
     written: list[str | Path] = []
     try:
         for path, obj in outputs:
-            files.dump_json(obj, path)
+            try:
+                files.dump_json(obj, path)
+            except IsADirectoryError:
+                _fail(2, f"{str(path)!r} is a directory")
             written.append(path)
     except BaseException:
         for path in written:

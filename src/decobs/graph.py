@@ -10,7 +10,7 @@ never stored, since the morphism search and its checks work per agent label
 
 from __future__ import annotations
 
-import itertools
+from itertools import combinations, count
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Hashable
@@ -21,10 +21,13 @@ from .model import (
     Projection,
     Str,
     Token,
+    _observation_columns,
     format_str,
 )
 
 AgentSet = frozenset[int]
+
+_BINARY = (0, 1)
 
 
 @dataclass(frozen=True)
@@ -44,18 +47,18 @@ class ColoredGraph:
 
     def __post_init__(self):
         object.__setattr__(self, "keys", tuple(self.keys))
-        object.__setattr__(self, "signatures", tuple(tuple(s) for s in self.signatures))
+        object.__setattr__(self, "signatures", tuple(map(tuple, self.signatures)))
         object.__setattr__(self, "colours", tuple(self.colours))
         if not (len(self.keys) == len(self.signatures) == len(self.colours)):
             raise ValueError("keys, signatures and colours must be parallel")
         if len(set(self.keys)) != len(self.keys):
             raise ValueError("node keys must be distinct")
-        for sig in self.signatures:
-            if len(sig) != self.n:
-                raise ValueError(f"signature {sig!r} does not have arity {self.n}")
-        for colour in self.colours:
-            if colour not in (0, 1):
-                raise ValueError(f"node colours must be 0 or 1, got {colour!r}")
+        if not set(map(len, self.signatures)) <= {self.n}:
+            sig = next(sig for sig in self.signatures if len(sig) != self.n)
+            raise ValueError(f"signature {sig!r} does not have arity {self.n}")
+        if not all(map(_BINARY.__contains__, self.colours)):
+            colour = next(c for c in self.colours if c not in _BINARY)
+            raise ValueError(f"node colours must be 0 or 1, got {colour!r}")
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -102,18 +105,24 @@ class ColoredGraph:
 
     def pairs(self):
         """Unordered pairs of distinct node indices, in declaration order."""
-        return itertools.combinations(range(len(self.keys)), 2)
+        return combinations(range(len(self.keys)), 2)
 
 
 def build_observation_graph(p: ObservationProblem) -> ColoredGraph:
     """One node per string of L, coloured by membership in K; two strings are
-    joined by the set of agents observing them differently."""
-    observers = [fn.observe for fn in p.P]
+    joined by the set of agents observing them differently.
+
+    Built one agent column at a time: each observation function observes all
+    of L in one pass (a partial table raises UnknownString for the first
+    string of L it lacks), the signatures are the columns zipped row by row,
+    and the colours are one membership pass over L.
+    """
+    columns = _observation_columns(p)
     return ColoredGraph(
         n=p.n,
         keys=p.L,
-        signatures=tuple(tuple([observe(s) for observe in observers]) for s in p.L),
-        colours=tuple(int(s in p.K_set) for s in p.L),
+        signatures=tuple(zip(*columns)) if columns else ((),) * len(p.L),
+        colours=tuple(map(int, map(p.K_set.__contains__, p.L))),
         kind="observation",
     )
 
@@ -162,16 +171,18 @@ def quotient_by_indistinguishability(g: ColoredGraph) -> Quotient:
         return Quotient(
             graph=g,
             conflict=None,
-            classes=tuple((idx,) for idx in range(len(g))),
+            classes=tuple(zip(range(len(g)))),
             class_of=tuple(range(len(g))),
         )
-    # Each (signature, colour) pair numbered by its first occurrence.
-    index: dict[tuple, int] = {}
-    class_of = [index.setdefault(key, len(index)) for key in zip(g.signatures, g.colours)]
-    classes: list[list[int]] = [[] for _ in index]
+    # Each node sent to the first node that shares its signature and colour;
+    # those first nodes represent the classes, numbered in node order.
+    first_of: dict[tuple, int] = {}
+    firsts = tuple(map(first_of.setdefault, zip(g.signatures, g.colours), count()))
+    reps = tuple(first_of.values())
+    class_of = tuple(map(dict(zip(reps, count())).__getitem__, firsts))
+    classes: list[list[int]] = [[] for _ in reps]
     for idx, ci in enumerate(class_of):
         classes[ci].append(idx)
-    reps = [c[0] for c in classes]
     reps_of_sig: dict[tuple, list[int]] = {}
     for r in reps:
         reps_of_sig.setdefault(g.signatures[r], []).append(r)
@@ -179,16 +190,16 @@ def quotient_by_indistinguishability(g: ColoredGraph) -> Quotient:
     conflict = None if clash is None else (g.keys[clash[0]], g.keys[clash[1]])
     quotient_graph = ColoredGraph(
         n=g.n,
-        keys=tuple(g.keys[r] for r in reps),
-        signatures=tuple(g.signatures[r] for r in reps),
-        colours=tuple(g.colours[r] for r in reps),
+        keys=tuple(map(g.keys.__getitem__, reps)),
+        signatures=tuple(map(g.signatures.__getitem__, reps)),
+        colours=tuple(map(g.colours.__getitem__, reps)),
         kind=g.kind,
     )
     return Quotient(
         graph=quotient_graph,
         conflict=conflict,
         classes=tuple(map(tuple, classes)),
-        class_of=tuple(class_of),
+        class_of=class_of,
     )
 
 

@@ -8,9 +8,9 @@ Agents are indexed from 0 throughout the library.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, product, repeat
 from typing import Callable, Hashable, Iterable, Union
 
 from .errors import ControllabilityViolation, UnknownRuleName, UnknownString
@@ -42,6 +42,10 @@ class Projection:
     def observe(self, s: Str) -> Str:
         return tuple(filter(self.observable.__contains__, s))
 
+    def _observe_all(self, strings: tuple[Str, ...]) -> tuple[Str, ...]:
+        """``observe`` of every string, in one C-level pass."""
+        return tuple(map(tuple, map(filter, repeat(self.observable.__contains__), strings)))
+
 
 @dataclass(frozen=True)
 class ObservationTable:
@@ -56,7 +60,7 @@ class ObservationTable:
 
     def __post_init__(self):
         object.__setattr__(
-            self, "entries", tuple((tuple(s), label) for s, label in self.entries)
+            self, "entries", tuple([(tuple(s), label) for s, label in self.entries])
         )
 
     @cached_property
@@ -69,6 +73,14 @@ class ObservationTable:
         except KeyError:
             raise UnknownString(f"no observation recorded for {format_str(tuple(s))}") from None
 
+    def _observe_all(self, strings: tuple[Str, ...]) -> tuple[Label, ...]:
+        """``observe`` of every string, in one C-level pass; UnknownString
+        names the first string without an entry."""
+        try:
+            return tuple(map(self._lookup.__getitem__, strings))
+        except KeyError as e:
+            raise UnknownString(f"no observation recorded for {format_str(e.args[0])}") from None
+
 
 ObservationFunction = Union[Projection, ObservationTable]
 
@@ -79,8 +91,8 @@ class _ProblemFields:
 
     def __post_init__(self):
         object.__setattr__(self, "alphabet", _unique(self.alphabet))
-        object.__setattr__(self, "L", _unique(tuple(s) for s in self.L))
-        object.__setattr__(self, "K", _unique(tuple(s) for s in self.K))
+        object.__setattr__(self, "L", _unique(map(tuple, self.L)))
+        object.__setattr__(self, "K", _unique(map(tuple, self.K)))
         object.__setattr__(self, "P", tuple(self.P))
 
     @cached_property
@@ -107,6 +119,21 @@ class ObservationProblem(_ProblemFields):
     L: tuple[Str, ...]
     K: tuple[Str, ...]
     P: tuple[ObservationFunction, ...]
+
+
+def _observation_columns(p: ObservationProblem) -> list[tuple[Label, ...]]:
+    """Per agent, its observation of every string of L, in one pass each.
+
+    A table that lacks a string of L raises UnknownString naming the first
+    such string of L, whichever agent's table lacks it.
+    """
+    try:
+        return [fn._observe_all(p.L) for fn in p.P]
+    except UnknownString:
+        for s in p.L:  # raises at the first string some table lacks
+            for fn in p.P:
+                fn.observe(s)
+        raise
 
 
 @dataclass(frozen=True)
@@ -152,7 +179,9 @@ class ValidationReport:
 def validate_problem(p: Problem) -> ValidationReport:
     """Check every structural invariant of a problem and report violations.
 
-    Never raises: a malformed problem yields a non-empty report.
+    Never raises: a malformed problem yields a non-empty report.  Each check
+    on L and K first runs as one whole-language test; only a failed test
+    walks the strings to word its violations.
     """
     v: list[str] = []
     if p.n < 1:
@@ -163,6 +192,8 @@ def validate_problem(p: Problem) -> ValidationReport:
         if not t:
             v.append("alphabet contains an empty token")
     for name, language in (("L", p.L), ("K", p.K)):
+        if p.alphabet_set.issuperset(chain.from_iterable(language)):
+            continue
         for s in language:
             stray = sorted({t for t in s if t not in p.alphabet_set})
             if stray:
@@ -170,14 +201,14 @@ def validate_problem(p: Problem) -> ValidationReport:
                     f"{name} string {format_str(s)} uses tokens outside the "
                     f"alphabet: {', '.join(stray)}"
                 )
-    outside = [s for s in p.K if s not in p.L_set]
-    if outside:
+    if not p.L_set.issuperset(p.K):
+        outside = [s for s in p.K if s not in p.L_set]
         v.append("K is not a subset of L: " + ", ".join(format_str(s) for s in outside))
     for i, fn in enumerate(p.P):
         if isinstance(fn, ObservationTable):
             lookup = fn._lookup
-            absent = [s for s in p.L if s not in lookup]
-            if absent:
+            if not lookup.keys() >= p.L_set:
+                absent = [s for s in p.L if s not in lookup]
                 v.append(
                     f"P_{i + 1} table is partial on L: missing "
                     + ", ".join(format_str(s) for s in absent)
@@ -356,5 +387,5 @@ def builtin_rule(name: str, n: int) -> FusionRule:
             f"unknown builtin rule {name!r}; choose from {', '.join(BUILTIN_RULES)}"
         ) from None
     # Every combination is a nonempty tuple, so filter(None, ...) keeps all.
-    domain = tuple(filter(allowed, itertools.product(used, repeat=n)))
+    domain = tuple(filter(allowed, product(used, repeat=n)))
     return FusionRule(n, decisions, domain, tuple(map(fuse, domain)))

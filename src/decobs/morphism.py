@@ -9,8 +9,9 @@ makes it a useful independent cross-check.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from itertools import compress, product
+from operator import ne
 from typing import Hashable
 
 from .errors import (
@@ -30,10 +31,9 @@ from .model import (
     Label,
     ObservationProblem,
     Token,
+    _observation_columns,
     _unique,
 )
-
-_MISSING = object()
 
 DEFAULT_ENUMERATION_BUDGET = 1_000_000
 
@@ -76,7 +76,12 @@ class MorphismReport:
         return not self.node_violations and not self.edge_violations
 
 
-def _label_clashes(g: ColoredGraph, images: list[tuple]) -> tuple[tuple[int, int], ...]:
+def _columns(rows: tuple[tuple, ...], n: int) -> tuple[tuple, ...]:
+    """The n columns of a table of n-tuples, also when it has no rows."""
+    return tuple(zip(*rows)) if rows else ((),) * n
+
+
+def _label_clashes(g: ColoredGraph, images: tuple[tuple, ...]) -> tuple[tuple[int, int], ...]:
     """The morphism condition on edges, one agent at a time.
 
     ``dst_edge(f u, f v) ⊆ src_edge(u, v)`` holds for every pair exactly when,
@@ -97,16 +102,22 @@ def _label_clashes(g: ColoredGraph, images: list[tuple]) -> tuple[tuple[int, int
 def verify_morphism(m: Morphism) -> MorphismReport:
     """Check both morphism conditions: every node keeps its colour, and for
     each agent i, nodes sharing the label ``sig[i]`` have images sharing
-    coordinate i.  Runs in O(N·n) for N source nodes and n agents."""
+    coordinate i.  Runs in O(N·n) for N source nodes and n agents, as
+    whole-column passes; only a map that breaks the edge condition is
+    walked node by node to list its clashes."""
     if m.source.n != m.target.n:
         raise ArityMismatch(
             f"source has {m.source.n} agents, target has {m.target.n}"
         )
     src, tgt, f = m.source, m.target, m.mapping
-    node_violations = tuple(
-        v for v in range(len(src)) if src.colours[v] != tgt.colours[f[v]]
-    )
-    images = [tgt.signatures[t] for t in f]
+    image_colours = map(tgt.colours.__getitem__, f)
+    node_violations = tuple(compress(range(len(src)), map(ne, src.colours, image_colours)))
+    images = tuple(map(tgt.signatures.__getitem__, f))
+    # Per agent, the image coordinate is a function of the label exactly
+    # when pairing the two columns adds no distinct entries to the labels.
+    pairs = zip(_columns(src.signatures, src.n), _columns(images, src.n))
+    if all(len(set(labels)) == len(set(zip(labels, coords))) for labels, coords in pairs):
+        return MorphismReport(node_violations, ())
     return MorphismReport(node_violations, _label_clashes(src, images))
 
 
@@ -337,52 +348,55 @@ def extract_solution(m: Morphism, p: ObservationProblem, r: FusionRule) -> Solut
     """Read per-agent decision tables off a morphism from the observation
     graph of ``p`` into the decision graph of ``r``.
 
-    Well-definedness (one decision per observation label) is guaranteed for
-    every true morphism but re-checked; a clash raises InconsistentMorphism.
+    One agent column at a time: agent i's table zips column i of the source
+    signatures with column i of the image combinations, so its labels keep
+    the order in which they first occur in L.  Well-definedness (one decision
+    per observation label) is guaranteed for every true morphism but
+    re-checked by counting each column's distinct (label, decision) pairs; a
+    clash raises InconsistentMorphism naming the first one in node order,
+    then agent order.
     """
     if m.source.keys != p.L:
         raise GraphMismatch("morphism source does not match the problem's strings")
     if m.target.keys != r.domain:
         raise GraphMismatch("morphism target does not match the rule's decision domain")
-    tables: list[dict[Label, Token]] = [{} for _ in range(p.n)]
-    for v in range(len(m.source)):
-        combo = m.target.keys[m.mapping[v]]
-        for i in range(p.n):
-            label = m.source.signatures[v][i]
-            previous = tables[i].get(label, _MISSING)
-            if previous is not _MISSING and previous != combo[i]:
-                raise InconsistentMorphism(
-                    f"agent {i + 1} would decide both {previous!r} and {combo[i]!r} "
-                    f"on observation {label!r}"
-                )
-            tables[i][label] = combo[i]
-    return Solution(tuple(tables))
+    images = tuple(map(m.target.keys.__getitem__, m.mapping))
+    labels = _columns(m.source.signatures, p.n)
+    decisions = _columns(images, p.n)
+    tables = tuple(map(dict, map(zip, labels, decisions)))
+    # A label with two decisions leaves more distinct pairs than labels.
+    if any(len(t) != len(set(zip(lab, dec))) for t, lab, dec in zip(tables, labels, decisions)):
+        first: list[dict[Label, Token]] = [{} for _ in tables]
+        for sig, combo in zip(m.source.signatures, images):
+            for i, (seen, label, decision) in enumerate(zip(first, sig, combo)):
+                previous = seen.setdefault(label, decision)
+                if previous != decision:
+                    raise InconsistentMorphism(
+                        f"agent {i + 1} would decide both {previous!r} and {decision!r} "
+                        f"on observation {label!r}"
+                    )
+    return Solution(tables)
 
 
 def verify_solution(p: ObservationProblem, sol: Solution, r: FusionRule) -> bool:
     """True iff every string's fused decision exists and matches its colour.
 
-    Anything structurally off (wrong agent count, a missing table entry, a
-    combination outside the rule's domain) makes this False rather than an
-    error: the object simply is not a solution.
+    Never reads a graph: each agent's observation function observes all of L
+    in one pass, its table turns that column into decisions, and one pass
+    over the zipped decision columns fuses them for comparison with the
+    column of K memberships.  Anything structurally off (wrong agent count,
+    a missing table entry, a combination outside the rule's domain) makes
+    this False rather than an error: the object simply is not a solution.
     """
     if len(sol.tables) != p.n or len(p.P) != p.n or r.n != p.n:
         return False
-    agents = [(fn.observe, table) for fn, table in zip(p.P, sol.tables)]
-    for s in p.L:
-        combo = []
-        for look, table in agents:
-            decision = table.get(look(s), _MISSING)
-            if decision is _MISSING:
-                return False
-            combo.append(decision)
-        try:
-            fused = r.output(combo)
-        except KeyError:  # not an allowed combination
-            return False
-        if fused != (1 if s in p.K_set else 0):
-            return False
-    return True
+    columns = _observation_columns(p)
+    try:
+        decided = [tuple(map(table.__getitem__, col)) for table, col in zip(sol.tables, columns)]
+        fused = tuple(map(r._output_of.__getitem__, zip(*decided)))
+    except KeyError:  # a label without a decision, or a combination not allowed
+        return False
+    return fused == tuple(map(p.K_set.__contains__, p.L))
 
 
 def solvable_by_enumeration(
@@ -396,12 +410,12 @@ def solvable_by_enumeration(
     """
     if r.n != p.n:
         raise ArityMismatch(f"problem has {p.n} agents, rule has {r.n}")
-    labels_per_agent = [_unique(map(fn.observe, p.L)) for fn in p.P]
+    labels_per_agent = [_unique(fn._observe_all(p.L)) for fn in p.P]
     slots = sum(len(labels) for labels in labels_per_agent)
     count = len(r.decisions) ** slots
     if budget is not None and count > budget:
         raise SearchLimitExceeded(f"{count} table assignments exceed the budget of {budget}")
-    for assignment in itertools.product(r.decisions, repeat=slots):
+    for assignment in product(r.decisions, repeat=slots):
         tables = []
         pos = 0
         for labels in labels_per_agent:

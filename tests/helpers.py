@@ -160,3 +160,82 @@ def restated_builtin(name: str, n: int) -> tuple[tuple, tuple, tuple]:
         else:  # cpda and conjunctive_cd fuse to 0 exactly when some agent says 0
             outputs.append(0 if "0" in combo else 1)
     return decisions, tuple(domain), tuple(outputs)
+
+
+# Row-wise restatements of the problem path: one string, node or table entry
+# at a time, straight from the definitions.  The library computes the same
+# results one agent column at a time.
+
+
+def rowwise_observation_graph(p) -> tuple[tuple, tuple]:
+    """Signatures and colours of the observation graph of ``p``: each string's
+    observation by every agent, and 1 exactly for the strings of K."""
+    signatures = tuple(tuple(fn.observe(s) for fn in p.P) for s in p.L)
+    colours = tuple(1 if s in p.K else 0 for s in p.L)
+    return signatures, colours
+
+
+def rowwise_quotient(g: ColoredGraph) -> tuple[tuple, tuple, tuple | None]:
+    """Classes, class of each node and conflict of ``quotient_by_indistinguishability``.
+
+    A node joins the first class whose first member has its signature and
+    colour, or opens a new class.  The conflict is the first two classes, by
+    first member, that share a signature, named by their first members' keys.
+    """
+    classes: list[list[int]] = []
+    for v in range(len(g)):
+        for members in classes:
+            u = members[0]
+            if g.signatures[u] == g.signatures[v] and g.colours[u] == g.colours[v]:
+                members.append(v)
+                break
+        else:
+            classes.append([v])
+    class_of = tuple(
+        next(c for c, members in enumerate(classes) if v in members) for v in range(len(g))
+    )
+    reps = [members[0] for members in classes]
+    conflict = next(
+        (
+            (g.keys[a], g.keys[b])
+            for k, a in enumerate(reps)
+            for b in reps[k + 1 :]
+            if g.signatures[a] == g.signatures[b]
+        ),
+        None,
+    )
+    return tuple(map(tuple, classes)), class_of, conflict
+
+
+def rowwise_tables(m) -> list[dict] | str:
+    """The decision tables a node map induces, node by node and agent by
+    agent, or the message naming the first label given two decisions."""
+    tables: list[dict] = [{} for _ in range(m.source.n)]
+    for v, t in enumerate(m.mapping):
+        for i, (label, decision) in enumerate(zip(m.source.signatures[v], m.target.keys[t])):
+            if label in tables[i] and tables[i][label] != decision:
+                return (
+                    f"agent {i + 1} would decide both {tables[i][label]!r} and "
+                    f"{decision!r} on observation {label!r}"
+                )
+            tables[i][label] = decision
+    return tables
+
+
+def rowwise_verify_solution(p, sol, r) -> bool:
+    """Whether the tables solve ``p`` under ``r``, string by string: every
+    agent has a decision for its observation, the combination is allowed,
+    and it fuses to 1 exactly on K."""
+    if len(sol.tables) != p.n or len(p.P) != p.n or r.n != p.n:
+        return False
+    fused = dict(zip(r.domain, r.outputs))
+    for s in p.L:
+        combo = []
+        for fn, table in zip(p.P, sol.tables):
+            label = fn.observe(s)
+            if label not in table:
+                return False
+            combo.append(table[label])
+        if tuple(combo) not in fused or fused[tuple(combo)] != (1 if s in p.K else 0):
+            return False
+    return True

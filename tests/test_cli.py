@@ -841,6 +841,30 @@ class TestExitCodes:
         assert not (tmp_path / "d.problem.json").exists()
 
     @pytest.mark.parametrize(
+        "args, directory",
+        [
+            (["d2o", "conjunctive:2", "-o", "{dir}/d"], "{dir}/d.bijection.json"),
+            (["check", "{problem}", "--rule", "conjunctive:2", "--witness", "{dir}/w"], "{dir}/w"),
+            (["poset", "cpda:2", "conjunctive:2", "-o", "{dir}/p"], "{dir}/p"),
+            (["reduce", "{control}", "-o", "{dir}"], "{dir}/manifest.json"),
+        ],
+        ids=["d2o", "check", "poset", "reduce"],
+    )
+    def test_an_output_directory_is_named_in_decobs_words(
+        self, runner, ex1_file, control_file, tmp_path, args, directory
+    ):
+        out = tmp_path / "out"
+        out.mkdir()
+        names = {"dir": out, "problem": ex1_file, "control": control_file}
+        directory = directory.format(**names)
+        Path(directory).mkdir()
+        result = runner.invoke(main, [a.format(**names) for a in args])
+        assert result.exit_code == 2, result.output
+        assert result.output.endswith(f"error: {directory!r} is a directory\n"), result.output
+        assert "wrote" not in result.output and "Errno" not in result.output
+        assert [path.name for path in out.iterdir()] == [Path(directory).name]
+
+    @pytest.mark.parametrize(
         "rules", [("conjunctive:2", "disjunctive:2"), ("cpda:2", "conjunctive:2")]
     )
     def test_unwritable_verdict_leaves_no_witness_or_separating_file(

@@ -11,7 +11,9 @@ from decobs import (
     D2OResult,
     FusionRule,
     ObservationProblem,
+    ObservationTable,
     Projection,
+    UnknownString,
     build_decision_graph,
     build_observation_graph,
     builtin_rule,
@@ -72,6 +74,22 @@ class TestObservationGraph:
         g = build_observation_graph(p)
         assert g.edge_colour(0, 1) == frozenset()
 
+    @pytest.mark.parametrize("order", ["agent-1-first", "agent-2-first"])
+    def test_partial_tables_name_the_first_missing_string_of_l(self, order):
+        """Without validation, a partial table raises UnknownString for the
+        first string of L that some table lacks, whichever agent's it is."""
+        lacks_c = ObservationTable(((("a",), "x"), (("b",), "y")))
+        lacks_b = ObservationTable(((("a",), "u"), (("c",), "w")))
+        p = ObservationProblem(
+            n=2,
+            alphabet=("a", "b", "c"),
+            L=(("a",), ("b",), ("c",)),
+            K=(),
+            P=(lacks_c, lacks_b) if order == "agent-1-first" else (lacks_b, lacks_c),
+        )
+        with pytest.raises(UnknownString, match="^no observation recorded for b$"):
+            build_observation_graph(p)
+
 
 class TestDecisionGraph:
     def test_conjunctive_graph(self):
@@ -122,6 +140,16 @@ class TestColoredGraph:
     def test_rejects_bad_colours(self):
         with pytest.raises(ValueError):
             ColoredGraph(n=1, keys=(0,), signatures=(("x",),), colours=(2,))
+
+    def test_names_the_first_signature_of_bad_arity(self):
+        with pytest.raises(ValueError, match=r"^signature \('x',\) does not have arity 2$"):
+            ColoredGraph(
+                n=2, keys=(0, 1, 2), signatures=(("x", "y"), ("x",), ("y", "z", "w")), colours=(0, 1, 0)
+            )
+
+    def test_names_the_first_bad_colour(self):
+        with pytest.raises(ValueError, match="^node colours must be 0 or 1, got 2$"):
+            ColoredGraph(n=1, keys=(0, 1, 2), signatures=(("x",),) * 3, colours=(True, 2, -1))
 
 
 class TestQuotient:

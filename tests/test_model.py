@@ -157,6 +157,43 @@ class TestValidate:
         assert any("controllable alphabets" in v for v in report.violations)
         assert any("outside the alphabet" in v for v in report.violations)
 
+    def test_every_defect_at_once_in_order(self):
+        """Each whole-language check, once failed, still words every
+        violation, in the order of the checks and then of the strings."""
+        p = ControlProblem(
+            n=0,
+            alphabet=("a", "", "b", ""),
+            controllable=(frozenset({"b", "z"}), frozenset({"y", "x"})),
+            L=(("a",), ("a", "q"), ("b",), ("p", "q", "a")),
+            K=(("b", "r"), ("c",), ("a",)),
+            P=(
+                ObservationTable(((("a",), "x"), (("b",), "y"))),
+                ObservationTable(
+                    (
+                        (("a",), "x"), (("a", "q"), "u"), (("b",), "y"), (("p", "q", "a"), "w"),
+                        (("b",), "z"), (("a",), "x"), (("a",), "v"),
+                    )
+                ),
+                Projection(frozenset({"a"})),
+            ),
+        )
+        assert validate_problem(p).violations == (
+            "agent count must be at least 1, got 0",
+            "expected 0 observation functions, got 3",
+            "alphabet contains an empty token",
+            "L string a q uses tokens outside the alphabet: q",
+            "L string p q a uses tokens outside the alphabet: p, q",
+            "K string b r uses tokens outside the alphabet: r",
+            "K string c uses tokens outside the alphabet: c",
+            "K is not a subset of L: b r, c",
+            "P_1 table is partial on L: missing a q, p q a",
+            "P_2 table maps b to two labels",
+            "P_2 table maps a to two labels",
+            "expected 0 controllable alphabets, got 2",
+            "controllable alphabet of agent 1 contains tokens outside the alphabet: z",
+            "controllable alphabet of agent 2 contains tokens outside the alphabet: x, y",
+        )
+
 
 def _controllable_by_definition(c: ControlProblem) -> bool:
     # Independent evaluation of the defining condition over all (s, u) pairs.

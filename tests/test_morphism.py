@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,7 @@ from decobs import (
     InconsistentMorphism,
     Morphism,
     ObservationProblem,
+    ObservationTable,
     Projection,
     SearchLimitExceeded,
     Solution,
@@ -313,6 +315,32 @@ class TestExtractSolution:
         )
         with pytest.raises(InconsistentMorphism):
             extract_solution(bad, p, rule)
+
+    @pytest.mark.parametrize(
+        "label_of_b, mapping, message",
+        [
+            # node 1 clashes for agent 2, node 2 for agent 1: node order first
+            ("y", (0, 3, 3), "agent 2 would decide both '0' and '1' on observation 'u'"),
+            # node 1 clashes for both agents: agent order next
+            ("x", (0, 3, 0), "agent 1 would decide both '0' and '1' on observation 'x'"),
+        ],
+        ids=["node-order", "agent-order"],
+    )
+    def test_clash_message_names_the_first_clash(self, conj_graph, label_of_b, mapping, message):
+        rule = builtin_rule("conjunctive", 2)
+        p = ObservationProblem(
+            n=2,
+            alphabet=("a", "b", "c"),
+            L=(("a",), ("b",), ("c",)),
+            K=(),
+            P=(
+                ObservationTable(((("a",), "x"), (("b",), label_of_b), (("c",), "x"))),
+                ObservationTable(((("a",), "u"), (("b",), "u"), (("c",), "w"))),
+            ),
+        )
+        m = Morphism(build_observation_graph(p), conj_graph, mapping)
+        with pytest.raises(InconsistentMorphism, match=f"^{re.escape(message)}$"):
+            extract_solution(m, p, rule)
 
     def test_source_mismatch(self, ex1, ex1_graph, conj_graph):
         m = Morphism(ex1_graph, conj_graph, (0, 0, 0, 0))
