@@ -8,10 +8,11 @@ error.  Commands raise library exceptions; ``_Main.invoke`` is the one place
 that turns them into exit codes.  Every file argument is read by ``_read``,
 which names a missing path or a directory in one message; every argument
 that names a rule or a problem to analyse goes through ``_load``, which also
-checks the result's kind.  Each command builds every JSON value it writes
-first and hands them to ``_write`` in one call, so it leaves all of its JSON
-output files or none of those it wrote; an output path that is a directory
-is named in the same words as a directory given as input.
+checks the result's kind.  Each command renders every file it writes, a
+DOT file included, first and hands them to ``_write`` in one call, so it
+leaves all of its output files or none of those it wrote; an output path
+that is a directory is named in the same words as a directory given as
+input.
 """
 
 from __future__ import annotations
@@ -74,16 +75,16 @@ def _fail(code: int, message: str):
     sys.exit(code)
 
 
-def _write(outputs: list[tuple[str | Path, Any]]) -> None:
-    """Write each (path, JSON value) pair in order, then print one ``wrote``
+def _write(outputs: list[tuple[str | Path, str]]) -> None:
+    """Write each (path, text) pair in order, then print one ``wrote``
     line per file.  A write that fails removes the files this call already
     wrote, overwritten ones included, and re-raises; a path that is a
     directory exits 2 saying so."""
     written: list[str | Path] = []
     try:
-        for path, obj in outputs:
+        for path, text in outputs:
             try:
-                files.dump_json(obj, path)
+                Path(path).write_text(text, encoding="utf-8")
             except IsADirectoryError:
                 _fail(2, f"{str(path)!r} is a directory")
             written.append(path)
@@ -217,7 +218,10 @@ def reduce(control_file, outdir, allow_uncontrollable):
     except ControllabilityViolation as e:
         _fail(1, str(e))
     out = Path(outdir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except FileExistsError:
+        _fail(2, f"{outdir!r} is not a directory")
     manifest: dict[str, str] = {}
     outputs = []
     for reduced in family:
@@ -229,7 +233,8 @@ def reduce(control_file, outdir, allow_uncontrollable):
             suffix += 1
         manifest[name] = reduced.event
         outputs.append((out / name, files.problem_to_obj(reduced.problem)))
-    _write([*outputs, (out / "manifest.json", {"type": "manifest", "files": manifest})])
+    outputs.append((out / "manifest.json", {"type": "manifest", "files": manifest}))
+    _write([(path, files.to_json(obj)) for path, obj in outputs])
 
 
 @main.command()
@@ -242,7 +247,7 @@ def check(problem_file, rule_spec, witness_path, budget):
     _, _, found = _solve_or_exit(problem_file, rule_spec, budget)
     if not verify_morphism(found).ok:
         raise RuntimeError("found morphism failed verification")
-    _write([(witness_path, files.morphism_to_obj(found))] if witness_path else [])
+    _write([(witness_path, files.to_json(files.morphism_to_obj(found)))] if witness_path else [])
     click.echo("SOLVABLE")
 
 
@@ -259,7 +264,8 @@ def solve(problem_file, rule_spec, solution_path, witness_path, budget):
     if not check_solution(problem, solution, rule):
         raise RuntimeError("extracted solution failed verification")
     outputs = [(witness_path, files.morphism_to_obj(found))] if witness_path else []
-    _write([*outputs, (solution_path, files.solution_to_obj(solution))])
+    outputs.append((solution_path, files.solution_to_obj(solution)))
+    _write([(path, files.to_json(obj)) for path, obj in outputs])
     click.echo("SOLVABLE")
 
 
@@ -320,7 +326,7 @@ def compare_cmd(rule_a, rule_b, witness_prefix, separating_prefix, budget, out_p
             "witness_bwd": witnesses.get("bwd"),
         }
         outputs.append((out_path, obj))
-    _write(outputs)
+    _write([(path, files.to_json(obj)) for path, obj in outputs])
 
 
 @main.command()
@@ -354,7 +360,7 @@ def poset(rule_specs, budget, out_path):
             "classes": [[labels[i] for i in cls] for cls in matrix.classes],
             "hasse": [list(edge) for edge in matrix.hasse],
         }
-        _write([(out_path, obj)])
+        _write([(out_path, files.to_json(obj))])
 
 
 @main.command()
@@ -374,8 +380,8 @@ def d2o(rule_spec, encoding, prefix):
         raise RuntimeError("conversion failed its isomorphism check")
     _write(
         [
-            (f"{prefix}.problem.json", files.problem_to_obj(result.problem)),
-            (f"{prefix}.bijection.json", files.bijection_to_obj(result)),
+            (f"{prefix}.problem.json", files.to_json(files.problem_to_obj(result.problem))),
+            (f"{prefix}.bijection.json", files.to_json(files.bijection_to_obj(result))),
         ]
     )
 
@@ -389,8 +395,7 @@ def graph_cmd(source, dot_path):
     build = build_decision_graph if isinstance(loaded, FusionRule) else build_observation_graph
     text = export_dot(build(loaded))
     if dot_path:
-        Path(dot_path).write_text(text, encoding="utf-8")
-        click.echo(f"wrote {dot_path}")
+        _write([(dot_path, text)])
     else:
         click.echo(text, nl=False)
 

@@ -21,6 +21,7 @@ from .model import (
     Projection,
     Str,
     Token,
+    _clashes,
     _observation_columns,
     format_str,
 )
@@ -71,8 +72,8 @@ class ColoredGraph:
     def key_index(self) -> dict[Hashable, int]:
         return {k: i for i, k in enumerate(self.keys)}
 
-    # The label indexes below are built once per graph and shared by every
-    # search and check that reads them; callers must not mutate them.
+    # The label indexes below are built once per graph and shared by the
+    # search and the arc-consistency pass; callers must not mutate them.
 
     @cached_property
     def label_buckets(self) -> tuple[dict[Hashable, list[int]], ...]:
@@ -162,10 +163,11 @@ def quotient_by_indistinguishability(g: ColoredGraph) -> Quotient:
 
     Classes are ordered by their first member, which also represents them in
     the quotient graph.  Edge colours between classes are inherited, which is
-    well defined because class members share their signature.  Two classes
-    that share a signature (a colour clash) are reported as a conflict rather
-    than an error.  When no two nodes share a signature, as in every decision
-    graph, the quotient graph is ``g`` itself.
+    well defined because class members share their signature.  The first two
+    classes that share a signature (``_clashes`` of the quotient's colours on
+    its signatures) are reported as a conflict rather than an error.  When no
+    two nodes share a signature, as in every decision graph, the quotient
+    graph is ``g`` itself.
     """
     if len(set(g.signatures)) == len(g):
         return Quotient(
@@ -183,11 +185,6 @@ def quotient_by_indistinguishability(g: ColoredGraph) -> Quotient:
     classes: list[list[int]] = [[] for _ in reps]
     for idx, ci in enumerate(class_of):
         classes[ci].append(idx)
-    reps_of_sig: dict[tuple, list[int]] = {}
-    for r in reps:
-        reps_of_sig.setdefault(g.signatures[r], []).append(r)
-    clash = next((pair for pair in reps_of_sig.values() if len(pair) > 1), None)
-    conflict = None if clash is None else (g.keys[clash[0]], g.keys[clash[1]])
     quotient_graph = ColoredGraph(
         n=g.n,
         keys=tuple(map(g.keys.__getitem__, reps)),
@@ -195,9 +192,10 @@ def quotient_by_indistinguishability(g: ColoredGraph) -> Quotient:
         colours=tuple(map(g.colours.__getitem__, reps)),
         kind=g.kind,
     )
+    clash = min(_clashes(quotient_graph.signatures, quotient_graph.colours), default=None)
     return Quotient(
         graph=quotient_graph,
-        conflict=conflict,
+        conflict=None if clash is None else tuple(map(quotient_graph.keys.__getitem__, clash)),
         classes=tuple(map(tuple, classes)),
         class_of=class_of,
     )

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, product, repeat
-from typing import Callable, Hashable, Iterable, Union
+from itertools import chain, compress, count, product, repeat
+from operator import ne
+from typing import Callable, Hashable, Iterable, Sequence, Union
 
 from .errors import ControllabilityViolation, UnknownRuleName, UnknownString
 
@@ -28,6 +29,19 @@ def format_str(s: Str) -> str:
 
 def _unique(items: Iterable) -> tuple:
     return tuple(dict.fromkeys(items))
+
+
+def _clashes(keys: Sequence, values: Sequence) -> list[tuple[int, int]]:
+    """(first position of the key, position) for each value that differs from
+    the value at its key's first position, in position order: empty exactly
+    when equal keys always carry equal values.  Listed, in C-level passes,
+    only when pairing the values with the keys adds distinct entries."""
+    if len(set(keys)) == len(set(zip(keys, values))):
+        return []
+    first: dict = {}
+    firsts = tuple(map(first.setdefault, keys, count()))
+    at = tuple(compress(count(), map(ne, map(values.__getitem__, firsts), values)))
+    return list(zip(map(firsts.__getitem__, at), at))
 
 
 @dataclass(frozen=True)
@@ -68,10 +82,7 @@ class ObservationTable:
         return dict(self.entries)
 
     def observe(self, s: Str) -> Label:
-        try:
-            return self._lookup[tuple(s)]
-        except KeyError:
-            raise UnknownString(f"no observation recorded for {format_str(tuple(s))}") from None
+        return self._observe_all((tuple(s),))[0]
 
     def _observe_all(self, strings: tuple[Str, ...]) -> tuple[Label, ...]:
         """``observe`` of every string, in one C-level pass; UnknownString
@@ -213,10 +224,10 @@ def validate_problem(p: Problem) -> ValidationReport:
                     f"P_{i + 1} table is partial on L: missing "
                     + ", ".join(format_str(s) for s in absent)
                 )
-            # Two labels for one string; the set is built only if a string repeats.
-            if len(fn.entries) != len(lookup) and len(set(fn.entries)) != len(lookup):
-                first = dict(fn.entries[::-1])  # each string's first label
-                for s in _unique(s for s, label in fn.entries if first[s] != label):
+            # Two labels for one string; looked for only if a string repeats.
+            if len(fn.entries) != len(lookup):
+                strings, labels = zip(*fn.entries)
+                for s in _unique(strings[j] for _, j in _clashes(strings, labels)):
                     v.append(f"P_{i + 1} table maps {format_str(s)} to two labels")
     if isinstance(p, ControlProblem):
         if len(p.controllable) != p.n:

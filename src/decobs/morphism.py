@@ -10,7 +10,7 @@ makes it a useful independent cross-check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, product
+from itertools import chain, compress, product
 from operator import ne
 from typing import Hashable
 
@@ -31,6 +31,7 @@ from .model import (
     Label,
     ObservationProblem,
     Token,
+    _clashes,
     _observation_columns,
     _unique,
 )
@@ -81,30 +82,12 @@ def _columns(rows: tuple[tuple, ...], n: int) -> tuple[tuple, ...]:
     return tuple(zip(*rows)) if rows else ((),) * n
 
 
-def _label_clashes(g: ColoredGraph, images: tuple[tuple, ...]) -> tuple[tuple[int, int], ...]:
-    """The morphism condition on edges, one agent at a time.
-
-    ``dst_edge(f u, f v) ⊆ src_edge(u, v)`` holds for every pair exactly when,
-    for each agent i, the image coordinate ``images[v][i]`` is a function of
-    the label ``sig_v[i]``.  Returns (first node with the label, offending
-    node) for every node whose image coordinate differs from that of the
-    first node sharing its label, sorted.
-    """
-    clashes = set()
-    for i, buckets in enumerate(g.label_buckets):
-        for nodes in buckets.values():
-            first = nodes[0]
-            want = images[first][i]
-            clashes.update((first, u) for u in nodes[1:] if images[u][i] != want)
-    return tuple(sorted(clashes))
-
-
 def verify_morphism(m: Morphism) -> MorphismReport:
     """Check both morphism conditions: every node keeps its colour, and for
     each agent i, nodes sharing the label ``sig[i]`` have images sharing
-    coordinate i.  Runs in O(N·n) for N source nodes and n agents, as
-    whole-column passes; only a map that breaks the edge condition is
-    walked node by node to list its clashes."""
+    coordinate i: the edge violations are the ``_clashes`` of each agent's
+    label column with its image column, merged and sorted.  Runs in O(N·n)
+    for N source nodes and n agents, as whole-column passes."""
     if m.source.n != m.target.n:
         raise ArityMismatch(
             f"source has {m.source.n} agents, target has {m.target.n}"
@@ -113,12 +96,8 @@ def verify_morphism(m: Morphism) -> MorphismReport:
     image_colours = map(tgt.colours.__getitem__, f)
     node_violations = tuple(compress(range(len(src)), map(ne, src.colours, image_colours)))
     images = tuple(map(tgt.signatures.__getitem__, f))
-    # Per agent, the image coordinate is a function of the label exactly
-    # when pairing the two columns adds no distinct entries to the labels.
-    pairs = zip(_columns(src.signatures, src.n), _columns(images, src.n))
-    if all(len(set(labels)) == len(set(zip(labels, coords))) for labels, coords in pairs):
-        return MorphismReport(node_violations, ())
-    return MorphismReport(node_violations, _label_clashes(src, images))
+    clashes = map(_clashes, _columns(src.signatures, src.n), _columns(images, src.n))
+    return MorphismReport(node_violations, tuple(sorted(set(chain.from_iterable(clashes)))))
 
 
 def verify_d2o(res: D2OResult, rule: FusionRule) -> bool:
@@ -353,8 +332,8 @@ def extract_solution(m: Morphism, p: ObservationProblem, r: FusionRule) -> Solut
     the order in which they first occur in L.  Well-definedness (one decision
     per observation label) is guaranteed for every true morphism but
     re-checked by counting each column's distinct (label, decision) pairs; a
-    clash raises InconsistentMorphism naming the first one in node order,
-    then agent order.
+    clash raises InconsistentMorphism naming the first of every column's
+    ``_clashes`` in node order, then agent order.
     """
     if m.source.keys != p.L:
         raise GraphMismatch("morphism source does not match the problem's strings")
@@ -366,15 +345,12 @@ def extract_solution(m: Morphism, p: ObservationProblem, r: FusionRule) -> Solut
     tables = tuple(map(dict, map(zip, labels, decisions)))
     # A label with two decisions leaves more distinct pairs than labels.
     if any(len(t) != len(set(zip(lab, dec))) for t, lab, dec in zip(tables, labels, decisions)):
-        first: list[dict[Label, Token]] = [{} for _ in tables]
-        for sig, combo in zip(m.source.signatures, images):
-            for i, (seen, label, decision) in enumerate(zip(first, sig, combo)):
-                previous = seen.setdefault(label, decision)
-                if previous != decision:
-                    raise InconsistentMorphism(
-                        f"agent {i + 1} would decide both {previous!r} and {decision!r} "
-                        f"on observation {label!r}"
-                    )
+        clashes = map(_clashes, labels, decisions)
+        v, i, u = min((v, i, u) for i, found in enumerate(clashes) for u, v in found[:1])
+        raise InconsistentMorphism(
+            f"agent {i + 1} would decide both {decisions[i][u]!r} and "
+            f"{decisions[i][v]!r} on observation {labels[i][v]!r}"
+        )
     return Solution(tables)
 
 

@@ -222,6 +222,33 @@ def rowwise_tables(m) -> list[dict] | str:
     return tables
 
 
+def rowwise_edge_violations(m) -> tuple[tuple[int, int], ...]:
+    """The edge violations of a node map, node by node and agent by agent:
+    (first node with the label, node) for every node whose image differs on
+    that agent from the image of the first node sharing its label, sorted
+    and without repeats."""
+    violations = set()
+    for i in range(m.source.n):
+        first: dict = {}
+        for v, sig in enumerate(m.source.signatures):
+            u = first.setdefault(sig[i], v)
+            if m.target.signatures[m.mapping[u]][i] != m.target.signatures[m.mapping[v]][i]:
+                violations.add((u, v))
+    return tuple(sorted(violations))
+
+
+def rowwise_clashes(keys, values) -> list[tuple[int, int]]:
+    """(first position of the key, position) for every value that differs
+    from the value at its key's first position, one position at a time."""
+    first: dict = {}
+    clashes = []
+    for j, (key, value) in enumerate(zip(keys, values)):
+        u = first.setdefault(key, j)
+        if values[u] != value:
+            clashes.append((u, j))
+    return clashes
+
+
 def rowwise_verify_solution(p, sol, r) -> bool:
     """Whether the tables solve ``p`` under ``r``, string by string: every
     agent has a decision for its observation, the combination is allowed,

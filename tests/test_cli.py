@@ -174,6 +174,16 @@ class TestReduce:
             "obs_u00e9_2.json",
         ]
 
+    def test_output_that_is_a_regular_file_is_named_in_decobs_words(
+        self, runner, control_file, tmp_path
+    ):
+        out = tmp_path / "out"
+        out.write_text("kept", encoding="utf-8")
+        result = runner.invoke(main, ["reduce", str(control_file), "-o", str(out)])
+        assert result.exit_code == 2, result.output
+        assert result.output == f"error: {str(out)!r} is not a directory\n"
+        assert out.read_text(encoding="utf-8") == "kept"
+
 
 class TestCheckAndSolve:
     def test_solvable_with_witness(self, runner, ex1, ex1_file, tmp_path):
@@ -847,8 +857,9 @@ class TestExitCodes:
             (["check", "{problem}", "--rule", "conjunctive:2", "--witness", "{dir}/w"], "{dir}/w"),
             (["poset", "cpda:2", "conjunctive:2", "-o", "{dir}/p"], "{dir}/p"),
             (["reduce", "{control}", "-o", "{dir}"], "{dir}/manifest.json"),
+            (["graph", "conjunctive:2", "--dot", "{dir}/d.dot"], "{dir}/d.dot"),
         ],
-        ids=["d2o", "check", "poset", "reduce"],
+        ids=["d2o", "check", "poset", "reduce", "graph"],
     )
     def test_an_output_directory_is_named_in_decobs_words(
         self, runner, ex1_file, control_file, tmp_path, args, directory

@@ -19,7 +19,8 @@ from decobs import (
     reduce_control,
     validate_problem,
 )
-from helpers import restated_builtin
+from decobs.model import _clashes
+from helpers import restated_builtin, rowwise_clashes
 
 
 class TestObserve:
@@ -42,6 +43,14 @@ class TestObserve:
         with pytest.raises(UnknownString):
             table.observe(("b",))
 
+    @pytest.mark.parametrize(
+        "s, message", [(("b",), "b"), (["a", "b"], "a b"), ((), "ε")], ids=["one", "list", "empty"]
+    )
+    def test_table_unknown_string_message(self, s, message):
+        table = ObservationTable(tuple({("a",): "x"}.items()))
+        with pytest.raises(UnknownString, match=f"^no observation recorded for {message}$"):
+            table.observe(s)
+
     @given(
         st.lists(st.sampled_from("abcd"), max_size=6),
         st.frozensets(st.sampled_from("abcd")),
@@ -51,6 +60,22 @@ class TestObserve:
         once = fn.observe(tuple(tokens))
         assert len(once) <= len(tokens)
         assert fn.observe(once) == once
+
+
+class TestClashes:
+    @pytest.mark.parametrize("changed", [False, True], ids=["function", "changed"])
+    @given(keys=st.lists(st.sampled_from("abc"), max_size=8).map(tuple), data=st.data())
+    def test_matches_a_loop(self, keys, data, changed):
+        """Values drawn per key, so that keys repeat with equal values, then
+        (when ``changed``) some of them redrawn, so that some may not."""
+        of = data.draw(st.fixed_dictionaries({k: st.integers(0, 2) for k in "abc"}))
+        redrawn = st.booleans() if changed else st.just(False)
+        values = tuple(
+            data.draw(st.integers(0, 2)) if data.draw(redrawn) else of[k] for k in keys
+        )
+        clashes = _clashes(keys, values)
+        assert clashes == rowwise_clashes(keys, values)
+        assert changed or clashes == []
 
 
 def observation_tuple(p: ObservationProblem, s) -> tuple:

@@ -1,7 +1,7 @@
 """The problem path against its row-wise restatement in helpers.py.
 
-The library builds observation graphs, quotients, decision tables and
-solution checks one agent column at a time; these tests compare each result
+The library builds observation graphs, quotients, decision tables, morphism
+checks and solution checks one agent column at a time; these tests compare each result
 with a reference that walks one string, node or table entry at a time, over
 random problems that mix projections and observation tables.
 """
@@ -25,9 +25,11 @@ from decobs import (
     extract_solution,
     find_morphism,
     quotient_by_indistinguishability,
+    verify_morphism,
     verify_solution,
 )
 from helpers import (
+    rowwise_edge_violations,
     rowwise_observation_graph,
     rowwise_quotient,
     rowwise_tables,
@@ -126,6 +128,19 @@ class TestExtractSolution:
         found = find_morphism(g, build_decision_graph(rule))
         assume(found is not None)
         assert _items(extract_solution(found, p, rule).tables) == _items(rowwise_tables(found))
+
+
+class TestVerifyMorphism:
+    @given(problems(), st.sampled_from(BUILTIN_RULES), st.data())
+    def test_any_node_map(self, p, name, data):
+        """The exact edge violations of any node map into a decision graph."""
+        target = build_decision_graph(builtin_rule(name, p.n))
+        g = build_observation_graph(p)
+        mapping = data.draw(
+            st.lists(st.integers(0, len(target) - 1), min_size=len(g), max_size=len(g))
+        )
+        m = Morphism(g, target, tuple(mapping))
+        assert verify_morphism(m).edge_violations == rowwise_edge_violations(m)
 
 
 class TestVerifySolution:
