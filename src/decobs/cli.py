@@ -11,8 +11,7 @@ that names a rule or a problem to analyse goes through ``_load``, which also
 checks the result's kind.  Each command renders every file it writes, a
 DOT file included, first and hands them to ``_write`` in one call, so it
 leaves all of its output files or none of those it wrote; an output path
-that is a directory is named in the same words as a directory given as
-input.
+that is a directory or lies under a regular file exits 2 naming the fault.
 """
 
 from __future__ import annotations
@@ -79,7 +78,7 @@ def _write(outputs: list[tuple[str | Path, str]]) -> None:
     """Write each (path, text) pair in order, then print one ``wrote``
     line per file.  A write that fails removes the files this call already
     wrote, overwritten ones included, and re-raises; a path that is a
-    directory exits 2 saying so."""
+    directory, or has a regular file for a parent, exits 2 saying so."""
     written: list[str | Path] = []
     try:
         for path, text in outputs:
@@ -87,6 +86,8 @@ def _write(outputs: list[tuple[str | Path, str]]) -> None:
                 Path(path).write_text(text, encoding="utf-8")
             except IsADirectoryError:
                 _fail(2, f"{str(path)!r} is a directory")
+            except NotADirectoryError:
+                _fail(2, f"a parent of {str(path)!r} is not a directory")
             written.append(path)
     except BaseException:
         for path in written:
@@ -220,7 +221,7 @@ def reduce(control_file, outdir, allow_uncontrollable):
     out = Path(outdir)
     try:
         out.mkdir(parents=True, exist_ok=True)
-    except FileExistsError:
+    except (FileExistsError, NotADirectoryError):
         _fail(2, f"{outdir!r} is not a directory")
     manifest: dict[str, str] = {}
     outputs = []
@@ -314,10 +315,10 @@ def compare_cmd(rule_a, rule_b, witness_prefix, separating_prefix, budget, out_p
             ("second_not_first", second, verdict.witness_bwd),
         ):
             if witness is None:
-                result = decision_graph_to_observation(donor)
-                outputs.append(
-                    (f"{separating_prefix}_{tag}.json", files.problem_to_obj(result.problem))
-                )
+                problem = decision_graph_to_observation(donor)
+                if not verify_d2o(problem, donor):
+                    raise RuntimeError("separating problem failed its isomorphism check")
+                outputs.append((f"{separating_prefix}_{tag}.json", files.problem_to_obj(problem)))
     if out_path:
         obj = {
             "type": "verdict",
@@ -375,13 +376,13 @@ def poset(rule_specs, budget, out_path):
 def d2o(rule_spec, encoding, prefix):
     """Recast a rule's decision graph as an observation problem."""
     rule, _ = _load(rule_spec, FusionRule)
-    result = decision_graph_to_observation(rule, encoding)
-    if not verify_d2o(result, rule):
+    problem = decision_graph_to_observation(rule, encoding)
+    if not verify_d2o(problem, rule):
         raise RuntimeError("conversion failed its isomorphism check")
     _write(
         [
-            (f"{prefix}.problem.json", files.to_json(files.problem_to_obj(result.problem))),
-            (f"{prefix}.bijection.json", files.to_json(files.bijection_to_obj(result))),
+            (f"{prefix}.problem.json", files.to_json(files.problem_to_obj(problem))),
+            (f"{prefix}.bijection.json", files.to_json(files.bijection_to_obj(rule, problem))),
         ]
     )
 

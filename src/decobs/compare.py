@@ -22,9 +22,9 @@ class PermissivenessVerdict:
     ``witness_fwd`` maps the first rule's decision graph into the second's
     (present iff the second is at least as permissive), ``witness_bwd`` the
     converse.  A missing ``witness_fwd`` means that
-    ``decision_graph_to_observation(first).problem`` is solvable under the
-    first rule and not under the second, so it separates them; likewise for
-    a missing ``witness_bwd`` with the second rule.
+    ``decision_graph_to_observation(first)`` is solvable under the first
+    rule and not under the second, so it separates them; likewise for a
+    missing ``witness_bwd`` with the second rule.
     """
 
     relation: str

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Any, Callable
 
 from .errors import FileFormatError
-from .graph import ColoredGraph, D2OResult
+from .graph import ColoredGraph
 from .model import (
     ControlProblem,
     FusionRule,
@@ -388,8 +388,8 @@ def parse_solution(obj: Any) -> Solution:
     return Solution(tuple(parsed))
 
 
-def bijection_to_obj(res: D2OResult) -> list:
-    return [[list(combo), list(s)] for combo, s in res.bijection]
+def bijection_to_obj(rule: FusionRule, p: ObservationProblem) -> list:
+    return [[list(combo), list(s)] for combo, s in zip(rule.domain, p.L)]
 
 
 def sanitize_token(text: str) -> str:

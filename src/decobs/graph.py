@@ -10,7 +10,7 @@ never stored, since the morphism search and its checks work per agent label
 
 from __future__ import annotations
 
-from itertools import combinations, count
+from itertools import combinations, compress, count
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Hashable
@@ -67,10 +67,6 @@ class ColoredGraph:
     def edge_colour(self, u: int, v: int) -> AgentSet:
         su, sv = self.signatures[u], self.signatures[v]
         return frozenset(i for i in range(self.n) if su[i] != sv[i])
-
-    @cached_property
-    def key_index(self) -> dict[Hashable, int]:
-        return {k: i for i, k in enumerate(self.keys)}
 
     # The label indexes below are built once per graph and shared by the
     # search and the arc-consistency pass; callers must not mutate them.
@@ -204,16 +200,7 @@ def quotient_by_indistinguishability(g: ColoredGraph) -> Quotient:
 ENCODINGS = ("tagged", "unary")
 
 
-@dataclass(frozen=True)
-class D2OResult:
-    """An observation problem whose observation graph reproduces a decision
-    graph, with the node-to-string bijection that witnesses it."""
-
-    problem: ObservationProblem
-    bijection: tuple[tuple[tuple[Token, ...], Str], ...]
-
-
-def decision_graph_to_observation(rule: FusionRule, encoding: str = "unary") -> D2OResult:
+def decision_graph_to_observation(rule: FusionRule, encoding: str = "unary") -> ObservationProblem:
     """Recast a fusion rule's decision graph as an observation problem.
 
     tagged: alphabet {d^i : d ∈ D, agent i}; the combination (d_1, ..., d_n)
@@ -225,7 +212,9 @@ def decision_graph_to_observation(rule: FusionRule, encoding: str = "unary") -> 
     The encoding is prefix-free, so the node-to-string map is injective.
 
     Either way agent i observes exactly ``symbols[i]``, and a combination is
-    spelled by concatenating ``spell[i][d_i]``.
+    spelled by concatenating ``spell[i][d_i]``.  The pairing of nodes with
+    strings is positional: the k-th string of L spells the k-th combination
+    of ``rule.domain``, and K keeps the strings whose combination fuses to 1.
     """
     if encoding not in ENCODINGS:
         raise ValueError(f"unknown encoding {encoding!r}; choose from {ENCODINGS}")
@@ -239,18 +228,16 @@ def decision_graph_to_observation(rule: FusionRule, encoding: str = "unary") -> 
             zero, one = f"0_{i}", f"1_{i}"
             symbols.append((zero, one))
             spell.append({d: (zero,) * j + (one,) for j, d in enumerate(rule.decisions)})
-    bijection = tuple(
-        (combo, tuple(tok for words, d in zip(spell, combo) for tok in words[d]))
-        for combo in rule.domain
+    strings = tuple(
+        tuple(tok for words, d in zip(spell, combo) for tok in words[d]) for combo in rule.domain
     )
-    problem = ObservationProblem(
+    return ObservationProblem(
         n=rule.n,
         alphabet=tuple(tok for tokens in symbols for tok in tokens),
-        L=tuple(s for _, s in bijection),
-        K=tuple(s for (_, s), out in zip(bijection, rule.outputs) if out == 1),
+        L=strings,
+        K=tuple(compress(strings, rule.outputs)),
         P=tuple(map(Projection, symbols)),
     )
-    return D2OResult(problem=problem, bijection=bijection)
 
 
 def _node_label(g: ColoredGraph, idx: int) -> str:

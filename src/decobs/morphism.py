@@ -20,12 +20,7 @@ from .errors import (
     InconsistentMorphism,
     SearchLimitExceeded,
 )
-from .graph import (
-    ColoredGraph,
-    D2OResult,
-    build_decision_graph,
-    build_observation_graph,
-)
+from .graph import ColoredGraph
 from .model import (
     FusionRule,
     Label,
@@ -100,31 +95,21 @@ def verify_morphism(m: Morphism) -> MorphismReport:
     return MorphismReport(node_violations, tuple(sorted(set(chain.from_iterable(clashes)))))
 
 
-def verify_d2o(res: D2OResult, rule: FusionRule) -> bool:
-    """True iff the recorded bijection is an isomorphism between the rule's
-    decision graph and the problem's observation graph: the bijection and its
-    inverse are both morphisms.  A problem whose agent count differs from the
-    rule's is not a conversion of it."""
-    if res.problem.n != rule.n:
+def verify_d2o(p: ObservationProblem, rule: FusionRule) -> bool:
+    """True iff pairing the k-th combination of ``rule.domain`` with the k-th
+    string of ``p.L`` is an isomorphism of the decision graph onto the
+    observation graph.  That needs one agent count, a string per combination
+    (L keeps each string once, so two combinations spelled alike leave it
+    short), K holding exactly the strings whose combination fuses to 1, and,
+    per agent, decision and observation columns that are functions of each
+    other: the morphism condition both ways, checked without a graph."""
+    if not (p.n == rule.n == len(p.P) and len(p.L) == len(rule.domain)):
         return False
-    decision_graph = build_decision_graph(rule)
-    observation_graph = build_observation_graph(res.problem)
-    forward = dict(res.bijection)
-    if len(forward) != len(res.bijection):
+    if rule.outputs != tuple(map(int, map(p.K_set.__contains__, p.L))):
         return False
-    if set(forward) != set(decision_graph.keys):
-        return False
-    strings = list(forward.values())
-    if len(set(strings)) != len(strings) or set(strings) != set(observation_graph.keys):
-        return False
-    to_node = observation_graph.key_index
-    image = [to_node[forward[k]] for k in decision_graph.keys]
-    preimage = [0] * len(image)
-    for v, t in enumerate(image):
-        preimage[t] = v
-    return (
-        verify_morphism(Morphism(decision_graph, observation_graph, image)).ok
-        and verify_morphism(Morphism(observation_graph, decision_graph, preimage)).ok
+    return not any(
+        _clashes(d, o) or _clashes(o, d)
+        for d, o in zip(_columns(rule.domain, p.n), _observation_columns(p))
     )
 
 

@@ -122,13 +122,13 @@ def test_criterion_5_unary_conversion_is_token_exact():
         5, "unary conversion of conjunctive:2 is token-exact and every builtin round-trips"
     ) as c:
         rule = builtin_rule("conjunctive", 2)
-        res = decision_graph_to_observation(rule, "unary")
-        exact = set(res.problem.L) == {
+        problem = decision_graph_to_observation(rule, "unary")
+        exact = set(problem.L) == {
             ("1_1", "1_2"),
             ("0_1", "1_1", "1_2"),
             ("1_1", "0_2", "1_2"),
             ("0_1", "1_1", "0_2", "1_2"),
-        } and set(res.problem.K) == {("0_1", "1_1", "0_2", "1_2")}
+        } and set(problem.K) == {("0_1", "1_1", "0_2", "1_2")}
         round_trips = all(
             verify_d2o(
                 decision_graph_to_observation(builtin_rule(name, 2), encoding),
@@ -137,7 +137,7 @@ def test_criterion_5_unary_conversion_is_token_exact():
             for name in BUILTIN_RULES
             for encoding in ("tagged", "unary")
         )
-        c["ok"] = exact and verify_d2o(res, rule) and round_trips
+        c["ok"] = exact and verify_d2o(problem, rule) and round_trips
 
 
 def test_criterion_6_search_agrees_with_exhaustive_oracle():
@@ -178,7 +178,7 @@ def test_criterion_7_decision_graph_morphisms_match_problem_solvability():
         rules = {name: builtin_rule(name, 2) for name in BUILTIN_RULES}
         graphs = {name: build_decision_graph(rule) for name, rule in rules.items()}
         converted = {
-            name: decision_graph_to_observation(rule, "unary").problem
+            name: decision_graph_to_observation(rule, "unary")
             for name, rule in rules.items()
         }
         disagreements = 0

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -416,7 +417,7 @@ class TestCompareCommand:
         )
         assert result.exit_code == 0
         first = files.parse_problem(files.read_json(f"{prefix}_first_not_second.json"))
-        expected = decision_graph_to_observation(builtin_rule("conjunctive", 2)).problem
+        expected = decision_graph_to_observation(builtin_rule("conjunctive", 2))
         assert first == expected
         check = runner.invoke(
             main, ["check", f"{prefix}_first_not_second.json", "--rule", "disjunctive:2"]
@@ -473,7 +474,7 @@ class TestD2O:
         assert result.exit_code == 0
         problem = files.parse_problem(files.read_json(f"{prefix}.problem.json"))
         expected = decision_graph_to_observation(builtin_rule("conjunctive", 2), "unary")
-        assert problem == expected.problem
+        assert problem == expected
         bij = json.loads((tmp_path / "conj.bijection.json").read_text())
         assert len(bij) == 4
         assert [["1", "1"], ["0_1", "1_1", "0_2", "1_2"]] in bij
@@ -876,6 +877,38 @@ class TestExitCodes:
         assert [path.name for path in out.iterdir()] == [Path(directory).name]
 
     @pytest.mark.parametrize(
+        "args, path, message",
+        [
+            (["reduce", "{control}", "-o", "{file}/sub"], "{file}/sub", "{!r} is not a directory"),
+            (
+                ["d2o", "conjunctive:2", "-o", "{file}/x"],
+                "{file}/x.problem.json",
+                "a parent of {!r} is not a directory",
+            ),
+            (
+                ["compare", "cpda:2", "conjunctive:2", "--separating", "{file}/s"],
+                "{file}/s_second_not_first.json",
+                "a parent of {!r} is not a directory",
+            ),
+        ],
+        ids=["reduce", "d2o", "compare"],
+    )
+    def test_an_output_under_a_regular_file_is_named_in_decobs_words(
+        self, runner, control_file, tmp_path, args, path, message
+    ):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "f").write_text("kept")
+        names = {"file": out / "f", "control": control_file}
+        result = runner.invoke(main, [a.format(**names) for a in args])
+        assert result.exit_code == 2, result.output
+        expected = message.format(path.format(**names))
+        assert result.output.endswith(f"error: {expected}\n"), result.output
+        assert "wrote" not in result.output and "Errno" not in result.output
+        assert [p.name for p in out.iterdir()] == ["f"]
+        assert (out / "f").read_text() == "kept"
+
+    @pytest.mark.parametrize(
         "rules", [("conjunctive:2", "disjunctive:2"), ("cpda:2", "conjunctive:2")]
     )
     def test_unwritable_verdict_leaves_no_witness_or_separating_file(
@@ -908,6 +941,23 @@ class TestExitCodes:
         assert result.exit_code == 4
         assert "error: internal: RuntimeError: found morphism failed verification" in result.output
         assert "SOLVABLE" not in result.output
+
+    def test_separating_problem_failing_its_check_exits_4(self, runner, tmp_path, monkeypatch):
+        convert = decision_graph_to_observation
+        monkeypatch.setattr(
+            "decobs.cli.decision_graph_to_observation",
+            lambda rule: dataclasses.replace(convert(rule), K=()),
+        )
+        result = runner.invoke(
+            main, ["compare", "cpda:2", "conjunctive:2", "--separating", str(tmp_path / "s")]
+        )
+        assert result.exit_code == 4
+        assert (
+            "error: internal: RuntimeError: separating problem failed its isomorphism check"
+            in result.output
+        )
+        assert "wrote" not in result.output
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "args",

@@ -149,7 +149,7 @@ class TestSeparatingProblem:
         conj = builtin_rule("conjunctive", 2)
         disj = builtin_rule("disjunctive", 2)
         problem = _separating(tmp_path, "conjunctive:2", "disjunctive:2")["first_not_second"]
-        assert problem == decision_graph_to_observation(conj).problem
+        assert problem == decision_graph_to_observation(conj)
         graph = build_observation_graph(problem)
         # Solvable with the first rule, refuted for the second, via both the
         # search and the exhaustive table oracle.
@@ -163,7 +163,7 @@ class TestSeparatingProblem:
         disj = builtin_rule("disjunctive", 2)
         written = _separating(tmp_path, "conjunctive:2", "disjunctive:2")
         problem = written["second_not_first"]
-        assert problem == decision_graph_to_observation(disj).problem
+        assert problem == decision_graph_to_observation(disj)
         assert solvable_by_enumeration(problem, disj) is True
         assert solvable_by_enumeration(problem, conj) is False
 
@@ -177,7 +177,7 @@ class TestSeparatingProblem:
     def test_tagged_encoding_also_separates(self):
         conj = builtin_rule("conjunctive", 2)
         disj = builtin_rule("disjunctive", 2)
-        problem = decision_graph_to_observation(conj, "tagged").problem
+        problem = decision_graph_to_observation(conj, "tagged")
         assert solvable_by_enumeration(problem, conj) is True
         assert solvable_by_enumeration(problem, disj) is False
 

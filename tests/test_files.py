@@ -290,8 +290,8 @@ class TestSolutionFiles:
 
 class TestBijectionFiles:
     def test_bijection_entries_pair_tuples_with_strings(self):
-        res = decision_graph_to_observation(builtin_rule("conjunctive", 2), "unary")
-        obj = files.bijection_to_obj(res)
+        rule = builtin_rule("conjunctive", 2)
+        obj = files.bijection_to_obj(rule, decision_graph_to_observation(rule, "unary"))
         assert len(obj) == 4
         assert [["1", "1"], ["0_1", "1_1", "0_2", "1_2"]] in obj
 
@@ -395,7 +395,7 @@ def _written_shape(shape: str, ex1, gamma_control):
     conj2 = build_decision_graph(builtin_rule("conjunctive", 2))
     if shape == "observation-witness":
         # Into conjunctive:3, so many rows share one target key list.
-        p = decision_graph_to_observation(builtin_rule("cpda", 3)).problem
+        p = decision_graph_to_observation(builtin_rule("cpda", 3))
         target = build_decision_graph(builtin_rule("conjunctive", 3))
         return files.morphism_to_obj(find_morphism(build_observation_graph(p), target))
     if shape == "decision-witness":
@@ -440,8 +440,7 @@ def _written_shape(shape: str, ex1, gamma_control):
     if shape == "control-problem":
         return files.problem_to_obj(gamma_control)
     if shape == "bijection":
-        return files.bijection_to_obj(
-            decision_graph_to_observation(builtin_rule("conjunctive", 2), "unary")
-        )
+        rule = builtin_rule("conjunctive", 2)
+        return files.bijection_to_obj(rule, decision_graph_to_observation(rule, "unary"))
     assert shape == "manifest"
     return {"type": "manifest", "files": {"obs_u03b3.json": "γ", "obs_a.json": "a"}}

@@ -8,7 +8,6 @@ import pytest
 from decobs import (
     BUILTIN_RULES,
     ColoredGraph,
-    D2OResult,
     FusionRule,
     ObservationProblem,
     ObservationTable,
@@ -22,6 +21,7 @@ from decobs import (
     quotient_by_indistinguishability,
     verify_d2o,
 )
+from decobs import files
 from helpers import random_colored_graph, restated_builtin
 
 
@@ -227,7 +227,7 @@ class TestQuotient:
             shared = len({sig for sig, _ in kinds}) < len(kinds)
             assert (q.conflict is not None) == shared
             if q.conflict is not None:
-                u, v = (g.key_index[key] for key in q.conflict)
+                u, v = map(g.keys.index, q.conflict)
                 assert g.signatures[u] == g.signatures[v] and g.colours[u] != g.colours[v]
                 conflicts += 1
             assert sorted(m for c in q.classes for m in c) == list(range(len(g)))
@@ -280,42 +280,44 @@ class TestD2O:
             rule = builtin_rule(name, n)
             definition = restated_builtin(name, n)
         alphabet, strings, in_k, observable = restated_d2o(*definition, encoding)
-        res = decision_graph_to_observation(rule, encoding)
-        assert res.problem.alphabet == alphabet
-        assert res.problem.L == strings
-        assert res.problem.K == in_k
-        assert [fn.observable for fn in res.problem.P] == observable
-        assert res.bijection == tuple(zip(definition[1], strings))
+        problem = decision_graph_to_observation(rule, encoding)
+        assert problem.alphabet == alphabet
+        assert problem.L == strings
+        assert problem.K == in_k
+        assert [fn.observable for fn in problem.P] == observable
+        assert rule.domain == definition[1]
 
     def test_unary_conjunctive_strings(self):
-        res = decision_graph_to_observation(builtin_rule("conjunctive", 2), "unary")
-        assert set(res.problem.L) == {
+        problem = decision_graph_to_observation(builtin_rule("conjunctive", 2), "unary")
+        assert set(problem.L) == {
             ("1_1", "1_2"),
             ("0_1", "1_1", "1_2"),
             ("1_1", "0_2", "1_2"),
             ("0_1", "1_1", "0_2", "1_2"),
         }
-        assert res.problem.K == (("0_1", "1_1", "0_2", "1_2"),)
-        assert res.problem.alphabet == ("0_1", "1_1", "0_2", "1_2")
-        assert res.problem.P[0].observable == frozenset({"0_1", "1_1"})
+        assert problem.K == (("0_1", "1_1", "0_2", "1_2"),)
+        assert problem.alphabet == ("0_1", "1_1", "0_2", "1_2")
+        assert problem.P[0].observable == frozenset({"0_1", "1_1"})
 
     def test_tagged_conjunctive_strings(self):
-        res = decision_graph_to_observation(builtin_rule("conjunctive", 2), "tagged")
-        mapping = dict(res.bijection)
-        assert mapping[("1", "1")] == ("1^1", "1^2")
-        assert res.problem.P[0].observable == frozenset({"0^1", "1^1"})
-        assert res.problem.K == (("1^1", "1^2"),)
+        rule = builtin_rule("conjunctive", 2)
+        problem = decision_graph_to_observation(rule, "tagged")
+        assert problem.L[rule.domain.index(("1", "1"))] == ("1^1", "1^2")
+        assert problem.P[0].observable == frozenset({"0^1", "1^1"})
+        assert problem.K == (("1^1", "1^2"),)
 
     def test_const1_single_node_image(self):
-        res = decision_graph_to_observation(builtin_rule("const1", 1), "unary")
+        problem = decision_graph_to_observation(builtin_rule("const1", 1), "unary")
         # "1" sits at index 1 of the declared decision order ("0", "1").
-        assert res.problem.L == (("0_1", "1_1"),)
-        assert res.problem.K == res.problem.L
+        assert problem.L == (("0_1", "1_1"),)
+        assert problem.K == problem.L
 
     def test_bijection_follows_domain_order(self):
         rule = builtin_rule("cpda", 2)
-        res = decision_graph_to_observation(rule, "unary")
-        assert tuple(combo for combo, _ in res.bijection) == rule.domain
+        problem = decision_graph_to_observation(rule, "unary")
+        pairs = files.bijection_to_obj(rule, problem)
+        assert [tuple(combo) for combo, _ in pairs] == list(rule.domain)
+        assert [tuple(s) for _, s in pairs] == list(problem.L)
 
     def test_unknown_encoding(self):
         with pytest.raises(ValueError):
@@ -326,55 +328,58 @@ class TestD2O:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_round_trip_isomorphism(self, name, encoding, n):
         rule = builtin_rule(name, n)
-        res = decision_graph_to_observation(rule, encoding)
-        assert verify_d2o(res, rule)
+        assert verify_d2o(decision_graph_to_observation(rule, encoding), rule)
 
     @pytest.mark.parametrize("agents", [1, 3])
     def test_verify_rejects_another_agent_count(self, agents):
         rule = builtin_rule("conjunctive", 2)
-        res = decision_graph_to_observation(rule, "unary")
-        # The same strings, so the bijection covers both node sets exactly.
-        problem = dataclasses.replace(res.problem, n=agents, P=(res.problem.P * 2)[:agents])
-        assert not verify_d2o(D2OResult(problem, res.bijection), rule)
+        problem = decision_graph_to_observation(rule, "unary")
+        # The same strings, so only the agent count differs.
+        other = dataclasses.replace(problem, n=agents, P=(problem.P * 2)[:agents])
+        assert not verify_d2o(other, rule)
+
+    def test_verify_rejects_another_observation_count(self):
+        rule = builtin_rule("conjunctive", 2)
+        problem = decision_graph_to_observation(rule, "unary")
+        assert not verify_d2o(dataclasses.replace(problem, P=problem.P[:1]), rule)
 
     def test_verify_rejects_broken_node_colours(self):
         rule = builtin_rule("conjunctive", 2)
-        res = decision_graph_to_observation(rule, "unary")
-        broken = D2OResult(
-            problem=dataclasses.replace(res.problem, K=()),
-            bijection=res.bijection,
-        )
-        assert not verify_d2o(broken, rule)
+        problem = decision_graph_to_observation(rule, "unary")
+        assert not verify_d2o(dataclasses.replace(problem, K=()), rule)
 
     @pytest.mark.parametrize(
-        "defect",
-        ["repeated-combination", "missing-combination", "repeated-string", "unknown-string"],
+        "defect", ["missing-combination", "repeated-string", "unknown-string"]
     )
     def test_verify_rejects_a_bijection_that_is_not_one(self, defect):
+        # A combination listed twice cannot be built: pairing is by position
+        # in the rule's domain, which holds each combination once.
         rule = builtin_rule("conjunctive", 2)
-        res = decision_graph_to_observation(rule, "unary")
-        pairs = list(res.bijection)
-        if defect == "repeated-combination":
-            pairs.append(pairs[0])
-        elif defect == "missing-combination":
-            pairs.pop()
+        problem = decision_graph_to_observation(rule, "unary")
+        strings = list(problem.L)
+        if defect == "missing-combination":
+            strings.pop()
         elif defect == "repeated-string":
-            pairs[1] = (pairs[1][0], pairs[0][1])
+            strings[1] = strings[0]
         else:
-            pairs[1] = (pairs[1][0], ("1_1",))
-        assert not verify_d2o(D2OResult(res.problem, tuple(pairs)), rule)
+            strings[1] = ("1_1",)
+        assert not verify_d2o(dataclasses.replace(problem, L=tuple(strings)), rule)
+
+    def test_verify_rejects_a_blinded_agent(self):
+        rule = builtin_rule("conjunctive", 2)
+        problem = decision_graph_to_observation(rule, "unary")
+        # Agent 1 sees nothing, so its one label stands for both decisions.
+        blinded = dataclasses.replace(problem, P=(Projection(frozenset()),) + problem.P[1:])
+        assert not verify_d2o(blinded, rule)
 
     def test_verify_rejects_swapped_strings(self):
         rule = builtin_rule("conjunctive", 2)
-        res = decision_graph_to_observation(rule, "unary")
-        entries = dict(res.bijection)
-        # Swap the images of two equally-coloured nodes with different tuples.
-        entries[("0", "0")], entries[("0", "1")] = entries[("0", "1")], entries[("0", "0")]
-        swapped = D2OResult(
-            problem=res.problem,
-            bijection=tuple(entries.items()),
-        )
-        assert not verify_d2o(swapped, rule)
+        problem = decision_graph_to_observation(rule, "unary")
+        # Swap the strings of two equally-coloured nodes with different tuples.
+        strings = list(problem.L)
+        a, b = rule.domain.index(("0", "0")), rule.domain.index(("0", "1"))
+        strings[a], strings[b] = strings[b], strings[a]
+        assert not verify_d2o(dataclasses.replace(problem, L=tuple(strings)), rule)
 
     @pytest.mark.parametrize("encoding", ["tagged", "unary"])
     def test_verify_matches_pairwise_edge_colours_on_perturbed_bijections(self, encoding):
@@ -383,27 +388,23 @@ class TestD2O:
         for name in BUILTIN_RULES:
             for n in (1, 2, 3):
                 rule = builtin_rule(name, n)
-                res = decision_graph_to_observation(rule, encoding)
-                combos = [combo for combo, _ in res.bijection]
+                converted = decision_graph_to_observation(rule, encoding)
                 dg = build_decision_graph(rule)
                 # Blinding agent 1 merges its labels, which only the check
                 # from the observation side back to the decisions can see.
                 blinded = dataclasses.replace(
-                    res.problem, P=(Projection(frozenset()),) + res.problem.P[1:]
+                    converted, P=(Projection(frozenset()),) + converted.P[1:]
                 )
-                for swaps, problem in itertools.product(range(4), (res.problem, blinded)):
-                    strings = [s for _, s in res.bijection]
+                for swaps, problem in itertools.product(range(4), (converted, blinded)):
+                    strings = list(problem.L)
                     for _ in range(swaps):
                         a, b = rng.randrange(len(strings)), rng.randrange(len(strings))
                         strings[a], strings[b] = strings[b], strings[a]
-                    perturbed = D2OResult(problem, tuple(zip(combos, strings)))
-                    og = build_observation_graph(problem)
-                    image = [og.key_index[s] for s in strings]
-                    expected = all(
-                        dg.colours[v] == og.colours[image[v]] for v in range(len(dg))
-                    ) and all(
-                        dg.edge_colour(u, v) == og.edge_colour(image[u], image[v])
-                        for u, v in dg.pairs()
+                    perturbed = dataclasses.replace(problem, L=tuple(strings))
+                    # Node k of both graphs is the k-th combination and string.
+                    og = build_observation_graph(perturbed)
+                    expected = dg.colours == og.colours and all(
+                        dg.edge_colour(u, v) == og.edge_colour(u, v) for u, v in dg.pairs()
                     )
                     assert verify_d2o(perturbed, rule) == expected
                     seen[expected] += 1

@@ -81,7 +81,7 @@ class TestClashes:
 def observation_tuple(p: ObservationProblem, s) -> tuple:
     """The signature of string s in the observation graph of p."""
     g = build_observation_graph(p)
-    return g.signatures[g.key_index[s]]
+    return g.signatures[g.keys.index(s)]
 
 
 class TestObservationTuple:

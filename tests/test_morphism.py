@@ -38,9 +38,8 @@ from helpers import (
 
 
 def explicit_morphism(source, target, pairs):
-    lookup = target.key_index
     return Morphism(
-        source, target, tuple(lookup[pairs[key]] for key in source.keys)
+        source, target, tuple(target.keys.index(pairs[key]) for key in source.keys)
     )
 
 
@@ -73,7 +72,7 @@ class TestVerifyMorphism:
         assert verify_morphism(m).ok
 
     def test_node_colour_violation(self, ex1_graph, conj_graph):
-        zero = conj_graph.key_index[("0", "0")]
+        zero = conj_graph.keys.index(("0", "0"))
         m = Morphism(ex1_graph, conj_graph, (zero,) * 4)
         report = verify_morphism(m)
         assert report.node_violations == (1,)  # the single green node
@@ -233,7 +232,7 @@ class TestFindMorphism:
         # again, 4,096 classes that each need exactly one candidate, so the
         # exact budget answers and one less does not.
         rule = builtin_rule("conjunctive", 12)
-        src = build_observation_graph(decision_graph_to_observation(rule).problem)
+        src = build_observation_graph(decision_graph_to_observation(rule))
         dst = build_decision_graph(rule)
         assert len(src.quotient.graph) == 4096
         found = find_morphism(src, dst, budget=4096)
@@ -433,7 +432,7 @@ class TestCompose:
 
     def test_chained_morphisms_verify(self):
         cpda = builtin_rule("cpda", 2)
-        obs = build_observation_graph(decision_graph_to_observation(cpda).problem)
+        obs = build_observation_graph(decision_graph_to_observation(cpda))
         to_cpda = find_morphism(obs, build_decision_graph(cpda))
         to_conj = find_morphism(
             build_decision_graph(cpda),
@@ -478,9 +477,9 @@ def _induced_morphism(p, sol, rule):
     graph = build_observation_graph(p)
     target = build_decision_graph(rule)
     mapping = tuple(
-        target.key_index[
+        target.keys.index(
             tuple(sol.tables[i][graph.signatures[v][i]] for i in range(p.n))
-        ]
+        )
         for v in range(len(graph))
     )
     return Morphism(graph, target, mapping)
