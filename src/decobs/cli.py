@@ -399,7 +399,3 @@ def graph_cmd(source, dot_path):
         _write([(dot_path, text)])
     else:
         click.echo(text, nl=False)
-
-
-if __name__ == "__main__":
-    main()

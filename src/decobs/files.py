@@ -13,7 +13,7 @@ import json
 from itertools import chain, repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any
 
 from .errors import FileFormatError
 from .graph import ColoredGraph
@@ -26,6 +26,7 @@ from .model import (
     Problem,
     Projection,
     Str,
+    _clashes,
 )
 from .morphism import Morphism, Solution
 
@@ -288,36 +289,26 @@ def rule_to_obj(r: FusionRule) -> dict:
     }
 
 
-def _key_form(g: ColoredGraph) -> Callable[[Any], Any]:
-    """How a node key of ``g`` is written: joined token text for strings,
-    a fresh array of decision texts for decision tuples, the raw key
-    otherwise."""
-    return {"observation": "".join, "decision": list}.get(g.kind, lambda key: key)
+def _node_keys(g: ColoredGraph) -> list:
+    """The written key of every node of ``g``, in node order: joined token
+    text for strings, a fresh array per decision node, the raw key otherwise.
+    Only joined texts can collide (``a b`` and ``ab``), and then, in a source
+    or a target alike, FileFormatError names the first repeated text."""
+    if g.kind != "observation":
+        return list(map(list, g.keys)) if g.kind == "decision" else list(g.keys)
+    keys = list(map("".join, g.keys))
+    for _, v in _clashes(keys, range(len(keys)))[:1]:  # one text, two nodes
+        raise FileFormatError(f"node keys are ambiguous: {keys[v]!r} names two different nodes")
+    return keys
 
 
 def _key_lookup(g: ColoredGraph) -> dict:
-    lookup = {}
-    for idx, raw in enumerate(_node_keys(g)):
-        hashable = tuple(raw) if isinstance(raw, list) else raw
-        if hashable in lookup:
-            raise FileFormatError(
-                f"node keys are ambiguous: {raw!r} names two different nodes"
-            )
-        lookup[hashable] = idx
-    return lookup
-
-
-def _node_keys(g: ColoredGraph) -> list:
-    """The JSON key of every node of ``g`` (see ``_key_form``), in node
-    order, one list object per decision node."""
-    return list(map(_key_form(g), g.keys))
+    """Node index by written key, with arrays read back as tuples."""
+    return {tuple(k) if isinstance(k, list) else k: i for i, k in enumerate(_node_keys(g))}
 
 
 def morphism_to_obj(m: Morphism) -> list:
-    source_keys = _node_keys(m.source)
-    # Graph keys are distinct, so only joined token texts can collide.
-    if m.source.kind == "observation" and len(set(source_keys)) != len(source_keys):
-        _key_lookup(m.source)  # raises, naming the colliding key
+    source_keys = _node_keys(m.source)  # first, so a source collision is named first
     target_keys = _node_keys(m.target)  # rows mapped to one node share its key
     return list(map(list, zip(source_keys, map(target_keys.__getitem__, m.mapping))))
 

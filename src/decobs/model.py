@@ -54,7 +54,7 @@ class Projection:
         object.__setattr__(self, "observable", frozenset(self.observable))
 
     def observe(self, s: Str) -> Str:
-        return tuple(filter(self.observable.__contains__, s))
+        return self._observe_all((tuple(s),))[0]
 
     def _observe_all(self, strings: tuple[Str, ...]) -> tuple[Str, ...]:
         """``observe`` of every string, in one C-level pass."""
@@ -133,11 +133,13 @@ class ObservationProblem(_ProblemFields):
 
 
 def _observation_columns(p: ObservationProblem) -> list[tuple[Label, ...]]:
-    """Per agent, its observation of every string of L, in one pass each.
+    """Per agent, its observation of every string of L, in one pass each:
+    the one place a problem's labels are read.
 
     A table that lacks a string of L raises UnknownString naming the first
-    such string of L, whichever agent's table lacks it.
-    """
+    such string of L, whichever agent's table lacks it: builders (the graph,
+    the enumeration) raise it on, checkers (``verify_solution``,
+    ``verify_d2o``) answer False instead."""
     try:
         return [fn._observe_all(p.L) for fn in p.P]
     except UnknownString:

@@ -19,6 +19,7 @@ from .errors import (
     GraphMismatch,
     InconsistentMorphism,
     SearchLimitExceeded,
+    UnknownString,
 )
 from .graph import ColoredGraph
 from .model import (
@@ -102,14 +103,18 @@ def verify_d2o(p: ObservationProblem, rule: FusionRule) -> bool:
     (L keeps each string once, so two combinations spelled alike leave it
     short), K holding exactly the strings whose combination fuses to 1, and,
     per agent, decision and observation columns that are functions of each
-    other: the morphism condition both ways, checked without a graph."""
+    other: the morphism condition both ways, checked without a graph.  A
+    table that lacks a string of L makes this False, not an error."""
     if not (p.n == rule.n == len(p.P) and len(p.L) == len(rule.domain)):
         return False
     if rule.outputs != tuple(map(int, map(p.K_set.__contains__, p.L))):
         return False
+    try:
+        columns = _observation_columns(p)
+    except UnknownString:
+        return False
     return not any(
-        _clashes(d, o) or _clashes(o, d)
-        for d, o in zip(_columns(rule.domain, p.n), _observation_columns(p))
+        _clashes(d, o) or _clashes(o, d) for d, o in zip(_columns(rule.domain, p.n), columns)
     )
 
 
@@ -346,16 +351,17 @@ def verify_solution(p: ObservationProblem, sol: Solution, r: FusionRule) -> bool
     in one pass, its table turns that column into decisions, and one pass
     over the zipped decision columns fuses them for comparison with the
     column of K memberships.  Anything structurally off (wrong agent count,
-    a missing table entry, a combination outside the rule's domain) makes
-    this False rather than an error: the object simply is not a solution.
+    a string some observation table lacks, a missing table entry, a
+    combination outside the rule's domain) makes this False rather than an
+    error: the object simply is not a solution.
     """
     if len(sol.tables) != p.n or len(p.P) != p.n or r.n != p.n:
         return False
-    columns = _observation_columns(p)
     try:
+        columns = _observation_columns(p)
         decided = [tuple(map(table.__getitem__, col)) for table, col in zip(sol.tables, columns)]
         fused = tuple(map(r._output_of.__getitem__, zip(*decided)))
-    except KeyError:  # a label without a decision, or a combination not allowed
+    except (UnknownString, KeyError):  # a gap in a table, or a combination not allowed
         return False
     return fused == tuple(map(p.K_set.__contains__, p.L))
 
@@ -371,18 +377,12 @@ def solvable_by_enumeration(
     """
     if r.n != p.n:
         raise ArityMismatch(f"problem has {p.n} agents, rule has {r.n}")
-    labels_per_agent = [_unique(fn._observe_all(p.L)) for fn in p.P]
-    slots = sum(len(labels) for labels in labels_per_agent)
-    count = len(r.decisions) ** slots
+    labels = [_unique(column) for column in _observation_columns(p)]
+    count = len(r.decisions) ** sum(map(len, labels))
     if budget is not None and count > budget:
         raise SearchLimitExceeded(f"{count} table assignments exceed the budget of {budget}")
-    for assignment in product(r.decisions, repeat=slots):
-        tables = []
-        pos = 0
-        for labels in labels_per_agent:
-            tables.append(dict(zip(labels, assignment[pos : pos + len(labels)])))
-            pos += len(labels)
-        if verify_solution(p, Solution(tuple(tables)), r):
+    for choice in product(*(product(r.decisions, repeat=len(ls)) for ls in labels)):
+        if verify_solution(p, Solution(tuple(map(dict, map(zip, labels, choice)))), r):
             return True
     return False
 

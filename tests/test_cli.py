@@ -933,14 +933,79 @@ class TestExitCodes:
         assert "wrote" not in result.output
         assert [path.name for path in out.iterdir()] == ["manifest.json"]
 
-    def test_internal_failure_exits_4(self, runner, ex1_file, monkeypatch):
-        monkeypatch.setattr(
-            "decobs.cli.verify_morphism", lambda m: MorphismReport((0,), ())
-        )
-        result = runner.invoke(main, ["check", str(ex1_file), "--rule", "conjunctive:2"])
+    @pytest.mark.parametrize(
+        "args, patched, failing, message",
+        [
+            pytest.param(
+                ["check", "{problem}", "--rule", "conjunctive:2", "--witness", "{out}"],
+                "verify_morphism",
+                lambda m: MorphismReport((0,), ()),
+                "found morphism failed verification",
+                id="check",
+            ),
+            pytest.param(
+                ["solve", "{problem}", "--rule", "conjunctive:2", "-o", "{out}"],
+                "check_solution",
+                lambda p, sol, r: False,
+                "extracted solution failed verification",
+                id="solve",
+            ),
+            pytest.param(
+                ["d2o", "conjunctive:2", "-o", "{out}"],
+                "verify_d2o",
+                lambda p, r: False,
+                "conversion failed its isomorphism check",
+                id="d2o",
+            ),
+        ],
+    )
+    def test_internal_failure_exits_4(
+        self, runner, ex1_file, tmp_path, monkeypatch, args, patched, failing, message
+    ):
+        monkeypatch.setattr(f"decobs.cli.{patched}", failing)
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        args = [a.format(problem=ex1_file, out=out_dir / "o") for a in args]
+        result = runner.invoke(main, args)
         assert result.exit_code == 4
-        assert "error: internal: RuntimeError: found morphism failed verification" in result.output
-        assert "SOLVABLE" not in result.output
+        assert f"error: internal: RuntimeError: {message}" in result.output
+        assert "SOLVABLE" not in result.output and "wrote" not in result.output
+        assert list(out_dir.iterdir()) == []
+
+    def test_an_odd_cycle_is_unsolvable_by_search_alone(self, runner, tmp_path):
+        """XNOR over two agents, where only the search refutes the problem
+        (see test_morphism)."""
+        rule, problem = tmp_path / "xnor.json", tmp_path / "cycle.json"
+        files.dump_json(
+            {
+                "type": "fusion_rule",
+                "agents": 2,
+                "decisions": ["0", "1"],
+                "domain": [["0", "0"], ["0", "1"], ["1", "0"], ["1", "1"]],
+                "output": [1, 0, 0, 1],
+            },
+            rule,
+        )
+        strings = [[f"s{k}"] for k in range(4)]
+        files.dump_json(
+            {
+                "type": "observation",
+                "agents": 2,
+                "alphabet": [s for (s,) in strings],
+                "L": strings,
+                "K": [strings[0], strings[2], strings[3]],
+                "observations": [
+                    {"kind": "table", "map": [list(entry) for entry in zip(strings, labels)]}
+                    for labels in ("baab", "aabb")
+                ],
+            },
+            problem,
+        )
+        result = runner.invoke(main, ["check", str(problem), "--rule", str(rule)])
+        assert result.exit_code == 1, result.output
+        assert "UNSOLVABLE" in result.output
+        result = runner.invoke(main, ["check", str(problem), "--rule", str(rule), "--budget", "5"])
+        assert result.exit_code == 3, result.output
 
     def test_separating_problem_failing_its_check_exits_4(self, runner, tmp_path, monkeypatch):
         convert = decision_graph_to_observation

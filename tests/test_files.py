@@ -249,6 +249,32 @@ class TestMorphismFiles:
         with pytest.raises(FileFormatError, match="ambiguous"):
             files.morphism_to_obj(m)
 
+    @pytest.mark.parametrize("source_kind", ["generic", "ambiguous"])
+    def test_ambiguous_target_keys_are_rejected(self, source_kind):
+        """``a b`` and ``ab`` both read "ab" (``b a`` and ``ba`` "ba"): a
+        target is vetted like a source, and the source is named first."""
+
+        def ambiguous_graph(left, right):
+            return build_observation_graph(
+                ObservationProblem(
+                    n=1,
+                    alphabet=(left, right, left + right),
+                    L=((left, right), (left + right,)),
+                    K=(),
+                    P=(Projection(frozenset()),),
+                )
+            )
+
+        target = ambiguous_graph("a", "b")
+        if source_kind == "generic":
+            source, named = ColoredGraph(n=1, keys=("x",), signatures=(((),),), colours=(0,)), "ab"
+        else:
+            source, named = ambiguous_graph("b", "a"), "ba"
+        m = Morphism(source, target, (1,) * len(source))
+        message = f"^node keys are ambiguous: '{named}' names two different nodes$"
+        with pytest.raises(FileFormatError, match=message):
+            files.morphism_to_obj(m)
+
     def test_generic_graphs_use_raw_keys(self):
         g = ColoredGraph(n=1, keys=(0, 1), signatures=(("x",), ("y",)), colours=(0, 0))
         m = Morphism(g, g, (0, 1))

@@ -372,6 +372,17 @@ class TestD2O:
         blinded = dataclasses.replace(problem, P=(Projection(frozenset()),) + problem.P[1:])
         assert not verify_d2o(blinded, rule)
 
+    def test_verify_rejects_a_partial_table(self):
+        rule = builtin_rule("conjunctive", 2)
+        problem = decision_graph_to_observation(rule, "unary")
+
+        def first_agent_table(strings):
+            return ObservationTable(tuple((s, problem.P[0].observe(s)) for s in strings))
+
+        for strings, expected in ((problem.L, True), (problem.L[1:], False)):
+            observed = (first_agent_table(strings), problem.P[1])
+            assert verify_d2o(dataclasses.replace(problem, P=observed), rule) is expected
+
     def test_verify_rejects_swapped_strings(self):
         rule = builtin_rule("conjunctive", 2)
         problem = decision_graph_to_observation(rule, "unary")
