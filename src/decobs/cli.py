@@ -12,19 +12,31 @@ checks the result's kind.  Each command renders every file it writes, a
 DOT file included, first and hands them to ``_write`` in one call, so it
 leaves all of its output files or none of those it wrote; an output path
 that is a directory or lies under a regular file exits 2 naming the fault.
+
+``_Main.invoke`` also pauses the cyclic garbage collector for the life of
+each command and turns it back on afterwards, unless the caller had it off.
+Loading, checking and searching make little cyclic garbage, yet they allocate
+enough tuples to trigger collections that rescan the parsed JSON tree and
+everything built from it again and again; skipping those rescans changes no
+result, and what garbage there is waits for the next collection.  A rule
+argument's agent count is compared with the problem's, or with the other
+rules', before a builtin rule is built, so a mismatched ``conjunctive:40``
+exits 2 without building 2^40 combinations.
 """
 
 from __future__ import annotations
 
+import gc
 import re
 import sys
+from collections.abc import Callable, Sequence
 from pathlib import Path
 from typing import Any
 
 import click
 
 from . import files
-from .compare import compare as run_compare, relation_matrix
+from .compare import check_arities, compare as run_compare, relation_matrix
 from .errors import (
     ArityMismatch,
     ControllabilityViolation,
@@ -118,6 +130,15 @@ def _read(source: str, missing: str = "does not exist") -> Any:
     return files.read_json(path)
 
 
+def _selector(source: str) -> tuple[str, int] | None:
+    """The name and agent count of a builtin ``name:agents`` selector, or
+    None when ``source`` is not one."""
+    match = _SELECTOR.match(source)
+    if match and match.group(1) in BUILTIN_RULES:
+        return match.group(1), int(match.group(2))
+    return None
+
+
 def _load(source: str, *expected: type) -> tuple[Any, str]:
     """The rule or valid problem an argument names, with its label.
 
@@ -127,10 +148,10 @@ def _load(source: str, *expected: type) -> tuple[Any, str]:
     otherwise.  Every result of a kind that is not ``expected`` exits 2, and
     so does an invalid problem.
     """
-    selector = _SELECTOR.match(source)
-    if selector and selector.group(1) in BUILTIN_RULES:
+    selector = _selector(source)
+    if selector:
         try:
-            loaded, label = builtin_rule(selector.group(1), int(selector.group(2))), source
+            loaded, label = builtin_rule(*selector), source
         except ValueError as e:
             _fail(2, str(e))
     else:
@@ -148,11 +169,34 @@ def _load(source: str, *expected: type) -> tuple[Any, str]:
     return loaded, label
 
 
+def _rules(
+    specs: Sequence[str], agree: Callable[[list[int]], None]
+) -> list[tuple[FusionRule, str]]:
+    """The rule and label each argument names, once ``agree`` has accepted
+    the list of their agent counts.  A builtin selector's count is read from
+    its text and its rule built only after ``agree``, which spares a
+    mismatched builtin its 2^n combinations.  Every other argument, a file
+    or a selector with fewer than one agent (which ``builtin_rule`` refuses
+    in its own words), is loaded first and in order, so any error is the
+    one that loading the arguments in turn would give."""
+    selectors = [_selector(spec) for spec in specs]
+    early = {
+        k: _load(spec, FusionRule)
+        for k, (spec, selector) in enumerate(zip(specs, selectors))
+        if selector is None or selector[1] < 1
+    }
+    agree([early[k][0].n if k in early else selector[1] for k, selector in enumerate(selectors)])
+    return [early.get(k) or _load(spec, FusionRule) for k, spec in enumerate(specs)]
+
+
 def _problem_and_rule(problem_file: str, rule_spec: str) -> tuple[ObservationProblem, FusionRule]:
     problem, _ = _load(problem_file, ObservationProblem)
-    rule, _ = _load(rule_spec, FusionRule)
-    if problem.n != rule.n:
-        raise ArityMismatch(f"problem has {problem.n} agents, rule has {rule.n}")
+
+    def agree(counts: list[int]) -> None:
+        if counts[0] != problem.n:
+            raise ArityMismatch(f"problem has {problem.n} agents, rule has {counts[0]}")
+
+    [(rule, _)] = _rules([rule_spec], agree)
     return problem, rule
 
 
@@ -172,9 +216,12 @@ def _solve_or_exit(
 
 class _Main(click.Group):
     """Maps the exceptions a command raises to the exit codes of the module
-    docstring.  Negative results exit on their own through ``sys.exit``."""
+    docstring, with the garbage collector paused while the command runs.
+    Negative results exit on their own through ``sys.exit``."""
 
     def invoke(self, ctx):
+        enabled = gc.isenabled()
+        gc.disable()
         try:
             return super().invoke(ctx)
         except (click.ClickException, click.exceptions.Exit, click.Abort):
@@ -185,6 +232,9 @@ class _Main(click.Group):
             _fail(2, str(e))
         except Exception as e:
             _fail(4, f"internal: {type(e).__name__}: {e}")
+        finally:
+            if enabled:
+                gc.enable()
 
 
 @click.group(cls=_Main)
@@ -294,8 +344,7 @@ def verify_solution_cmd(problem_file, solution_file, rule_spec):
 @click.option("-o", "--out", "out_path", type=click.Path(), help="Write the verdict as JSON.")
 def compare_cmd(rule_a, rule_b, witness_prefix, separating_prefix, budget, out_path):
     """Compare the permissiveness of two fusion rules."""
-    first, _ = _load(rule_a, FusionRule)
-    second, _ = _load(rule_b, FusionRule)
+    (first, _), (second, _) = _rules([rule_a, rule_b], check_arities)
     verdict = run_compare(first, second, budget=budget)
     click.echo(_PHRASES[verdict.relation])
     # Each witness's JSON value, built once for every file that holds it.
@@ -336,7 +385,7 @@ def compare_cmd(rule_a, rule_b, witness_prefix, separating_prefix, budget, out_p
 @click.option("-o", "--out", "out_path", type=click.Path(), help="Write the matrix as JSON.")
 def poset(rule_specs, budget, out_path):
     """Pairwise permissiveness matrix and Hasse diagram for several rules."""
-    resolved = [_load(spec, FusionRule) for spec in rule_specs]
+    resolved = _rules(rule_specs, check_arities)
     rules = [rule for rule, _ in resolved]
     labels = [label for _, label in resolved]
     matrix = relation_matrix(rules, budget=budget)

@@ -63,6 +63,17 @@ class RelationMatrix:
     hasse: tuple[tuple[int, int], ...]
 
 
+def check_arities(counts: list[int]) -> None:
+    """Raise ``ArityMismatch`` naming the first agent count that differs
+    from the first one."""
+    for k, n in enumerate(counts[1:], start=2):
+        if n != counts[0]:
+            raise ArityMismatch(
+                f"all rules must share one agent count: rule 1 has {counts[0]} "
+                f"agents, rule {k} has {n}"
+            )
+
+
 def relation_matrix(rules, budget: int | None = None) -> RelationMatrix:
     """Compare every ordered pair of rules and summarise the preorder.
 
@@ -73,12 +84,7 @@ def relation_matrix(rules, budget: int | None = None) -> RelationMatrix:
     rules = tuple(rules)
     if not rules:
         raise ValueError("at least one rule is required")
-    for k, r in enumerate(rules[1:], start=2):
-        if r.n != rules[0].n:
-            raise ArityMismatch(
-                f"all rules must share one agent count: rule 1 has {rules[0].n} "
-                f"agents, rule {k} has {r.n}"
-            )
+    check_arities([r.n for r in rules])
     graphs = [build_decision_graph(r) for r in rules]
     size = len(rules)
     witnesses = [

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import hashlib
 import itertools
 import json
@@ -463,6 +464,70 @@ class TestPoset:
         obj = json.loads(out.read_text())
         assert obj["classes"] == [["conjunctive:2"], ["disjunctive:2"], ["cpda:2"]]
         assert sorted(map(tuple, obj["hasse"])) == [(2, 0), (2, 1)]
+
+
+class TestArityBeforeBuild:
+    """A builtin rule whose agent count mismatches is refused before it is
+    built, so ``conjunctive:40`` exits 2 instead of building 2^40 combinations."""
+
+    @pytest.fixture(autouse=True)
+    def refuse_forty(self, monkeypatch):
+        real = builtin_rule
+
+        def guarded(name, n):
+            if n == 40:
+                raise AssertionError(f"built {name}:{n}")
+            return real(name, n)
+
+        monkeypatch.setattr("decobs.cli.builtin_rule", guarded)
+
+    @pytest.mark.parametrize("command", ["check", "solve", "verify-solution"])
+    def test_problem_commands(self, runner, ex1_file, tmp_path, command):
+        solution = tmp_path / "s.json"
+        solved = runner.invoke(
+            main, ["solve", str(ex1_file), "--rule", "conjunctive:2", "-o", str(solution)]
+        )
+        assert solved.exit_code == 0, solved.output
+        args = {
+            "check": ["check", str(ex1_file)],
+            "solve": ["solve", str(ex1_file), "-o", str(tmp_path / "out.json")],
+            "verify-solution": ["verify-solution", str(ex1_file), str(solution)],
+        }[command]
+        result = runner.invoke(main, [*args, "--rule", "conjunctive:40"])
+        assert result.exit_code == 2, result.output
+        assert result.output == "error: problem has 2 agents, rule has 40\n"
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["compare", "conjunctive:2", "conjunctive:40"], "rule 1 has 2 agents, rule 2 has 40"),
+            (["compare", "conjunctive:40", "conjunctive:2"], "rule 1 has 40 agents, rule 2 has 2"),
+            (
+                ["poset", "cpda:2", "{rule}", "disjunctive:40", "conjunctive:40"],
+                "rule 1 has 2 agents, rule 3 has 40",
+            ),
+        ],
+        ids=["compare-second", "compare-first", "poset"],
+    )
+    def test_rule_commands(self, runner, tmp_path, args, message):
+        rule = tmp_path / "conj.json"
+        files.dump_json(files.rule_to_obj(builtin_rule("conjunctive", 2)), rule)
+        result = runner.invoke(main, [a.format(rule=rule) for a in args])
+        assert result.exit_code == 2, result.output
+        assert result.output == f"error: all rules must share one agent count: {message}\n"
+
+    @pytest.mark.parametrize(
+        "specs, message",
+        [
+            (["conjunctive:40", "missing.json"], "'missing.json' is neither a builtin rule"),
+            (["conjunctive:40", "cpda:0"], "agent count must be at least 1, got 0"),
+        ],
+        ids=["missing-file", "no-agents"],
+    )
+    def test_loading_errors_come_before_the_mismatch(self, runner, specs, message):
+        result = runner.invoke(main, ["poset", "conjunctive:2", *specs])
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith(f"error: {message}")
 
 
 class TestD2O:
@@ -1096,6 +1161,55 @@ class TestExitCodes:
             timeout=60,
         )
         assert (proc.returncode, proc.stdout) == (0, "valid\n"), proc.stderr
+
+
+class TestCollectorPause:
+    """Each command runs with the cyclic garbage collector paused and leaves
+    it as the caller had it."""
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+    @pytest.mark.parametrize(
+        "args, code",
+        [
+            pytest.param(["check", "{problem}", "--rule", "conjunctive:2"], 0, id="solvable"),
+            pytest.param(["check", "{problem}", "--rule", "const0:2"], 1, id="unsolvable"),
+            pytest.param(["check", "{problem}", "--rule", "conjunctive:3"], 2, id="arity"),
+            pytest.param(["check", "{problem}", "--bogus"], 2, id="usage"),
+            pytest.param(
+                ["check", "{problem}", "--rule", "conjunctive:2", "--budget", "1"], 3, id="budget"
+            ),
+            pytest.param(["check", "{problem}", "--rule", "conjunctive:2"], 4, id="internal"),
+            pytest.param(["check", "--help"], 0, id="help"),
+        ],
+    )
+    def test_state_is_restored(self, runner, ex1_file, monkeypatch, args, code, enabled):
+        if code == 4:  # the witness fails its self-check
+            monkeypatch.setattr("decobs.cli.verify_morphism", lambda m: MorphismReport((0,), ()))
+        (gc.enable if enabled else gc.disable)()
+        try:
+            result = runner.invoke(main, [a.format(problem=ex1_file) for a in args])
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+        assert result.exit_code == code, result.output
+
+    def test_paused_while_loading_and_searching(self, runner, ex1_file, monkeypatch):
+        seen = []
+
+        def spy(name, fn):
+            def wrapped(*args, **kwargs):
+                seen.append((name, gc.isenabled()))
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(name, wrapped)
+
+        spy("decobs.cli.find_morphism", find_morphism)
+        spy("decobs.files.read_json", files.read_json)
+        assert gc.isenabled()
+        result = runner.invoke(main, ["check", str(ex1_file), "--rule", "conjunctive:2"])
+        assert result.exit_code == 0, result.output
+        assert seen == [("decobs.files.read_json", False), ("decobs.cli.find_morphism", False)]
+        assert gc.isenabled()
 
 
 def _process_env() -> dict:
