@@ -11,7 +11,8 @@ that names a rule or a problem to analyse goes through ``_load``, which also
 checks the result's kind.  Each command renders every file it writes, a
 DOT file included, first and hands them to ``_write`` in one call, so it
 leaves all of its output files or none of those it wrote; an output path
-that is a directory or lies under a regular file exits 2 naming the fault.
+that is a directory, or lies under a regular file or a missing directory,
+exits 2 naming the fault.
 
 ``_Main.invoke`` also pauses the cyclic garbage collector for the life of
 each command and turns it back on afterwards, unless the caller had it off.
@@ -90,7 +91,8 @@ def _write(outputs: list[tuple[str | Path, str]]) -> None:
     """Write each (path, text) pair in order, then print one ``wrote``
     line per file.  A write that fails removes the files this call already
     wrote, overwritten ones included, and re-raises; a path that is a
-    directory, or has a regular file for a parent, exits 2 saying so."""
+    directory, or has a regular file or nothing for a parent, exits 2
+    saying so."""
     written: list[str | Path] = []
     try:
         for path, text in outputs:
@@ -100,6 +102,8 @@ def _write(outputs: list[tuple[str | Path, str]]) -> None:
                 _fail(2, f"{str(path)!r} is a directory")
             except NotADirectoryError:
                 _fail(2, f"a parent of {str(path)!r} is not a directory")
+            except FileNotFoundError:
+                _fail(2, f"a parent of {str(path)!r} does not exist")
             written.append(path)
     except BaseException:
         for path in written:

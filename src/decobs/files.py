@@ -40,7 +40,9 @@ def dump_json(obj: Any, path: str | Path) -> None:
 
 def to_json(obj: Any) -> str:
     """The JSON text json.dumps gives ``obj`` with an indent of 2 and
-    non-ASCII characters kept, byte for byte, plus a final newline.
+    non-ASCII characters kept, byte for byte, plus a final newline.  Object
+    keys are text, as in every object decobs writes; any other key raises
+    TypeError.
 
     json.dumps drops to its pure-Python encoder whenever ``indent`` is set, so
     the layout is rendered here instead, a column of values at a time: each
@@ -73,7 +75,7 @@ def _array(items: list | tuple, level: int) -> str:
 def _object(obj: dict, level: int) -> str:
     if not obj:
         return "{}"
-    keys = map(_encode_str, map(_key_text, obj))
+    keys = map(_encode_str, obj)  # TypeError on a key that is not text
     values = _column(list(obj.values()), level + 1)
     return _block("{", map("{}: {}".format, keys, values), "}", level)
 
@@ -82,15 +84,6 @@ def _block(opening: str, texts, closing: str, level: int) -> str:
     """A non-empty array or object, one member text per line."""
     step = "\n" + "  " * (level + 1)
     return opening + step + ("," + step).join(texts) + "\n" + "  " * level + closing
-
-
-def _key_text(key: Any) -> str:
-    """An object key as text, converted as json.dumps converts it."""
-    if isinstance(key, str):
-        return key
-    if key is None or isinstance(key, (int, float)):
-        return json.dumps(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
 def _column(values: list | tuple, level: int) -> list[str]:
@@ -169,12 +162,14 @@ def _string_from(obj: Any, where: str) -> Str:
     return tuple(obj)
 
 
-def _language_from(obj: Any, where: str) -> tuple[Str, ...]:
+def _language_from(obj: Any, where: str) -> list[list[str]]:
+    """``obj`` once it is checked to be an array of strings; the
+    constructors it is passed to turn each string into a tuple."""
     _require(isinstance(obj, list), f"{where}: expected an array of strings")
     if not _are_strings(obj):
         for s in obj:  # raises at the first bad string
             _string_from(s, where)
-    return tuple(map(tuple, obj))
+    return obj
 
 
 def _observation_from(obj: Any, where: str) -> ObservationFunction:
@@ -183,7 +178,7 @@ def _observation_from(obj: Any, where: str) -> ObservationFunction:
     if kind == "projection":
         observable = obj.get("observable")
         _require(_is_texts(observable), f"{where}: 'observable' must be an array of tokens")
-        return Projection(frozenset(observable))
+        return Projection(observable)
     if kind == "table":
         entries = obj.get("map")
         _require(isinstance(entries, list), f"{where}: 'map' must be an array of pairs")
@@ -195,7 +190,7 @@ def _observation_from(obj: Any, where: str) -> ObservationFunction:
                 )
                 _string_from(pair[0], where)
                 _require(isinstance(pair[1], str), f"{where}: table labels must be text")
-        return ObservationTable(tuple(entries))
+        return ObservationTable(entries)
     raise FileFormatError(f"{where}: unknown observation kind {kind!r}")
 
 
@@ -206,6 +201,8 @@ def _observation_to(fn: ObservationFunction) -> dict:
 
 
 def parse_problem(obj: Any) -> Problem:
+    """The problem a checked JSON object describes.  Arrays are handed to
+    the constructors as they are; the constructors normalise them."""
     _require(isinstance(obj, dict), "problem file must hold a JSON object")
     ptype = obj.get("type")
     _require(
@@ -220,18 +217,13 @@ def parse_problem(obj: Any) -> Problem:
     big_k = _language_from(obj.get("K"), "K")
     observations = obj.get("observations")
     _require(isinstance(observations, list), "'observations' must be an array")
-    functions = tuple(
-        _observation_from(o, f"observations[{i}]") for i, o in enumerate(observations)
-    )
+    functions = [_observation_from(o, f"observations[{i}]") for i, o in enumerate(observations)]
     if ptype == "observation":
-        return ObservationProblem(
-            n=agents, alphabet=tuple(alphabet), L=big_l, K=big_k, P=functions
-        )
-    controllable = _language_from(obj.get("controllable"), "controllable")
+        return ObservationProblem(n=agents, alphabet=alphabet, L=big_l, K=big_k, P=functions)
     return ControlProblem(
         n=agents,
-        alphabet=tuple(alphabet),
-        controllable=tuple(map(frozenset, controllable)),
+        alphabet=alphabet,
+        controllable=_language_from(obj.get("controllable"), "controllable"),
         L=big_l,
         K=big_k,
         P=functions,
@@ -269,12 +261,7 @@ def parse_rule(obj: Any) -> FusionRule:
         "'output' must be an array of 0/1 parallel to the domain",
     )
     try:
-        return FusionRule(
-            n=obj["agents"],
-            decisions=tuple(decisions),
-            domain=domain,
-            outputs=tuple(output),
-        )
+        return FusionRule(n=obj["agents"], decisions=decisions, domain=domain, outputs=output)
     except ValueError as e:
         raise FileFormatError(str(e)) from None
 

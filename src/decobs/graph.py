@@ -21,7 +21,7 @@ from .model import (
     Projection,
     Str,
     Token,
-    _clashes,
+    _columns,
     _observation_columns,
     format_str,
 )
@@ -114,11 +114,10 @@ def build_observation_graph(p: ObservationProblem) -> ColoredGraph:
     string of L it lacks), the signatures are the columns zipped row by row,
     and the colours are one membership pass over L.
     """
-    columns = _observation_columns(p)
     return ColoredGraph(
         n=p.n,
         keys=p.L,
-        signatures=tuple(zip(*columns)) if columns else ((),) * len(p.L),
+        signatures=_columns(_observation_columns(p), len(p.L)),
         colours=tuple(map(int, map(p.K_set.__contains__, p.L))),
         kind="observation",
     )
@@ -142,14 +141,12 @@ class Quotient:
 
     Such nodes are interchangeable on either side of a morphism, so every
     class is uniform and the quotient graph is a correct coloured graph.
-    ``conflict`` names two keys that share a signature but disagree in node
-    colour (they stay in separate classes; such a graph folds into no graph
-    whose signatures each carry one colour); ``class_of`` sends each
-    original node index to its class index in the quotient graph.
+    Two nodes that share a signature but not a colour stay in separate
+    classes.  ``class_of`` sends each original node index to its class index
+    in the quotient graph.
     """
 
     graph: ColoredGraph
-    conflict: tuple[Hashable, Hashable] | None
     classes: tuple[tuple[int, ...], ...]
     class_of: tuple[int, ...]
 
@@ -159,16 +156,13 @@ def quotient_by_indistinguishability(g: ColoredGraph) -> Quotient:
 
     Classes are ordered by their first member, which also represents them in
     the quotient graph.  Edge colours between classes are inherited, which is
-    well defined because class members share their signature.  The first two
-    classes that share a signature (``_clashes`` of the quotient's colours on
-    its signatures) are reported as a conflict rather than an error.  When no
-    two nodes share a signature, as in every decision graph, the quotient
-    graph is ``g`` itself.
+    well defined because class members share their signature.  When no two
+    nodes share a signature, as in every decision graph, the quotient graph
+    is ``g`` itself.
     """
     if len(set(g.signatures)) == len(g):
         return Quotient(
             graph=g,
-            conflict=None,
             classes=tuple(zip(range(len(g)))),
             class_of=tuple(range(len(g))),
         )
@@ -181,17 +175,14 @@ def quotient_by_indistinguishability(g: ColoredGraph) -> Quotient:
     classes: list[list[int]] = [[] for _ in reps]
     for idx, ci in enumerate(class_of):
         classes[ci].append(idx)
-    quotient_graph = ColoredGraph(
-        n=g.n,
-        keys=tuple(map(g.keys.__getitem__, reps)),
-        signatures=tuple(map(g.signatures.__getitem__, reps)),
-        colours=tuple(map(g.colours.__getitem__, reps)),
-        kind=g.kind,
-    )
-    clash = min(_clashes(quotient_graph.signatures, quotient_graph.colours), default=None)
     return Quotient(
-        graph=quotient_graph,
-        conflict=None if clash is None else tuple(map(quotient_graph.keys.__getitem__, clash)),
+        graph=ColoredGraph(
+            n=g.n,
+            keys=tuple(map(g.keys.__getitem__, reps)),
+            signatures=tuple(map(g.signatures.__getitem__, reps)),
+            colours=tuple(map(g.colours.__getitem__, reps)),
+            kind=g.kind,
+        ),
         classes=tuple(map(tuple, classes)),
         class_of=class_of,
     )

@@ -35,13 +35,21 @@ def _clashes(keys: Sequence, values: Sequence) -> list[tuple[int, int]]:
     """(first position of the key, position) for each value that differs from
     the value at its key's first position, in position order: empty exactly
     when equal keys always carry equal values.  Listed, in C-level passes,
-    only when pairing the values with the keys adds distinct entries."""
-    if len(set(keys)) == len(set(zip(keys, values))):
+    only when some key repeats and pairing the values with the keys adds
+    distinct entries."""
+    distinct = len(set(keys))
+    if distinct == len(keys) or distinct == len(set(zip(keys, values))):
         return []
     first: dict = {}
     firsts = tuple(map(first.setdefault, keys, count()))
     at = tuple(compress(count(), map(ne, map(values.__getitem__, firsts), values)))
     return list(zip(map(firsts.__getitem__, at), at))
+
+
+def _columns(table: Sequence[tuple], n: int) -> tuple[tuple, ...]:
+    """Transpose of a table of equal-length tuples; n is the result's length
+    when the table is empty."""
+    return tuple(zip(*table)) if table else ((),) * n
 
 
 @dataclass(frozen=True)

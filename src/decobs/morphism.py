@@ -2,9 +2,9 @@
 
 A node map is a morphism when it preserves node colours and never enlarges an
 edge colour (images may drop agents from an edge, never add them).  Finding
-one decides solvability; the exhaustive table enumeration at the bottom of
-this module decides the same question without ever building a graph, which
-makes it a useful independent cross-check.
+one decides solvability; the exhaustive table enumeration
+(``solvable_by_enumeration``) decides the same question without ever
+building a graph, which makes it a useful independent cross-check.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .model import (
     ObservationProblem,
     Token,
     _clashes,
+    _columns,
     _observation_columns,
     _unique,
 )
@@ -71,11 +72,6 @@ class MorphismReport:
     @property
     def ok(self) -> bool:
         return not self.node_violations and not self.edge_violations
-
-
-def _columns(rows: tuple[tuple, ...], n: int) -> tuple[tuple, ...]:
-    """The n columns of a table of n-tuples, also when it has no rows."""
-    return tuple(zip(*rows)) if rows else ((),) * n
 
 
 def verify_morphism(m: Morphism) -> MorphismReport:
@@ -236,7 +232,14 @@ def _refute(src: ColoredGraph, dst: ColoredGraph) -> bool:
     again, until nothing changes (AC-3, Mackworth 1977).  On conjunctive and
     disjunctive targets it is exact: it refutes precisely the sources that
     fail C&P co-observability (Rudie & Wonham 1992) or its D&A dual.
+
+    The variables see one agent's label at a time, so whole signatures are
+    checked first, by ``_clashes`` on each graph: two source nodes of one
+    signature and two colours need images that share every coordinate and
+    differ in colour, so a target with no such pair refutes.
     """
+    if _clashes(src.signatures, src.colours) and not _clashes(dst.signatures, dst.colours):
+        return True
     buckets = src.label_buckets
     coord_masks = dst.label_masks
     colour_masks = dst.colour_masks
@@ -277,22 +280,20 @@ def find_morphism(
     colour, so nodes that agree in both are interchangeable on either side:
     the search runs between the two quotients (``ColoredGraph.quotient``,
     built once per graph), and the witness maps each source node through its
-    class to the first member of its image class.  Two source nodes with one
-    signature and two colours need a target signature that carries both
-    colours, so a source conflict into a conflict-free target is None at once.
+    class to the first member of its image class.
 
     Before the search, a label-level arc-consistency pass (``_refute``)
-    settles many negatives without trying a single candidate.  ``budget``
-    caps the candidates tried by the search between the two quotients;
-    exceeding it raises SearchLimitExceeded rather than answering, so None
-    always means "no morphism exists".  A negative the pass refutes is
-    answered under any budget, 0 included.
+    settles many negatives without trying a single candidate; the pass and
+    the search are the only two ways this answers None.  ``budget`` caps the
+    candidates tried by the search between the two quotients; exceeding it
+    raises SearchLimitExceeded rather than answering, so None always means
+    "no morphism exists".  A negative the pass refutes is answered under any
+    budget, 0 included, such as a source with two nodes of one signature and
+    two colours into a target with no such pair.
     """
     if source.n != target.n:
         raise ArityMismatch(f"source has {source.n} agents, target has {target.n}")
     src, dst = source.quotient, target.quotient
-    if src.conflict is not None and dst.conflict is None:
-        return None
     if _refute(src.graph, dst.graph):
         return None
     image = _search(src.graph, dst.graph, budget)
@@ -321,9 +322,10 @@ def extract_solution(m: Morphism, p: ObservationProblem, r: FusionRule) -> Solut
     signatures with column i of the image combinations, so its labels keep
     the order in which they first occur in L.  Well-definedness (one decision
     per observation label) is guaranteed for every true morphism but
-    re-checked by counting each column's distinct (label, decision) pairs; a
-    clash raises InconsistentMorphism naming the first of every column's
-    ``_clashes`` in node order, then agent order.
+    re-checked, before any table is built, by the ``_clashes`` of each label
+    column with its decision column; a clash raises InconsistentMorphism
+    naming the first of every column's clashes in node order, then agent
+    order.
     """
     if m.source.keys != p.L:
         raise GraphMismatch("morphism source does not match the problem's strings")
@@ -332,16 +334,14 @@ def extract_solution(m: Morphism, p: ObservationProblem, r: FusionRule) -> Solut
     images = tuple(map(m.target.keys.__getitem__, m.mapping))
     labels = _columns(m.source.signatures, p.n)
     decisions = _columns(images, p.n)
-    tables = tuple(map(dict, map(zip, labels, decisions)))
-    # A label with two decisions leaves more distinct pairs than labels.
-    if any(len(t) != len(set(zip(lab, dec))) for t, lab, dec in zip(tables, labels, decisions)):
-        clashes = map(_clashes, labels, decisions)
+    clashes = tuple(map(_clashes, labels, decisions))
+    if any(clashes):
         v, i, u = min((v, i, u) for i, found in enumerate(clashes) for u, v in found[:1])
         raise InconsistentMorphism(
             f"agent {i + 1} would decide both {decisions[i][u]!r} and "
             f"{decisions[i][v]!r} on observation {labels[i][v]!r}"
         )
-    return Solution(tables)
+    return Solution(tuple(map(dict, map(zip, labels, decisions))))
 
 
 def verify_solution(p: ObservationProblem, sol: Solution, r: FusionRule) -> bool:

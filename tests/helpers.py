@@ -175,12 +175,11 @@ def rowwise_observation_graph(p) -> tuple[tuple, tuple]:
     return signatures, colours
 
 
-def rowwise_quotient(g: ColoredGraph) -> tuple[tuple, tuple, tuple | None]:
-    """Classes, class of each node and conflict of ``quotient_by_indistinguishability``.
+def rowwise_quotient(g: ColoredGraph) -> tuple[tuple, tuple]:
+    """Classes and class of each node of ``quotient_by_indistinguishability``.
 
     A node joins the first class whose first member has its signature and
-    colour, or opens a new class.  The conflict is the first two classes, by
-    first member, that share a signature, named by their first members' keys.
+    colour, or opens a new class.
     """
     classes: list[list[int]] = []
     for v in range(len(g)):
@@ -194,17 +193,7 @@ def rowwise_quotient(g: ColoredGraph) -> tuple[tuple, tuple, tuple | None]:
     class_of = tuple(
         next(c for c, members in enumerate(classes) if v in members) for v in range(len(g))
     )
-    reps = [members[0] for members in classes]
-    conflict = next(
-        (
-            (g.keys[a], g.keys[b])
-            for k, a in enumerate(reps)
-            for b in reps[k + 1 :]
-            if g.signatures[a] == g.signatures[b]
-        ),
-        None,
-    )
-    return tuple(map(tuple, classes)), class_of, conflict
+    return tuple(map(tuple, classes)), class_of
 
 
 def rowwise_tables(m) -> list[dict] | str:

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import decobs
 from decobs import (
+    BUILTIN_RULES,
     ControlProblem,
     MorphismReport,
     Projection,
@@ -187,6 +188,28 @@ class TestReduce:
         assert out.read_text(encoding="utf-8") == "kept"
 
 
+# Two strings no agent tells apart, one in K: one signature in two colours.
+_CONFLICT = {
+    "type": "observation",
+    "agents": 2,
+    "alphabet": ["a", "b"],
+    "L": [["a"], ["b"]],
+    "K": [["a"]],
+    "observations": [
+        {"kind": "projection", "observable": []},
+        {"kind": "projection", "observable": []},
+    ],
+}
+
+_XNOR = {
+    "type": "fusion_rule",
+    "agents": 2,
+    "decisions": ["0", "1"],
+    "domain": [["0", "0"], ["0", "1"], ["1", "0"], ["1", "1"]],
+    "output": [1, 0, 0, 1],
+}
+
+
 class TestCheckAndSolve:
     def test_solvable_with_witness(self, runner, ex1, ex1_file, tmp_path):
         witness = tmp_path / "w.json"
@@ -211,22 +234,27 @@ class TestCheckAndSolve:
         assert result.exit_code == 1
         assert "UNSOLVABLE" in result.output
 
-    def test_conflicting_empty_class_unsolvable(self, runner, tmp_path):
-        obj = {
-            "type": "observation",
-            "agents": 2,
-            "alphabet": ["a", "b"],
-            "L": [["a"], ["b"]],
-            "K": [["a"]],
-            "observations": [
-                {"kind": "projection", "observable": []},
-                {"kind": "projection", "observable": []},
-            ],
-        }
+    @pytest.mark.parametrize("name", BUILTIN_RULES)
+    def test_conflicting_empty_class_unsolvable(self, runner, tmp_path, name):
+        # The arc-consistency pass refutes it under every builtin rule, so no
+        # budget is needed.
         path = tmp_path / "conflict.json"
-        files.dump_json(obj, path)
-        result = runner.invoke(main, ["check", str(path), "--rule", "cpda:2"])
+        files.dump_json(_CONFLICT, path)
+        result = runner.invoke(main, ["check", str(path), "--rule", f"{name}:2", "--budget", "0"])
         assert result.exit_code == 1
+        assert result.output == "UNSOLVABLE\n"
+
+    @pytest.mark.parametrize("budget", ["0", None])
+    def test_conflicting_empty_class_under_xnor_unsolvable(self, runner, tmp_path, budget):
+        # XNOR's two colours use the same coordinates, so no label alone
+        # refutes it; the whole-signature check does, before the search.
+        path, rule = tmp_path / "conflict.json", tmp_path / "xnor.json"
+        files.dump_json(_CONFLICT, path)
+        files.dump_json(_XNOR, rule)
+        args = ["check", str(path), "--rule", str(rule)]
+        result = runner.invoke(main, args + (["--budget", budget] if budget else []))
+        assert result.exit_code == 1, result.output
+        assert result.output == "UNSOLVABLE\n"
 
     def test_budget_exit_code(self, runner, ex1_file):
         result = runner.invoke(
@@ -854,7 +882,8 @@ class TestExitCodes:
         args = [a.format(problem=ex1_file, out=out) for a in args]
         result = runner.invoke(main, args)
         assert result.exit_code == 2, result.output
-        assert "error: " in result.output and "No such file or directory" in result.output
+        written = f"{out}.problem.json" if args[0] == "d2o" else str(out)
+        assert result.output.endswith(f"error: a parent of {written!r} does not exist\n")
 
     def test_ambiguous_witness_keys_exit_2_and_write_nothing(self, runner, tmp_path):
         problem = tmp_path / "amb.json"

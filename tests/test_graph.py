@@ -156,7 +156,6 @@ class TestQuotient:
     def test_identity_quotient(self, ex1):
         g = build_observation_graph(ex1)
         q = quotient_by_indistinguishability(g)
-        assert q.conflict is None
         assert q.graph == g
         assert q.class_of == (0, 1, 2, 3)
 
@@ -166,11 +165,10 @@ class TestQuotient:
             g = build_decision_graph(builtin_rule(name, n))
             q = quotient_by_indistinguishability(g)
             assert q.graph is g
-            assert q.conflict is None
             assert q.classes == tuple((v,) for v in range(len(g)))
             assert q.class_of == tuple(range(len(g)))
 
-    def test_colour_conflict_is_reported(self):
+    def test_two_colours_keep_two_classes(self):
         p = ObservationProblem(
             n=1,
             alphabet=("a", "b"),
@@ -179,7 +177,8 @@ class TestQuotient:
             P=(Projection(frozenset()),),
         )
         q = quotient_by_indistinguishability(build_observation_graph(p))
-        assert q.conflict == (("a",), ("b",))
+        assert q.classes == ((0,), (1,))
+        assert q.graph.signatures == (((),), ((),)) and q.graph.colours == (1, 0)
 
     def test_compatible_classes_merge(self):
         p = ObservationProblem(
@@ -190,16 +189,15 @@ class TestQuotient:
             P=(Projection(frozenset()),),
         )
         q = quotient_by_indistinguishability(build_observation_graph(p))
-        assert q.conflict is None
         assert len(q.graph) == 1 and q.graph.colours == (1,)
         assert q.classes == ((0, 1),)
 
-    def test_quotient_has_no_empty_edges_when_conflict_free(self):
+    def test_quotient_has_no_empty_edges_when_its_signatures_are_distinct(self):
         rng = random.Random(20)
         for _ in range(50):
             g = random_colored_graph(rng)
             q = quotient_by_indistinguishability(g)
-            if q.conflict is None:
+            if len(set(q.graph.signatures)) == len(q.graph):
                 assert all(q.graph.edge_colour(u, v) for u, v in q.graph.pairs())
 
     def test_inherited_edges_match_representatives(self):
@@ -215,7 +213,7 @@ class TestQuotient:
 
     def test_classes_are_uniform_and_distinct(self):
         rng = random.Random(22)
-        conflicts = 0
+        shared_signatures = 0
         for _ in range(300):
             g = random_colored_graph(rng)
             q = quotient_by_indistinguishability(g)
@@ -224,15 +222,10 @@ class TestQuotient:
                 assert all((g.signatures[m], g.colours[m]) == kind for m in c)
             assert len(set(kinds)) == len(kinds)
             assert list(zip(q.graph.signatures, q.graph.colours)) == kinds
-            shared = len({sig for sig, _ in kinds}) < len(kinds)
-            assert (q.conflict is not None) == shared
-            if q.conflict is not None:
-                u, v = map(g.keys.index, q.conflict)
-                assert g.signatures[u] == g.signatures[v] and g.colours[u] != g.colours[v]
-                conflicts += 1
+            shared_signatures += len({sig for sig, _ in kinds}) < len(kinds)
             assert sorted(m for c in q.classes for m in c) == list(range(len(g)))
             assert all(q.class_of[m] == ci for ci, c in enumerate(q.classes) for m in c)
-        assert conflicts > 50
+        assert shared_signatures > 50
 
     def test_quotient_is_cached_per_graph(self):
         g = random_colored_graph(random.Random(23), min_nodes=6)

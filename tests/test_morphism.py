@@ -47,9 +47,9 @@ def explicit_morphism(source, target, pairs):
 
 
 def _xnor_odd_cycle() -> tuple[ObservationProblem, FusionRule]:
-    """An odd cycle under XNOR: neither the conflict check nor ``_refute``
-    settles it, so only the search says no.  The smallest such instance
-    found; no builtin rule gives one."""
+    """An odd cycle under XNOR: ``_refute`` does not settle it, so only the
+    search says no.  The smallest such instance found; no builtin rule gives
+    one."""
     domain = (("0", "0"), ("0", "1"), ("1", "0"), ("1", "1"))
     rule = FusionRule(2, ("0", "1"), domain, (1, 0, 0, 1))
     strings = tuple((f"s{k}",) for k in range(4))
@@ -162,7 +162,7 @@ class TestFindMorphism:
         with pytest.raises(SearchLimitExceeded):
             find_morphism(ex1_graph, conj_graph, budget=1)
 
-    def test_colour_conflict_short_circuits(self, conj_graph):
+    def test_colour_conflict_is_refuted_before_the_search(self, conj_graph):
         p = ObservationProblem(
             n=2,
             alphabet=("a", "b"),
@@ -171,7 +171,8 @@ class TestFindMorphism:
             P=(Projection(frozenset()), Projection(frozenset())),
         )
         g = build_observation_graph(p)
-        assert find_morphism(g, conj_graph) is None
+        assert _refute(g.quotient.graph, conj_graph) is True
+        assert find_morphism(g, conj_graph, budget=0) is None
 
     def test_conflict_can_still_map_into_duplicated_targets(self):
         # Two indistinguishable nodes of different colours can split images
@@ -184,9 +185,9 @@ class TestFindMorphism:
 
     def test_conflict_into_conflict_free_target_is_none_at_budget_0(self):
         # The target repeats a signature, but never in both colours, so no
-        # target can take the two source nodes apart; the search never starts.
-        # Each colour's targets cover the same coordinates, so the
-        # arc-consistency pass alone proves nothing here.
+        # target can take the two source nodes apart.  Each colour's targets
+        # cover the same coordinates, so no label alone proves it: the pass
+        # refutes it by whole signatures, and the search never starts.
         src = ColoredGraph(
             n=2, keys=("s", "t"), signatures=(("x", "y"), ("x", "y")), colours=(0, 1)
         )
@@ -196,8 +197,30 @@ class TestFindMorphism:
             signatures=(("a", "b"), ("c", "d"), ("a", "d"), ("c", "b"), ("a", "b")),
             colours=(0, 0, 1, 1, 0),
         )
-        assert not _refute(src, dst)
+        assert _refute(src, dst) is True
         assert find_morphism(src, dst, budget=0) is None
+
+    def test_conflict_after_many_free_strings_is_none_at_budget_0_under_xnor(self):
+        # 40 strings that both agents tell apart, then two that neither does,
+        # one in K.  XNOR's colours use the same coordinates, and every
+        # quotient node has two candidates, so a search would assign the
+        # pair last and retry all 2**40 choices before it: only the whole-
+        # signature check answers at once.
+        _, rule = _xnor_odd_cycle()
+        strings = tuple((f"s{k}",) for k in range(42))
+        table = ObservationTable(
+            tuple((s, f"l{min(k, 40)}") for k, s in enumerate(strings))
+        )
+        p = ObservationProblem(
+            n=2,
+            alphabet=tuple(t for (t,) in strings),
+            L=strings,
+            K=strings[:41],
+            P=(table, table),
+        )
+        source, target = build_observation_graph(p), build_decision_graph(rule)
+        assert len(source.quotient.graph) == 42
+        assert find_morphism(source, target, budget=0) is None
 
     def test_duplicate_targets_fold_into_one_candidate(self):
         # Five (signature, colour) kinds, 24 copies each, in blocks.  Without
@@ -267,7 +290,6 @@ class TestFindMorphism:
     def test_the_search_alone_refutes_an_odd_cycle(self):
         problem, rule = _xnor_odd_cycle()
         source, target = build_observation_graph(problem), build_decision_graph(rule)
-        assert source.quotient.conflict is None
         assert _refute(source.quotient.graph, target.quotient.graph) is False
         assert find_morphism(source, target) is None
         with pytest.raises(SearchLimitExceeded):
@@ -860,6 +882,28 @@ class TestRefute:
                     assert find_morphism(src, dst, budget=0) is None
                     negatives += 1
         assert negatives == 17
+
+    @pytest.mark.parametrize("name", BUILTIN_RULES)
+    @settings(max_examples=50, deadline=None)
+    @given(n=st.integers(1, 5), data=st.data())
+    def test_builtin_targets_refute_a_signature_in_two_colours(self, name, n, data):
+        # Two source nodes with one signature and two colours: the pass
+        # proves that no builtin rule takes them apart.
+        labels = st.tuples(*[st.sampled_from("xyz")] * n)
+        signatures = data.draw(st.lists(labels, min_size=1, max_size=8))
+        colours = data.draw(
+            st.lists(st.sampled_from((0, 1)), min_size=len(signatures), max_size=len(signatures))
+        )
+        v = data.draw(st.integers(0, len(signatures) - 1))
+        at = data.draw(st.integers(0, len(signatures)))
+        signatures.insert(at, signatures[v])
+        colours.insert(at, 1 - colours[v])
+        src = ColoredGraph(
+            n=n, keys=tuple(range(len(signatures))), signatures=signatures, colours=colours
+        )
+        target = build_decision_graph(builtin_rule(name, n))
+        assert _refute(src.quotient.graph, target.quotient.graph) is True
+        assert find_morphism(src, target, budget=0) is None
 
 
 def _problem_at_scale(rng, size, built_for):

@@ -97,10 +97,9 @@ class TestGraphAndQuotient:
     def test_quotient(self, p):
         g = build_observation_graph(p)
         q = quotient_by_indistinguishability(g)
-        classes, class_of, conflict = rowwise_quotient(g)
+        classes, class_of = rowwise_quotient(g)
         assert q.classes == classes
         assert q.class_of == class_of
-        assert q.conflict == conflict
         assert q.graph.keys == tuple(g.keys[members[0]] for members in classes)
 
 
