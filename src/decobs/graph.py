@@ -143,12 +143,22 @@ class Quotient:
     class is uniform and the quotient graph is a correct coloured graph.
     Two nodes that share a signature but not a colour stay in separate
     classes.  ``class_of`` sends each original node index to its class index
-    in the quotient graph.
+    in the quotient graph, and ``representatives`` each class to its first
+    member, the node that stands for it in the quotient graph.
     """
 
     graph: ColoredGraph
-    classes: tuple[tuple[int, ...], ...]
+    representatives: tuple[int, ...]
     class_of: tuple[int, ...]
+
+    @cached_property
+    def classes(self) -> tuple[tuple[int, ...], ...]:
+        """The members of each class, in node order; built from ``class_of``
+        on first use."""
+        members: list[list[int]] = [[] for _ in self.representatives]
+        for v, c in enumerate(self.class_of):
+            members[c].append(v)
+        return tuple(map(tuple, members))
 
 
 def quotient_by_indistinguishability(g: ColoredGraph) -> Quotient:
@@ -161,20 +171,13 @@ def quotient_by_indistinguishability(g: ColoredGraph) -> Quotient:
     is ``g`` itself.
     """
     if len(set(g.signatures)) == len(g):
-        return Quotient(
-            graph=g,
-            classes=tuple(zip(range(len(g)))),
-            class_of=tuple(range(len(g))),
-        )
+        nodes = tuple(range(len(g)))
+        return Quotient(graph=g, representatives=nodes, class_of=nodes)
     # Each node sent to the first node that shares its signature and colour;
     # those first nodes represent the classes, numbered in node order.
     first_of: dict[tuple, int] = {}
     firsts = tuple(map(first_of.setdefault, zip(g.signatures, g.colours), count()))
     reps = tuple(first_of.values())
-    class_of = tuple(map(dict(zip(reps, count())).__getitem__, firsts))
-    classes: list[list[int]] = [[] for _ in reps]
-    for idx, ci in enumerate(class_of):
-        classes[ci].append(idx)
     return Quotient(
         graph=ColoredGraph(
             n=g.n,
@@ -183,8 +186,8 @@ def quotient_by_indistinguishability(g: ColoredGraph) -> Quotient:
             colours=tuple(map(g.colours.__getitem__, reps)),
             kind=g.kind,
         ),
-        classes=tuple(map(tuple, classes)),
-        class_of=class_of,
+        representatives=reps,
+        class_of=tuple(map(dict(zip(reps, count())).__getitem__, firsts)),
     )
 
 

@@ -10,8 +10,9 @@ building a graph, which makes it a useful independent cross-check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import chain, compress, product
-from operator import ne
+from operator import and_, ne, or_
 from typing import Hashable
 
 from .errors import (
@@ -50,9 +51,10 @@ class Morphism:
             raise ValueError(
                 f"mapping covers {len(self.mapping)} nodes, source has {len(self.source)}"
             )
-        for t in self.mapping:
-            if not 0 <= t < len(self.target):
-                raise ValueError(f"target index {t} out of range")
+        size = len(self.target)
+        if self.mapping and not (0 <= min(self.mapping) and max(self.mapping) < size):
+            t = next(t for t in self.mapping if not 0 <= t < size)
+            raise ValueError(f"target index {t} out of range")
 
 
 @dataclass(frozen=True)
@@ -223,15 +225,25 @@ def _refute(src: ColoredGraph, dst: ColoredGraph) -> bool:
     The morphism condition makes each (agent i, label l) pair a variable
     whose value is the coordinate i of the images of bucket ``(i, l)``, and
     each source node v a table constraint over its variables
-    ``(i, sig_v[i])``: v's image is a target of v's colour.  ``allowed[i][l]``
-    is the mask of targets whose coordinate i is still possible for
-    ``(i, l)``.  Node v's support is its colour mask ANDed with
-    ``allowed[i][sig_v[i]]`` for every i.  An empty support refutes.
-    Otherwise each of v's variables keeps only the coordinates that the
-    support still meets, and when one shrinks, its bucket's nodes are checked
-    again, until nothing changes (AC-3, Mackworth 1977).  On conjunctive and
-    disjunctive targets it is exact: it refutes precisely the sources that
-    fail C&P co-observability (Rudie & Wonham 1992) or its D&A dual.
+    ``(i, sig_v[i])``: v's image is a target of v's colour.  Every one of
+    these constraints is the same relation, the target graph, so each round
+    works per target node and per (agent, coordinate), with bitmasks over
+    source nodes.  ``live[i][c]`` is the union of the label buckets
+    (``src.label_masks[i]``) whose label may still take coordinate c at
+    agent i.  ``support[t]`` is the source nodes of t's colour
+    (``src.colour_masks``) whose label at each agent i still allows
+    ``t[i]``: the colour mask ANDed with ``live[i][t[i]]`` for every i, one
+    pass over each column of the target signatures.  When the supports do
+    not cover every source node, some node has no image left, which
+    refutes.  Otherwise a label keeps coordinate c only if its whole bucket
+    lies in the OR of the supports of the targets with ``t[i] == c``
+    (``dst.label_buckets[i][c]``), and the rounds repeat until no ``live``
+    entry changes.  The first round's supports are the colour masks alone,
+    since every label is still live.  This reaches the same fixpoint as AC-3
+    run node by node (Mackworth 1977), so it refutes the same pairs.  On
+    conjunctive and disjunctive targets it is exact: it refutes precisely
+    the sources that fail C&P co-observability (Rudie & Wonham 1992) or its
+    D&A dual.
 
     The variables see one agent's label at a time, so whole signatures are
     checked first, by ``_clashes`` on each graph: two source nodes of one
@@ -240,35 +252,32 @@ def _refute(src: ColoredGraph, dst: ColoredGraph) -> bool:
     """
     if _clashes(src.signatures, src.colours) and not _clashes(dst.signatures, dst.colours):
         return True
-    buckets = src.label_buckets
-    coord_masks = dst.label_masks
-    colour_masks = dst.colour_masks
-    every = colour_masks[0] | colour_masks[1]
-    allowed = [dict.fromkeys(by_label, every) for by_label in buckets]
-    sigs, colours = src.signatures, src.colours
-    pending = list(range(len(src)))
-    queued = [True] * len(src)
-    while pending:
-        v = pending.pop()
-        queued[v] = False
-        sig = sigs[v]
-        support = colour_masks[colours[v]]
-        for by_label, label in zip(allowed, sig):
-            support &= by_label[label]
-        if not support:
-            return True
-        for i, label in enumerate(sig):
-            kept = 0
-            for mask in coord_masks[i].values():
-                if mask & support:
-                    kept |= mask
-            if kept != allowed[i][label]:
-                allowed[i][label] = kept
-                for u in buckets[i][label]:
-                    if not queued[u]:
-                        queued[u] = True
-                        pending.append(u)
-    return False
+    sigs = src.signatures
+    everyone = (1 << len(src)) - 1
+    by_colour = list(map(src.colour_masks.__getitem__, dst.colours))
+    live = [dict.fromkeys(by_coord, everyone) for by_coord in dst.label_buckets]
+    columns = _columns(dst.signatures, dst.n)
+    support = by_colour
+    while reduce(or_, support, 0) == everyone:
+        changed = False
+        for i, (kept_of, masks) in enumerate(zip(live, src.label_masks)):
+            for c, targets in dst.label_buckets[i].items():
+                kept = kept_of[c]
+                missed = kept & ~reduce(or_, map(support.__getitem__, targets))
+                if not missed:
+                    continue
+                while missed:  # drop each label with a bucket node not reached
+                    bucket = masks[sigs[(missed & -missed).bit_length() - 1][i]]
+                    kept ^= bucket
+                    missed &= ~bucket
+                kept_of[c] = kept
+                changed = True
+        if not changed:
+            return False
+        support = by_colour
+        for kept_of, column in zip(live, columns):
+            support = list(map(and_, support, map(kept_of.__getitem__, column)))
+    return True
 
 
 def find_morphism(
@@ -280,7 +289,7 @@ def find_morphism(
     colour, so nodes that agree in both are interchangeable on either side:
     the search runs between the two quotients (``ColoredGraph.quotient``,
     built once per graph), and the witness maps each source node through its
-    class to the first member of its image class.
+    class to the representative (first member) of its image class.
 
     Before the search, a label-level arc-consistency pass (``_refute``)
     settles many negatives without trying a single candidate; the pass and
@@ -299,7 +308,7 @@ def find_morphism(
     image = _search(src.graph, dst.graph, budget)
     if image is None:
         return None
-    images = [dst.classes[t][0] for t in image]
+    images = tuple(map(dst.representatives.__getitem__, image))
     return Morphism(source, target, tuple(map(images.__getitem__, src.class_of)))
 
 

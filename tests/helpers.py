@@ -5,6 +5,7 @@ import itertools
 import random
 
 from decobs import ColoredGraph, SearchLimitExceeded
+from decobs.model import _clashes
 
 
 def random_colored_graph(
@@ -113,6 +114,51 @@ def pairwise_search(src: ColoredGraph, dst: ColoredGraph, budget: int | None) ->
         return False
 
     return assignment if extend() else None
+
+
+def nodewise_refute(src: ColoredGraph, dst: ColoredGraph) -> bool:
+    """Reference for ``morphism._refute``: the same label-level arc
+    consistency, run node by node as AC-3 (Mackworth 1977).
+
+    ``allowed[i][l]`` is the mask of targets whose coordinate i is still
+    possible for the variable ``(i, l)``.  Node v's support is its colour
+    mask ANDed with ``allowed[i][sig_v[i]]`` for every i.  An empty support
+    refutes.  Otherwise each of v's variables keeps only the coordinates
+    that the support still meets, and when one shrinks, its bucket's nodes
+    are checked again, until nothing changes.  Whole signatures are checked
+    first, by ``_clashes`` on each graph.
+    """
+    if _clashes(src.signatures, src.colours) and not _clashes(dst.signatures, dst.colours):
+        return True
+    buckets = src.label_buckets
+    coord_masks = dst.label_masks
+    colour_masks = dst.colour_masks
+    every = colour_masks[0] | colour_masks[1]
+    allowed = [dict.fromkeys(by_label, every) for by_label in buckets]
+    sigs, colours = src.signatures, src.colours
+    pending = list(range(len(src)))
+    queued = [True] * len(src)
+    while pending:
+        v = pending.pop()
+        queued[v] = False
+        sig = sigs[v]
+        support = colour_masks[colours[v]]
+        for by_label, label in zip(allowed, sig):
+            support &= by_label[label]
+        if not support:
+            return True
+        for i, label in enumerate(sig):
+            kept = 0
+            for mask in coord_masks[i].values():
+                if mask & support:
+                    kept |= mask
+            if kept != allowed[i][label]:
+                allowed[i][label] = kept
+                for u in buckets[i][label]:
+                    if not queued[u]:
+                        queued[u] = True
+                        pending.append(u)
+    return False
 
 
 def separable(inside, outside, n: int) -> bool:

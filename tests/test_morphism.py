@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 import re
 
@@ -34,6 +35,7 @@ from decobs.morphism import _refute, _search
 from helpers import (
     brute_force_morphism_exists,
     closed_form_solvable,
+    nodewise_refute,
     pairwise_edge_ok,
     pairwise_search,
     random_colored_graph,
@@ -128,6 +130,13 @@ class TestVerifyMorphism:
             Morphism(conj_graph, conj_graph, (0, 1))
         with pytest.raises(ValueError):
             Morphism(conj_graph, conj_graph, (0, 1, 2, 9))
+        # The first index out of range is named, whichever end it falls off.
+        with pytest.raises(ValueError, match=r"^target index -1 out of range$"):
+            Morphism(conj_graph, conj_graph, (0, -1, 4, 2))
+        with pytest.raises(ValueError, match=r"^target index 4 out of range$"):
+            Morphism(conj_graph, conj_graph, (0, 4, -1, 2))
+        empty = ColoredGraph(n=2, keys=(), signatures=(), colours=())
+        assert Morphism(empty, conj_graph, ()).mapping == ()
 
 
 class TestFindMorphism:
@@ -930,6 +939,18 @@ def _problem_at_scale(rng, size, built_for):
     return strings, observable, labels, in_k
 
 
+def _scale_problem(strings, in_k, observations) -> ObservationProblem:
+    """The problem over the strings of ``_problem_at_scale`` with K given by
+    ``in_k`` and the agents observing through ``observations``."""
+    return ObservationProblem(
+        n=3,
+        alphabet=tuple("abcdef"),
+        L=tuple(strings),
+        K=tuple(s for s, inside in zip(strings, in_k) if inside),
+        P=tuple(observations),
+    )
+
+
 class TestClosedFormOracleAtScale:
     @settings(max_examples=10, deadline=None)
     @given(
@@ -945,13 +966,7 @@ class TestClosedFormOracleAtScale:
         if flip:  # flip one string's membership: usually unsolvable
             x = rng.randrange(len(strings))
             in_k[x] = not in_k[x]
-        problem = ObservationProblem(
-            n=3,
-            alphabet=tuple("abcdef"),
-            L=tuple(strings),
-            K=tuple(s for s, inside in zip(strings, in_k) if inside),
-            P=tuple(Projection(obs) for obs in observable),
-        )
+        problem = _scale_problem(strings, in_k, tuple(Projection(obs) for obs in observable))
         graph = build_observation_graph(problem)
         for rule in ("conjunctive", "disjunctive"):
             target = build_decision_graph(builtin_rule(rule, 3))
@@ -961,3 +976,92 @@ class TestClosedFormOracleAtScale:
             else:
                 # On these two rules the pass before the search is exact.
                 assert find_morphism(graph, target, budget=0) is None
+
+
+@st.composite
+def repeated_signature_pairs(draw):
+    rng = random.Random(draw(st.integers(min_value=0, max_value=10_000)))
+    n = rng.randint(2, 3)
+    return (
+        _graph_with_repeated_signatures(rng, n, rng.randint(6, 12), rng.randint(3, 6)),
+        _graph_with_repeated_signatures(rng, n, rng.randint(4, 10), rng.randint(3, 8)),
+    )
+
+
+@st.composite
+def sized_pairs(draw, src_nodes, dst_nodes):
+    """A source and a target of one arity whose node counts lie in the
+    inclusive ranges ``src_nodes`` and ``dst_nodes``."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=10_000)))
+    n = rng.randint(1, 3)
+    graphs = []
+    for low, high in (src_nodes, dst_nodes):
+        g = random_colored_graph(rng, min_nodes=low, max_nodes=high)
+        while g.n != n:
+            g = random_colored_graph(rng, min_nodes=low, max_nodes=high)
+        graphs.append(g)
+    return graphs
+
+
+class TestRefuteMatchesNodewiseReference:
+    """``_refute`` works by target node over bitmasks of source nodes; the
+    node-wise AC-3 in ``helpers.nodewise_refute`` reaches the same fixpoint,
+    so the two must give the same answer on every input."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.one_of(
+            graph_pairs(),
+            repeated_signature_pairs(),
+            sized_pairs((0, 0), (0, 6)),  # empty source
+            sized_pairs((1, 6), (0, 0)),  # empty target
+            sized_pairs((1, 12), (65, 130)),  # target wider than a 64-bit word
+            sized_pairs((65, 130), (1, 12)),  # source masks wider than a word
+        )
+    )
+    def test_random_pairs(self, pair):
+        src, dst = pair
+        assert _refute(src, dst) == nodewise_refute(src, dst)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_builtin_pairs(self, n):
+        graphs = [build_decision_graph(builtin_rule(name, n)) for name in BUILTIN_RULES]
+        verdicts = [
+            (_refute(src, dst), nodewise_refute(src, dst))
+            for src, dst in itertools.permutations(graphs, 2)
+        ]
+        assert len(verdicts) == 30
+        assert all(new == old for new, old in verdicts)
+        if n >= 2:
+            assert sum(new for new, _ in verdicts) == 17
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_problems_at_scale(self, seed):
+        # Projection problems from _problem_at_scale, with and without one
+        # flipped membership, and table problems over the same strings whose
+        # tables merge each agent's projection labels at random.
+        rng = random.Random(seed)
+        targets = [build_decision_graph(builtin_rule(name, 3)) for name in BUILTIN_RULES]
+        refuted = {True: 0, False: 0}
+        for built_for in ("conjunctive", "disjunctive"):
+            strings, observable, labels, in_k = _problem_at_scale(rng, 1000, built_for)
+            flipped = list(in_k)
+            x = rng.randrange(len(strings))
+            flipped[x] = not flipped[x]
+            merged = []
+            for i in range(3):
+                column = sorted({labs[i] for labs in labels})
+                merge = {label: rng.randrange(max(1, len(column) * 3 // 4)) for label in column}
+                entries = tuple((s, f"m{merge[labs[i]]}") for s, labs in zip(strings, labels))
+                merged.append(ObservationTable(entries))
+            projections = tuple(Projection(obs) for obs in observable)
+            for members in (in_k, flipped):
+                for observations in (projections, merged):
+                    problem = _scale_problem(strings, members, observations)
+                    graph = build_observation_graph(problem).quotient.graph
+                    assert len(graph) > 100
+                    for target in targets:
+                        verdict = _refute(graph, target)
+                        assert verdict == nodewise_refute(graph, target)
+                        refuted[verdict] += 1
+        assert min(refuted.values()) > 0
