@@ -24,22 +24,20 @@ class PermissivenessVerdict:
     converse.  A missing ``witness_fwd`` means that
     ``decision_graph_to_observation(first)`` is solvable under the first
     rule and not under the second, so it separates them; likewise for a
-    missing ``witness_bwd`` with the second rule.
+    missing ``witness_bwd`` with the second rule.  ``relation`` is read off
+    which witnesses exist.
     """
 
-    relation: str
     witness_fwd: Morphism | None
     witness_bwd: Morphism | None
 
-
-def _relation(fwd_found: bool, bwd_found: bool) -> str:
-    if fwd_found and bwd_found:
-        return "equivalent"
-    if fwd_found:
-        return "first_strictly_less"
-    if bwd_found:
-        return "first_strictly_more"
-    return "incomparable"
+    @property
+    def relation(self) -> str:
+        """``equivalent``, ``first_strictly_less``, ``first_strictly_more`` or
+        ``incomparable``, as the two witnesses establish."""
+        if self.witness_fwd is not None:
+            return "equivalent" if self.witness_bwd is not None else "first_strictly_less"
+        return "first_strictly_more" if self.witness_bwd is not None else "incomparable"
 
 
 def compare(
@@ -54,8 +52,11 @@ class RelationMatrix:
     """Pairwise verdicts over a list of rules, plus the induced order.
 
     ``classes`` partitions rule indices into equivalence classes (mutually
-    convertible rules); ``hasse`` lists covering pairs (lower, upper) of class
-    indices in the strict order "strictly less permissive than".
+    convertible rules), in order of first member; ``hasse`` lists covering
+    pairs (lower, upper) of class indices in the strict order "strictly less
+    permissive than".  "At most as permissive" is a preorder (identities and
+    composed morphisms are morphisms), so two rules are equivalent exactly
+    when their rows of found witnesses are equal.
     """
 
     verdicts: tuple[tuple[PermissivenessVerdict, ...], ...]
@@ -79,7 +80,11 @@ def relation_matrix(rules, budget: int | None = None) -> RelationMatrix:
 
     The searches run row by row, so for two rules the forward search runs
     before the backward one.  The diagonal needs no search: its witnesses
-    are identity maps.
+    are identity maps.  Row i of ``at_most`` marks the rules at least as
+    permissive as rule i.  The relation is reflexive and transitive, so
+    equal rows are exactly equivalent rules and the classes are the
+    distinct rows.  ``below`` is the strict order between the classes' first
+    members; a cover has no class strictly between.
     """
     rules = tuple(rules)
     if not rules:
@@ -97,39 +102,20 @@ def relation_matrix(rules, budget: int | None = None) -> RelationMatrix:
         for i in range(size)
     ]
     verdicts = tuple(
-        tuple(
-            PermissivenessVerdict(
-                _relation(witnesses[i][j] is not None, witnesses[j][i] is not None),
-                witnesses[i][j],
-                witnesses[j][i],
-            )
-            for j in range(size)
-        )
+        tuple(PermissivenessVerdict(witnesses[i][j], witnesses[j][i]) for j in range(size))
         for i in range(size)
     )
-    at_most = [[witnesses[i][j] is not None for j in range(size)] for i in range(size)]
-
-    classes: list[list[int]] = []
-    for i in range(size):
-        for cls in classes:
-            rep = cls[0]
-            if at_most[i][rep] and at_most[rep][i]:
-                cls.append(i)
-                break
-        else:
-            classes.append([i])
-
-    def strictly_below(a: int, b: int) -> bool:
-        ra, rb = classes[a][0], classes[b][0]
-        return at_most[ra][rb] and not at_most[rb][ra]
-
+    at_most = [tuple(w is not None for w in row) for row in witnesses]
+    by_row: dict[tuple[bool, ...], list[int]] = {}
+    for i, row in enumerate(at_most):
+        by_row.setdefault(row, []).append(i)
+    classes = tuple(map(tuple, by_row.values()))
+    firsts = [members[0] for members in classes]
+    below = [[at_most[a][b] and not at_most[b][a] for b in firsts] for a in firsts]
     hasse = tuple(
         (a, b)
-        for a in range(len(classes))
-        for b in range(len(classes))
-        if strictly_below(a, b)
-        and not any(
-            strictly_below(a, c) and strictly_below(c, b) for c in range(len(classes))
-        )
+        for a, row in enumerate(below)
+        for b, lower in enumerate(row)
+        if lower and not any(mid and above[b] for mid, above in zip(row, below))
     )
-    return RelationMatrix(verdicts, tuple(tuple(c) for c in classes), hasse)
+    return RelationMatrix(verdicts, classes, hasse)

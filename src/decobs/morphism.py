@@ -130,16 +130,17 @@ def _search(src: ColoredGraph, dst: ColoredGraph, budget: int | None) -> list[in
     member is already confined to that coordinate.  So the frame that
     assigns such a first node claims the bucket, prunes it for each of its
     candidates and releases it when popped.  The next node is the one with
-    the fewest candidates, ties broken by declaration order.  ``left[u]``
-    counts node u's candidates, and ``by_count[c]`` is the bitmask of the
-    unassigned nodes with c candidates, a bucket queue keyed by count: a
-    node's bit moves whenever its count changes and is absent while the node
-    is assigned.  So the lowest set bit of the first non-zero entry of
-    ``by_count`` is that node, found without scanning every node.
-    Candidates are tried lowest bit first, which is target declaration
-    order, so the search is deterministic.  An explicit stack replaces
-    recursion, so the search depth is not limited; ``budget`` caps the
-    candidates tried.
+    the fewest candidates, ties broken by declaration order.  ``by_count[c]``
+    is the bitmask of the unassigned nodes whose domain has c bits, a bucket
+    queue keyed by count: node u's bit sits at ``domains[u].bit_count()``
+    exactly while u is unassigned, so it moves whenever the domain changes.
+    An assigned node's domain is never pruned, so it is still filed under
+    that count when the node is popped.  The lowest set bit of the first
+    non-zero entry of ``by_count`` is the next node, found without scanning
+    every node.  Candidates are tried lowest bit first, which is target
+    declaration order, so the search is deterministic.  An explicit stack
+    replaces recursion, so the search depth is not limited; ``budget`` caps
+    the candidates tried.
     """
     buckets = src.label_buckets
     claimed: set[tuple[int, Hashable]] = set()
@@ -147,10 +148,9 @@ def _search(src: ColoredGraph, dst: ColoredGraph, budget: int | None) -> list[in
     coord_masks = dst.label_masks
     colour_masks = dst.colour_masks
     domains = [colour_masks[c] for c in src.colours]
-    left = [d.bit_count() for d in domains]
     by_count = [0] * (len(dst) + 1)
-    for u, count in enumerate(left):
-        by_count[count] |= 1 << u
+    for u, d in enumerate(domains):
+        by_count[d.bit_count()] |= 1 << u
     assignment = [-1] * len(src)
     expansions = 0
 
@@ -169,9 +169,8 @@ def _search(src: ColoredGraph, dst: ColoredGraph, budget: int | None) -> list[in
                     trail.setdefault(u, old)
                     domains[u] = kept
                     bit = 1 << u
-                    by_count[left[u]] ^= bit
-                    left[u] = count = kept.bit_count()
-                    by_count[count] |= bit
+                    by_count[old.bit_count()] ^= bit
+                    by_count[kept.bit_count()] |= bit
                 if not kept:
                     return False
         return True
@@ -186,22 +185,21 @@ def _search(src: ColoredGraph, dst: ColoredGraph, budget: int | None) -> list[in
             if not tied:
                 return assignment
             v = (tied & -tied).bit_length() - 1
-            by_count[left[v]] = tied & (tied - 1)
+            by_count[domains[v].bit_count()] = tied & (tied - 1)
             firsts = [key for key in enumerate(src.signatures[v]) if key not in claimed]
             claimed.update(firsts)
             stack.append([v, domains[v], {}, firsts])
         frame = stack[-1]
         v, rest, trail, firsts = frame
         for u, old in trail.items():
-            domains[u] = old
             bit = 1 << u
-            by_count[left[u]] ^= bit
-            left[u] = count = old.bit_count()
-            by_count[count] |= bit
+            by_count[domains[u].bit_count()] ^= bit
+            by_count[old.bit_count()] |= bit
+            domains[u] = old
         trail.clear()
         if not rest:
             assignment[v] = -1
-            by_count[left[v]] |= 1 << v
+            by_count[domains[v].bit_count()] |= 1 << v
             claimed.difference_update(firsts)
             stack.pop()
             if not stack:

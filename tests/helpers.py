@@ -4,7 +4,7 @@ import functools
 import itertools
 import random
 
-from decobs import ColoredGraph, SearchLimitExceeded
+from decobs import ColoredGraph, FusionRule, SearchLimitExceeded
 from decobs.model import _clashes
 
 
@@ -159,6 +159,52 @@ def nodewise_refute(src: ColoredGraph, dst: ColoredGraph) -> bool:
                         queued[u] = True
                         pending.append(u)
     return False
+
+
+def pairwise_poset(at_most) -> tuple[tuple, tuple]:
+    """Reference for the classes and covers of ``relation_matrix``, from the
+    matrix ``at_most[i][j]`` (a morphism maps rule i into rule j), pair by
+    pair.
+
+    A rule joins the first class whose first member it maps to and from, or
+    opens a new class.  Class a covers under b when a's first member maps
+    into b's and not back, and no class c lies strictly between them.
+    """
+    classes: list[list[int]] = []
+    for i in range(len(at_most)):
+        for cls in classes:
+            rep = cls[0]
+            if at_most[i][rep] and at_most[rep][i]:
+                cls.append(i)
+                break
+        else:
+            classes.append([i])
+
+    def strictly_below(a: int, b: int) -> bool:
+        ra, rb = classes[a][0], classes[b][0]
+        return at_most[ra][rb] and not at_most[rb][ra]
+
+    hasse = tuple(
+        (a, b)
+        for a in range(len(classes))
+        for b in range(len(classes))
+        if strictly_below(a, b)
+        and not any(
+            strictly_below(a, c) and strictly_below(c, b) for c in range(len(classes))
+        )
+    )
+    return tuple(tuple(c) for c in classes), hasse
+
+
+def random_rule(rng: random.Random, n: int, k: int) -> FusionRule:
+    """A fusion rule of n agents over the k decisions "0", "1", ...: each
+    combination is kept with probability 0.7, drawn again when none is, and
+    fuses to a random output."""
+    decisions = tuple(map(str, range(k)))
+    domain: list[tuple[str, ...]] = []
+    while not domain:
+        domain = [c for c in itertools.product(decisions, repeat=n) if rng.random() < 0.7]
+    return FusionRule(n, decisions, tuple(domain), tuple(rng.randint(0, 1) for _ in domain))
 
 
 def separable(inside, outside, n: int) -> bool:

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from click.testing import CliRunner
@@ -23,12 +24,21 @@ from decobs import (
 from decobs import files
 from decobs.cli import main
 from decobs.morphism import _search
+from helpers import pairwise_poset, random_rule
 
 _MIRROR = {
     "equivalent": "equivalent",
     "incomparable": "incomparable",
     "first_strictly_less": "first_strictly_more",
     "first_strictly_more": "first_strictly_less",
+}
+
+# The relation each pair (forward witness found, backward witness found) names.
+_NAMED = {
+    (True, True): "equivalent",
+    (True, False): "first_strictly_less",
+    (False, True): "first_strictly_more",
+    (False, False): "incomparable",
 }
 
 
@@ -245,6 +255,49 @@ class TestRelationMatrix:
     def test_arity_mismatch(self):
         with pytest.raises(ArityMismatch):
             relation_matrix([builtin_rule("cpda", 2), builtin_rule("cpda", 3)])
+
+
+def _shuffled_with_repeats(rng, rules):
+    """The rules in a random order, with one to three of them repeated."""
+    chosen = list(rules) + [rng.choice(rules) for _ in range(rng.randint(1, 3))]
+    rng.shuffle(chosen)
+    return chosen
+
+
+class TestOrderAgainstPairwiseReference:
+    """Classes and covers read off the rows of the matrix, against the
+    pair-by-pair class scan and cover filter of ``helpers.pairwise_poset``;
+    each verdict's relation against the witnesses it holds."""
+
+    @staticmethod
+    def _check(rules):
+        matrix = relation_matrix(rules)
+        at_most = [[v.witness_fwd is not None for v in row] for row in matrix.verdicts]
+        assert (matrix.classes, matrix.hasse) == pairwise_poset(at_most)
+        for i, row in enumerate(matrix.verdicts):
+            for j, verdict in enumerate(row):
+                found = (verdict.witness_fwd is not None, verdict.witness_bwd is not None)
+                assert verdict.relation == _NAMED[found]
+                assert verdict.relation == _MIRROR[matrix.verdicts[j][i].relation]
+        return matrix
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_builtins_in_shuffled_orders_with_repeats(self, n):
+        rules = [builtin_rule(name, n) for name in BUILTIN_RULES]
+        self._check(rules)
+        rng = random.Random(n)
+        for _ in range(3):
+            self._check(_shuffled_with_repeats(rng, rules))
+
+    def test_random_rules(self):
+        rng = random.Random(21)
+        merged = covers = 0
+        for _ in range(40):
+            rules = [random_rule(rng, 2, rng.randint(2, 3)) for _ in range(rng.randint(3, 6))]
+            matrix = self._check(rules)
+            merged += len(matrix.classes) < len(rules)
+            covers += len(matrix.hasse)
+        assert merged > 0 and covers > 0
 
 
 @st.composite

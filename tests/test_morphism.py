@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 import random
 import re
 
@@ -31,6 +32,7 @@ from decobs import (
     verify_morphism,
     verify_solution,
 )
+from decobs import files
 from decobs.morphism import _refute, _search
 from helpers import (
     brute_force_morphism_exists,
@@ -39,6 +41,7 @@ from helpers import (
     pairwise_edge_ok,
     pairwise_search,
     random_colored_graph,
+    random_rule,
 )
 
 
@@ -799,6 +802,53 @@ class TestAgainstPairwiseReference:
             outcomes[found is not None] += 1
             backtracked += needed > (len(src) if found else 1)
         assert min(outcomes.values()) > 20 and backtracked > 20
+
+
+def _random_rule_file_pairs(n, k, count=60):
+    """``count`` seeded pairs of random rules of n agents and k decisions,
+    each read back from the JSON text of its rule file."""
+    rng = random.Random(100 * n + k)
+
+    def drawn():
+        rule = random_rule(rng, n, k)
+        parsed = files.parse_rule(json.loads(files.to_json(files.rule_to_obj(rule))))
+        assert parsed == rule
+        return parsed
+
+    return [(drawn(), drawn()) for _ in range(count)]
+
+
+class TestRandomRuleFiles:
+    """Searches between the decision graphs of random rule files, the inputs
+    that still reach the search after the arc-consistency pass."""
+
+    @pytest.mark.parametrize("n, k", [(2, 2), (2, 3), (3, 2)])
+    def test_find_morphism_matches_enumeration(self, n, k):
+        # Enumeration over rule B's tables decides A <= B with no graph and
+        # no search; at (3, 3) it takes about 0.8 s a pair.
+        outcomes = {True: 0, False: 0}
+        for first, second in _random_rule_file_pairs(n, k):
+            found = find_morphism(build_decision_graph(first), build_decision_graph(second))
+            problem = decision_graph_to_observation(first)
+            assert (found is not None) == solvable_by_enumeration(problem, second)
+            if found is not None:
+                assert verify_morphism(found).ok
+            outcomes[found is not None] += 1
+        assert min(outcomes.values()) > 0
+
+    @pytest.mark.parametrize("n, k", [(2, 2), (2, 3), (3, 2), (3, 3)])
+    def test_search_matches_pairwise_reference(self, n, k):
+        # At (3, 3) every pair is a negative, and the arc-consistency pass
+        # proves only 3 of the 60.  The search runs under the reference's
+        # expansion count, so one that loses track of its candidates fails
+        # instead of looping.
+        for first, second in _random_rule_file_pairs(n, k):
+            src, dst = build_decision_graph(first), build_decision_graph(second)
+            needed = _expansions_needed(pairwise_search, src, dst)
+            assert _search(src, dst, needed) == pairwise_search(src, dst, None)
+            if needed:
+                with pytest.raises(SearchLimitExceeded):
+                    _search(src, dst, needed - 1)
 
 
 def _ring_graph(rng, size) -> ColoredGraph:
