@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain, compress, product
+from itertools import chain, compress, count, product, repeat
 from operator import and_, ne, or_
 from typing import Hashable
 
@@ -216,9 +216,10 @@ def _search(src: ColoredGraph, dst: ColoredGraph, budget: int | None) -> list[in
         descend = prune(t, trail, firsts)
 
 
-def _refute(src: ColoredGraph, dst: ColoredGraph) -> bool:
-    """True when label-level arc consistency proves that no morphism maps
-    src into dst; False means only that it found no proof.
+def _refute(src: ColoredGraph, dst: ColoredGraph) -> list[dict[Hashable, int]] | None:
+    """None when label-level arc consistency proves that no morphism maps
+    src into dst; otherwise the fixpoint it reached, which proves nothing
+    on its own.
 
     The morphism condition makes each (agent i, label l) pair a variable
     whose value is the coordinate i of the images of bucket ``(i, l)``, and
@@ -236,12 +237,16 @@ def _refute(src: ColoredGraph, dst: ColoredGraph) -> bool:
     refutes.  Otherwise a label keeps coordinate c only if its whole bucket
     lies in the OR of the supports of the targets with ``t[i] == c``
     (``dst.label_buckets[i][c]``), and the rounds repeat until no ``live``
-    entry changes.  The first round's supports are the colour masks alone,
-    since every label is still live.  This reaches the same fixpoint as AC-3
-    run node by node (Mackworth 1977), so it refutes the same pairs.  On
-    conjunctive and disjunctive targets it is exact: it refutes precisely
-    the sources that fail C&P co-observability (Rudie & Wonham 1992) or its
-    D&A dual.
+    entry changes; the fixpoint returned is ``live``.  The first round's
+    supports are the colour masks alone, since every label is still live.
+    This reaches the same fixpoint as AC-3 run node by node (Mackworth
+    1977), so it refutes the same pairs.  On the six builtin targets it is
+    exact: each is closed under the coordinate-wise ``min`` or ``max`` of
+    sorted tokens, a semilattice operation, so arc consistency decides the
+    query (Jeavons, Cohen & Gyssens 1997) and ``_join`` reads a witness off
+    the fixpoint.  On conjunctive targets this refutes precisely the
+    sources that fail C&P co-observability (Rudie & Wonham 1992), on
+    disjunctive ones those that fail its D&A dual.
 
     The variables see one agent's label at a time, so whole signatures are
     checked first, by ``_clashes`` on each graph: two source nodes of one
@@ -249,7 +254,7 @@ def _refute(src: ColoredGraph, dst: ColoredGraph) -> bool:
     differ in colour, so a target with no such pair refutes.
     """
     if _clashes(src.signatures, src.colours) and not _clashes(dst.signatures, dst.colours):
-        return True
+        return None
     sigs = src.signatures
     everyone = (1 << len(src)) - 1
     by_colour = list(map(src.colour_masks.__getitem__, dst.colours))
@@ -271,11 +276,38 @@ def _refute(src: ColoredGraph, dst: ColoredGraph) -> bool:
                 kept_of[c] = kept
                 changed = True
         if not changed:
-            return False
+            return live
         support = by_colour
         for kept_of, column in zip(live, columns):
             support = list(map(and_, support, map(kept_of.__getitem__, column)))
-    return True
+    return None
+
+
+def _join(
+    src: ColoredGraph, dst: ColoredGraph, live: list[dict[Hashable, int]], pick
+) -> list[int] | None:
+    """The image of every src node under the join ``pick`` (``min`` or
+    ``max``) of the fixpoint ``live`` of ``_refute``, or None when some
+    image is not a target node.
+
+    Each (agent i, label l) takes the ``pick`` of the coordinates it keeps,
+    in sorted token order, and each source node maps to the target of its
+    colour whose signature is those coordinates.  Every coordinate is a
+    function of its label and every colour is kept, so the map is a
+    morphism whenever it is defined; on a target closed under ``pick`` it
+    always is.  A label keeps c when its bucket meets ``live[i][c]``; the
+    coordinates are written in turn, ``pick``'s choice last.
+    """
+    coords = []
+    for kept_of, masks in zip(live, src.label_masks):
+        coord: dict[Hashable, Hashable] = {}
+        for c in sorted(kept_of, reverse=pick is min):
+            coord.update(zip(compress(masks, map(kept_of[c].__and__, masks.values())), repeat(c)))
+        coords.append(coord)
+    node_of = dict(zip(zip(dst.signatures, dst.colours), count()))
+    columns = map(map, [coord.__getitem__ for coord in coords], _columns(src.signatures, src.n))
+    image = list(map(node_of.get, zip(zip(*columns), src.colours)))
+    return None if None in image else image
 
 
 def find_morphism(
@@ -285,25 +317,35 @@ def find_morphism(
 
     Nodes enter the morphism condition only through their signature and
     colour, so nodes that agree in both are interchangeable on either side:
-    the search runs between the two quotients (``ColoredGraph.quotient``,
-    built once per graph), and the witness maps each source node through its
-    class to the representative (first member) of its image class.
+    everything below runs between the two quotients
+    (``ColoredGraph.quotient``, built once per graph), and the witness maps
+    each source node through its class to the representative (first member)
+    of its image class.
 
-    Before the search, a label-level arc-consistency pass (``_refute``)
-    settles many negatives without trying a single candidate; the pass and
-    the search are the only two ways this answers None.  ``budget`` caps the
-    candidates tried by the search between the two quotients; exceeding it
-    raises SearchLimitExceeded rather than answering, so None always means
-    "no morphism exists".  A negative the pass refutes is answered under any
-    budget, 0 included, such as a source with two nodes of one signature and
-    two colours into a target with no such pair.
+    First a label-level arc-consistency pass (``_refute``) settles many
+    negatives without trying a single candidate.  When it does not refute,
+    its fixpoint's ``min`` join, then its ``max`` join (``_join``), is tried
+    as the image; on the six builtin targets the pass is exact and one of
+    the joins always succeeds, so no builtin target reaches the search.
+    Only when both joins fail does the backtracking search (``_search``)
+    run; the pass and the search are the only two ways this answers None.
+    ``budget`` caps the candidates tried by the search, and counts nothing
+    else; exceeding it raises SearchLimitExceeded rather than answering, so
+    None always means "no morphism exists".  Whatever the pass or a join
+    answers is answered under any budget, 0 included.
     """
     if source.n != target.n:
         raise ArityMismatch(f"source has {source.n} agents, target has {target.n}")
     src, dst = source.quotient, target.quotient
-    if _refute(src.graph, dst.graph):
+    live = _refute(src.graph, dst.graph)
+    if live is None:
         return None
-    image = _search(src.graph, dst.graph, budget)
+    for pick in (min, max):
+        image = _join(src.graph, dst.graph, live, pick)
+        if image is not None:
+            break
+    else:
+        image = _search(src.graph, dst.graph, budget)
     if image is None:
         return None
     images = tuple(map(dst.representatives.__getitem__, image))

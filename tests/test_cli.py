@@ -256,11 +256,17 @@ class TestCheckAndSolve:
         assert result.exit_code == 1, result.output
         assert result.output == "UNSOLVABLE\n"
 
-    def test_budget_exit_code(self, runner, ex1_file):
-        result = runner.invoke(
-            main, ["check", str(ex1_file), "--rule", "conjunctive:2", "--budget", "1"]
-        )
-        assert result.exit_code == 3
+    def test_budget_exit_code(self, runner, ex1_file, tmp_path):
+        # A builtin target is answered off the arc-consistency fixpoint with
+        # no search at all, so only a rule file such as XNOR can exceed a
+        # budget; ex1 under XNOR is solvable and needs 4 expansions.
+        rule = tmp_path / "xnor.json"
+        files.dump_json(_XNOR, rule)
+        args = ["check", str(ex1_file), "--rule", str(rule)]
+        assert runner.invoke(main, args + ["--budget", "1"]).exit_code == 3
+        assert runner.invoke(main, args + ["--budget", "4"]).exit_code == 0
+        builtin = ["check", str(ex1_file), "--rule", "conjunctive:2", "--budget", "0"]
+        assert runner.invoke(main, builtin).exit_code == 0
 
     def test_arity_mismatch(self, runner, ex1_file):
         result = runner.invoke(main, ["check", str(ex1_file), "--rule", "conjunctive:3"])
@@ -1205,18 +1211,22 @@ class TestCollectorPause:
             pytest.param(["check", "{problem}", "--rule", "conjunctive:3"], 2, id="arity"),
             pytest.param(["check", "{problem}", "--bogus"], 2, id="usage"),
             pytest.param(
-                ["check", "{problem}", "--rule", "conjunctive:2", "--budget", "1"], 3, id="budget"
+                ["check", "{problem}", "--rule", "{xnor}", "--budget", "1"], 3, id="budget"
             ),
             pytest.param(["check", "{problem}", "--rule", "conjunctive:2"], 4, id="internal"),
             pytest.param(["check", "--help"], 0, id="help"),
         ],
     )
-    def test_state_is_restored(self, runner, ex1_file, monkeypatch, args, code, enabled):
+    def test_state_is_restored(
+        self, runner, ex1_file, tmp_path, monkeypatch, args, code, enabled
+    ):
         if code == 4:  # the witness fails its self-check
             monkeypatch.setattr("decobs.cli.verify_morphism", lambda m: MorphismReport((0,), ()))
+        xnor = tmp_path / "xnor.json"  # a rule file keeps the search, and so --budget, in play
+        files.dump_json(_XNOR, xnor)
         (gc.enable if enabled else gc.disable)()
         try:
-            result = runner.invoke(main, [a.format(problem=ex1_file) for a in args])
+            result = runner.invoke(main, [a.format(problem=ex1_file, xnor=xnor) for a in args])
             assert gc.isenabled() is enabled
         finally:
             gc.enable()

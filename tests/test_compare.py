@@ -115,18 +115,24 @@ class TestCompareIsOneMatrixEntry:
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_witnesses_are_those_of_the_search_alone(self, n):
-        """The arc-consistency pass before each search answers only
-        negatives: every positive keeps the mapping the search finds."""
+        """Every positive is read off the arc-consistency fixpoint, and its
+        witness is the mapping the search finds, except const1 into
+        disjunctive: there the min join fails and the max join maps the
+        all-1 node to the last target, where the search picks the first
+        target of colour 1."""
         rules = [builtin_rule(name, n) for name in BUILTIN_RULES]
         graphs = [build_decision_graph(r) for r in rules]
         verdicts = relation_matrix(rules).verdicts
+        differ = []
         for i, j in itertools.permutations(range(len(rules)), 2):
             image = _search(graphs[i], graphs[j], None)
             witness = verdicts[i][j].witness_fwd
             if image is None:
                 assert witness is None
-            else:
-                assert witness.mapping == tuple(image)
+            elif witness.mapping != tuple(image):
+                assert verify_morphism(witness).ok
+                differ.append((BUILTIN_RULES[i], BUILTIN_RULES[j]))
+        assert differ == [("const1", "disjunctive")]
 
     @pytest.mark.parametrize("name", BUILTIN_RULES)
     def test_diagonal_is_the_identity_without_a_search(self, name):

@@ -171,8 +171,14 @@ class TestFindMorphism:
         assert first.mapping == second.mapping
 
     def test_budget_exhaustion_raises(self, ex1_graph, conj_graph):
+        # XNOR is closed under neither join, so ex1 reaches the search, which
+        # needs 4 expansions; a builtin target answers under any budget.
+        _, xnor = _xnor_odd_cycle()
+        target = build_decision_graph(xnor)
         with pytest.raises(SearchLimitExceeded):
-            find_morphism(ex1_graph, conj_graph, budget=1)
+            find_morphism(ex1_graph, target, budget=1)
+        assert verify_morphism(find_morphism(ex1_graph, target, budget=4)).ok
+        assert verify_morphism(find_morphism(ex1_graph, conj_graph, budget=0)).ok
 
     def test_colour_conflict_is_refuted_before_the_search(self, conj_graph):
         p = ObservationProblem(
@@ -183,7 +189,7 @@ class TestFindMorphism:
             P=(Projection(frozenset()), Projection(frozenset())),
         )
         g = build_observation_graph(p)
-        assert _refute(g.quotient.graph, conj_graph) is True
+        assert _refute(g.quotient.graph, conj_graph) is None
         assert find_morphism(g, conj_graph, budget=0) is None
 
     def test_conflict_can_still_map_into_duplicated_targets(self):
@@ -209,7 +215,7 @@ class TestFindMorphism:
             signatures=(("a", "b"), ("c", "d"), ("a", "d"), ("c", "b"), ("a", "b")),
             colours=(0, 0, 1, 1, 0),
         )
-        assert _refute(src, dst) is True
+        assert _refute(src, dst) is None
         assert find_morphism(src, dst, budget=0) is None
 
     def test_conflict_after_many_free_strings_is_none_at_budget_0_under_xnor(self):
@@ -288,21 +294,25 @@ class TestFindMorphism:
 
     def test_4096_classes_take_one_expansion_each(self):
         # The observation problem of conjunctive:12 is its decision graph
-        # again, 4,096 classes that each need exactly one candidate, so the
-        # exact budget answers and one less does not.
+        # again, 4,096 classes that each need exactly one candidate in the
+        # search, so the exact budget answers and one less does not.
+        # find_morphism reads the same answer off the fixpoint at budget 0.
         rule = builtin_rule("conjunctive", 12)
         src = build_observation_graph(decision_graph_to_observation(rule))
         dst = build_decision_graph(rule)
-        assert len(src.quotient.graph) == 4096
-        found = find_morphism(src, dst, budget=4096)
-        assert found is not None and verify_morphism(found).ok
+        quotients = src.quotient.graph, dst.quotient.graph
+        assert len(quotients[0]) == 4096
+        image = _search(*quotients, 4096)
         with pytest.raises(SearchLimitExceeded):
-            find_morphism(src, dst, budget=4095)
+            _search(*quotients, 4095)
+        found = find_morphism(src, dst, budget=0)
+        assert verify_morphism(found).ok
+        assert found.mapping == tuple(image)
 
     def test_the_search_alone_refutes_an_odd_cycle(self):
         problem, rule = _xnor_odd_cycle()
         source, target = build_observation_graph(problem), build_decision_graph(rule)
-        assert _refute(source.quotient.graph, target.quotient.graph) is False
+        assert _refute(source.quotient.graph, target.quotient.graph) is not None
         assert find_morphism(source, target) is None
         with pytest.raises(SearchLimitExceeded):
             find_morphism(source, target, budget=5)
@@ -820,21 +830,38 @@ def _random_rule_file_pairs(n, k, count=60):
 
 class TestRandomRuleFiles:
     """Searches between the decision graphs of random rule files, the inputs
-    that still reach the search after the arc-consistency pass."""
+    that can still reach the search after the arc-consistency pass and its
+    joins."""
 
     @pytest.mark.parametrize("n, k", [(2, 2), (2, 3), (3, 2)])
-    def test_find_morphism_matches_enumeration(self, n, k):
+    def test_find_morphism_matches_enumeration(self, n, k, monkeypatch):
         # Enumeration over rule B's tables decides A <= B with no graph and
-        # no search; at (3, 3) it takes about 0.8 s a pair.
+        # no search; at (3, 3) it takes about 0.8 s a pair.  Some answers
+        # come from a join of the arc-consistency fixpoint, some from the
+        # search, and both must agree with it.
+        searched = []
+
+        def search(src, dst, budget):
+            searched.append(True)
+            return _search(src, dst, budget)
+
+        monkeypatch.setattr("decobs.morphism._search", search)
         outcomes = {True: 0, False: 0}
+        answered_by = {"join": 0, "search": 0}
         for first, second in _random_rule_file_pairs(n, k):
+            searched.clear()
             found = find_morphism(build_decision_graph(first), build_decision_graph(second))
             problem = decision_graph_to_observation(first)
             assert (found is not None) == solvable_by_enumeration(problem, second)
             if found is not None:
                 assert verify_morphism(found).ok
             outcomes[found is not None] += 1
+            if searched:
+                answered_by["search"] += 1
+            elif found is not None:
+                answered_by["join"] += 1
         assert min(outcomes.values()) > 0
+        assert min(answered_by.values()) > 0, answered_by
 
     @pytest.mark.parametrize("n, k", [(2, 2), (2, 3), (3, 2), (3, 3)])
     def test_search_matches_pairwise_reference(self, n, k):
@@ -902,7 +929,7 @@ _BUILTIN_MORPHISMS = {
 @given(graph_pairs(max_nodes=5))  # small enough for brute force; signatures often repeat
 def test_refute_never_denies_an_existing_morphism(pair):
     src, dst = pair
-    if _refute(src, dst):
+    if _refute(src, dst) is None:
         assert pairwise_search(src, dst, None) is None
         assert not brute_force_morphism_exists(src, dst)
 
@@ -919,7 +946,7 @@ class TestRefute:
             n = rng.randint(2, 3)
             src = _graph_with_repeated_signatures(rng, n, rng.randint(6, 12), rng.randint(3, 6))
             dst = _graph_with_repeated_signatures(rng, n, rng.randint(4, 10), rng.randint(3, 8))
-            if _refute(src, dst):
+            if _refute(src, dst) is None:
                 assert pairwise_search(src, dst, None) is None
                 refuted += 1
         assert refuted > 50
@@ -961,7 +988,7 @@ class TestRefute:
             n=n, keys=tuple(range(len(signatures))), signatures=signatures, colours=colours
         )
         target = build_decision_graph(builtin_rule(name, n))
-        assert _refute(src.quotient.graph, target.quotient.graph) is True
+        assert _refute(src.quotient.graph, target.quotient.graph) is None
         assert find_morphism(src, target, budget=0) is None
 
 
@@ -1020,12 +1047,98 @@ class TestClosedFormOracleAtScale:
         graph = build_observation_graph(problem)
         for rule in ("conjunctive", "disjunctive"):
             target = build_decision_graph(builtin_rule(rule, 3))
+            found = find_morphism(graph, target, budget=0)
             if closed_form_solvable(labels, in_k, rule):
-                found = find_morphism(graph, target)
+                # A join of the pass's fixpoint maps it, with no search.
                 assert found is not None and verify_morphism(found).ok
             else:
                 # On these two rules the pass before the search is exact.
-                assert find_morphism(graph, target, budget=0) is None
+                assert found is None
+
+
+# The coordinate-wise operations, on sorted tokens, under which each colour
+# class of a builtin decision graph is closed at every n >= 2 (at n = 1 every
+# builtin is closed under both).
+_BUILTIN_JOINS = {
+    "conjunctive": {min},
+    "disjunctive": {max},
+    "cpda": {min},
+    "conjunctive_cd": {min},
+    "const0": {min, max},
+    "const1": {min, max},
+}
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_builtin_colour_classes_are_closed_under_a_join(n):
+    # The property that lets find_morphism read every builtin answer off the
+    # arc-consistency fixpoint; checked on every pair of same-colour nodes.
+    for name, joins in _BUILTIN_JOINS.items():
+        g = build_decision_graph(builtin_rule(name, n))
+        nodes = set(zip(g.signatures, g.colours))
+        closed = {
+            pick
+            for pick in (min, max)
+            if all(
+                (tuple(map(pick, u, v)), colour) in nodes
+                for u, colour in nodes
+                for v, other in nodes
+                if colour == other
+            )
+        }
+        assert closed == (joins if n > 1 else {min, max}), name
+
+
+class TestNoBuiltinTargetReachesTheSearch:
+    """With ``_search`` replaced by one that fails, find_morphism still
+    answers every query into a builtin target: the pass refutes each
+    negative, and a join of its fixpoint maps each positive."""
+
+    @pytest.fixture(autouse=True)
+    def no_search(self, monkeypatch):
+        def search(src, dst, budget):
+            raise AssertionError("a builtin target reached the search")
+
+        monkeypatch.setattr("decobs.morphism._search", search)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_builtin_pairs(self, n):
+        graphs = [build_decision_graph(builtin_rule(name, n)) for name in BUILTIN_RULES]
+        found = {True: 0, False: 0}
+        for src, dst in itertools.product(graphs, repeat=2):
+            witness = find_morphism(src, dst)
+            assert (witness is None) == (pairwise_search(src, dst, None) is None)
+            if witness is not None:
+                assert verify_morphism(witness).ok
+            found[witness is not None] += 1
+        assert found[False] == (17 if n > 1 else 10)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_problems_at_scale(self, seed):
+        # _problem_at_scale's projection problems, with and without one
+        # flipped membership, into each builtin at n = 3.  The reference
+        # search takes exponential time on some negatives from about 70
+        # classes up, so these have about 40 strings;
+        # TestClosedFormOracleAtScale answers larger ones at budget 0.
+        rng = random.Random(seed)
+        targets = [build_decision_graph(builtin_rule(name, 3)) for name in BUILTIN_RULES]
+        found = {True: 0, False: 0}
+        for built_for in ("conjunctive", "disjunctive"):
+            strings, observable, labels, in_k = _problem_at_scale(rng, 40, built_for)
+            flipped = list(in_k)
+            x = rng.randrange(len(strings))
+            flipped[x] = not flipped[x]
+            projections = tuple(Projection(obs) for obs in observable)
+            for members in (in_k, flipped):
+                graph = build_observation_graph(_scale_problem(strings, members, projections))
+                for target in targets:
+                    witness = find_morphism(graph, target, budget=0)
+                    expected = pairwise_search(graph.quotient.graph, target, None)
+                    assert (witness is None) == (expected is None)
+                    if witness is not None:
+                        assert verify_morphism(witness).ok
+                    found[witness is not None] += 1
+        assert min(found.values()) > 0
 
 
 @st.composite
@@ -1071,13 +1184,13 @@ class TestRefuteMatchesNodewiseReference:
     )
     def test_random_pairs(self, pair):
         src, dst = pair
-        assert _refute(src, dst) == nodewise_refute(src, dst)
+        assert (_refute(src, dst) is None) == nodewise_refute(src, dst)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_builtin_pairs(self, n):
         graphs = [build_decision_graph(builtin_rule(name, n)) for name in BUILTIN_RULES]
         verdicts = [
-            (_refute(src, dst), nodewise_refute(src, dst))
+            (_refute(src, dst) is None, nodewise_refute(src, dst))
             for src, dst in itertools.permutations(graphs, 2)
         ]
         assert len(verdicts) == 30
@@ -1111,7 +1224,7 @@ class TestRefuteMatchesNodewiseReference:
                     graph = build_observation_graph(problem).quotient.graph
                     assert len(graph) > 100
                     for target in targets:
-                        verdict = _refute(graph, target)
+                        verdict = _refute(graph, target) is None
                         assert verdict == nodewise_refute(graph, target)
                         refuted[verdict] += 1
         assert min(refuted.values()) > 0
