@@ -114,9 +114,9 @@ def _write(outputs: list[tuple[str | Path, str]]) -> None:
 
 
 def _require_valid(problem: Problem) -> None:
-    report = validate_problem(problem)
-    if not report.ok:
-        for violation in report.violations:
+    violations = validate_problem(problem)
+    if violations:
+        for violation in violations:
             click.echo(f"invalid: {violation}", err=True)
         sys.exit(2)
 
@@ -252,11 +252,11 @@ def main():
 def validate(problem_file):
     """Report every violated invariant of a problem file."""
     problem = files.parse_problem(_read(problem_file))
-    report = validate_problem(problem)
-    if report.ok:
+    violations = validate_problem(problem)
+    if not violations:
         click.echo("valid")
         return
-    for violation in report.violations:
+    for violation in violations:
         click.echo(violation)
     sys.exit(2)
 

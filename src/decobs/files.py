@@ -336,13 +336,15 @@ def _label_from(raw: Any, where: str) -> Any:
 
 
 def solution_to_obj(sol: Solution) -> list:
+    """A JSON array of [label, decision] pairs per table of the tuple ``sol``."""
     return [
         [[_label_to(label), decision] for label, decision in table.items()]
-        for table in sol.tables
+        for table in sol
     ]
 
 
 def parse_solution(obj: Any) -> Solution:
+    """The tuple of per-agent decision tables a solution file holds."""
     _require(
         isinstance(obj, list),
         "a solution file must hold a JSON array with one table per agent",
@@ -363,7 +365,7 @@ def parse_solution(obj: Any) -> Solution:
                 f"tables[{i}]: label {pair[0]!r} has two decisions",
             )
         parsed.append(entries)
-    return Solution(tuple(parsed))
+    return tuple(parsed)
 
 
 def bijection_to_obj(rule: FusionRule, p: ObservationProblem) -> list:

@@ -154,7 +154,8 @@ class Quotient:
     @cached_property
     def classes(self) -> tuple[tuple[int, ...], ...]:
         """The members of each class, in node order; built from ``class_of``
-        on first use."""
+        on first use.  No command reads it, but the benchmark's tracer
+        (``bench/tracing.py``) counts ``len(classes)`` of every quotient."""
         members: list[list[int]] = [[] for _ in self.representatives]
         for v, c in enumerate(self.class_of):
             members[c].append(v)

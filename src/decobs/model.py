@@ -186,21 +186,11 @@ class ControlProblem(_ProblemFields):
 Problem = Union[ObservationProblem, ControlProblem]
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    """List of violated invariants; empty means the problem is well formed."""
+def validate_problem(p: Problem) -> tuple[str, ...]:
+    """The tuple of worded violations of a problem's structural invariants,
+    empty exactly when the problem is well formed.
 
-    violations: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def validate_problem(p: Problem) -> ValidationReport:
-    """Check every structural invariant of a problem and report violations.
-
-    Never raises: a malformed problem yields a non-empty report.  Each check
+    Never raises: a malformed problem yields a non-empty tuple.  Each check
     on L and K first runs as one whole-language test; only a failed test
     walks the strings to word its violations.
     """
@@ -251,7 +241,7 @@ def validate_problem(p: Problem) -> ValidationReport:
                     f"controllable alphabet of agent {i + 1} contains tokens "
                     f"outside the alphabet: {', '.join(stray)}"
                 )
-    return ValidationReport(tuple(v))
+    return tuple(v)
 
 
 def controllability_witness(c: ControlProblem) -> tuple[Str, Token] | None:

@@ -352,20 +352,14 @@ def find_morphism(
     return Morphism(source, target, tuple(map(images.__getitem__, src.class_of)))
 
 
-@dataclass(frozen=True)
-class Solution:
-    """Per-agent decision tables keyed by observation label.
-
-    Treat the tables as read-only; they are exposed as plain dicts for
-    convenient lookups.
-    """
-
-    tables: tuple[dict[Label, Token], ...]
+# Per-agent decision tables keyed by observation label, agent 0 first; read-only by convention.
+Solution = tuple[dict[Label, Token], ...]
 
 
 def extract_solution(m: Morphism, p: ObservationProblem, r: FusionRule) -> Solution:
-    """Read per-agent decision tables off a morphism from the observation
-    graph of ``p`` into the decision graph of ``r``.
+    """Read the tuple of per-agent decision tables, one dict per agent from
+    observation label to decision, off a morphism from the observation graph
+    of ``p`` into the decision graph of ``r``.
 
     One agent column at a time: agent i's table zips column i of the source
     signatures with column i of the image combinations, so its labels keep
@@ -390,11 +384,12 @@ def extract_solution(m: Morphism, p: ObservationProblem, r: FusionRule) -> Solut
             f"agent {i + 1} would decide both {decisions[i][u]!r} and "
             f"{decisions[i][v]!r} on observation {labels[i][v]!r}"
         )
-    return Solution(tuple(map(dict, map(zip, labels, decisions))))
+    return tuple(map(dict, map(zip, labels, decisions)))
 
 
 def verify_solution(p: ObservationProblem, sol: Solution, r: FusionRule) -> bool:
-    """True iff every string's fused decision exists and matches its colour.
+    """True iff the tuple of per-agent decision tables ``sol`` fuses every
+    string's decisions to its colour.
 
     Never reads a graph: each agent's observation function observes all of L
     in one pass, its table turns that column into decisions, and one pass
@@ -404,11 +399,11 @@ def verify_solution(p: ObservationProblem, sol: Solution, r: FusionRule) -> bool
     combination outside the rule's domain) makes this False rather than an
     error: the object simply is not a solution.
     """
-    if len(sol.tables) != p.n or len(p.P) != p.n or r.n != p.n:
+    if len(sol) != p.n or len(p.P) != p.n or r.n != p.n:
         return False
     try:
         columns = _observation_columns(p)
-        decided = [tuple(map(table.__getitem__, col)) for table, col in zip(sol.tables, columns)]
+        decided = [tuple(map(table.__getitem__, col)) for table, col in zip(sol, columns)]
         fused = tuple(map(r._output_of.__getitem__, zip(*decided)))
     except (UnknownString, KeyError):  # a gap in a table, or a combination not allowed
         return False
@@ -431,7 +426,7 @@ def solvable_by_enumeration(
     if budget is not None and count > budget:
         raise SearchLimitExceeded(f"{count} table assignments exceed the budget of {budget}")
     for choice in product(*(product(r.decisions, repeat=len(ls)) for ls in labels)):
-        if verify_solution(p, Solution(tuple(map(dict, map(zip, labels, choice)))), r):
+        if verify_solution(p, tuple(map(dict, map(zip, labels, choice))), r):
             return True
     return False
 

@@ -334,12 +334,12 @@ def rowwise_verify_solution(p, sol, r) -> bool:
     """Whether the tables solve ``p`` under ``r``, string by string: every
     agent has a decision for its observation, the combination is allowed,
     and it fuses to 1 exactly on K."""
-    if len(sol.tables) != p.n or len(p.P) != p.n or r.n != p.n:
+    if len(sol) != p.n or len(p.P) != p.n or r.n != p.n:
         return False
     fused = dict(zip(r.domain, r.outputs))
     for s in p.L:
         combo = []
-        for fn, table in zip(p.P, sol.tables):
+        for fn, table in zip(p.P, sol):
             label = fn.observe(s)
             if label not in table:
                 return False

@@ -12,7 +12,6 @@ from decobs import (
     ObservationProblem,
     ObservationTable,
     Projection,
-    Solution,
     build_decision_graph,
     build_observation_graph,
     builtin_rule,
@@ -285,7 +284,7 @@ class TestMorphismFiles:
 
 class TestSolutionFiles:
     def test_round_trip_with_mixed_labels(self, tmp_path):
-        sol = Solution(({("a",): "0", (): "1"}, {"loud": "1"}))
+        sol = ({("a",): "0", (): "1"}, {"loud": "1"})
         path = tmp_path / "s.json"
         files.dump_json(files.solution_to_obj(sol), path)
         assert files.parse_solution(files.read_json(path)) == sol
@@ -311,7 +310,7 @@ class TestSolutionFiles:
 
     def test_repeated_identical_pairs_are_accepted(self):
         sol = files.parse_solution([[["x", "0"], [["a"], "1"], ["x", "0"]]])
-        assert sol == Solution(({"x": "0", ("a",): "1"},))
+        assert sol == ({"x": "0", ("a",): "1"},)
 
 
 class TestBijectionFiles:
@@ -435,8 +434,8 @@ def _written_shape(shape: str, ex1, gamma_control):
     if shape == "solution":
         m = find_morphism(build_observation_graph(ex1), conj2)
         projected = extract_solution(m, ex1, builtin_rule("conjunctive", 2))
-        assert () in projected.tables[0]  # the empty label, written as []
-        tables = Solution(({("a",): "0", (): "1"}, {"loud": "1", "quiet": "0"}))
+        assert () in projected[0]  # the empty label, written as []
+        tables = ({("a",): "0", (): "1"}, {"loud": "1", "quiet": "0"})
         return files.solution_to_obj(projected) + files.solution_to_obj(tables)
     if shape == "poset":
         return {

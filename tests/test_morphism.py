@@ -19,7 +19,6 @@ from decobs import (
     ObservationTable,
     Projection,
     SearchLimitExceeded,
-    Solution,
     UnknownString,
     build_decision_graph,
     build_observation_graph,
@@ -346,8 +345,8 @@ class TestExtractSolution:
             },
         )
         sol = extract_solution(m, ex1, rule)
-        assert sol.tables[0] == {("a",): "0", (): "1"}
-        assert sol.tables[1] == {(): "0", ("b",): "1", ("b", "b"): "0"}
+        assert sol[0] == {("a",): "0", (): "1"}
+        assert sol[1] == {(): "0", ("b",): "1", ("b", "b"): "0"}
         assert verify_solution(ex1, sol, rule)
 
     def test_single_string_constant_rule(self):
@@ -362,7 +361,7 @@ class TestExtractSolution:
         g = build_observation_graph(p)
         m = find_morphism(g, build_decision_graph(rule))
         sol = extract_solution(m, p, rule)
-        assert sol.tables == ({("a",): "1"}, {(): "1"})
+        assert sol == ({("a",): "1"}, {(): "1"})
 
     def test_merged_class_shares_one_entry(self):
         rule = builtin_rule("conjunctive", 1)
@@ -376,7 +375,7 @@ class TestExtractSolution:
         g = build_observation_graph(p)
         m = find_morphism(g, build_decision_graph(rule))
         sol = extract_solution(m, p, rule)
-        assert sol.tables == ({(): "1"},)
+        assert sol == ({(): "1"},)
 
     def test_inconsistent_map_is_rejected(self, conj_graph):
         rule = builtin_rule("conjunctive", 2)
@@ -444,18 +443,18 @@ class TestVerifySolution:
             {(): "1", ("b",): "1", ("b", "b"): "1"},
         )
         # ("a",) lies outside K yet every agent enables, so fusion gives 1.
-        assert verify_solution(ex1, Solution(tables), rule) is False
+        assert verify_solution(ex1, tables, rule) is False
 
     def test_empty_language_is_vacuously_solved(self):
         rule = builtin_rule("conjunctive", 1)
         p = ObservationProblem(
             n=1, alphabet=("a",), L=(), K=(), P=(Projection(frozenset({"a"})),)
         )
-        assert verify_solution(p, Solution(({},)), rule) is True
+        assert verify_solution(p, ({},), rule) is True
 
     def test_partial_tables_are_not_solutions(self, ex1):
         rule = builtin_rule("conjunctive", 2)
-        assert verify_solution(ex1, Solution(({}, {})), rule) is False
+        assert verify_solution(ex1, ({}, {}), rule) is False
 
     def test_a_string_some_table_lacks_is_not_a_solution(self, ex1):
         rule = builtin_rule("conjunctive", 2)
@@ -472,7 +471,7 @@ class TestVerifySolution:
 
     def test_wrong_agent_count_is_not_a_solution(self, ex1):
         rule = builtin_rule("conjunctive", 2)
-        assert verify_solution(ex1, Solution(({},)), rule) is False
+        assert verify_solution(ex1, ({},), rule) is False
 
     def test_combination_outside_domain_fails(self):
         rule = builtin_rule("cpda", 2)
@@ -484,7 +483,7 @@ class TestVerifySolution:
             P=(Projection(frozenset({"a"})), Projection(frozenset({"a"}))),
         )
         tables = ({("a",): "0"}, {("a",): "1"})
-        assert verify_solution(p, Solution(tables), rule) is False
+        assert verify_solution(p, tables, rule) is False
 
 
 class TestSolvableByEnumeration:
@@ -572,7 +571,7 @@ def _first_solution_by_enumeration(p, rule):
         for labels in labels_per_agent:
             tables.append(dict(zip(labels, assignment[pos : pos + len(labels)])))
             pos += len(labels)
-        candidate = Solution(tuple(tables))
+        candidate = tuple(tables)
         if verify_solution(p, candidate, rule):
             return candidate
     return None
@@ -583,7 +582,7 @@ def _induced_morphism(p, sol, rule):
     target = build_decision_graph(rule)
     mapping = tuple(
         target.keys.index(
-            tuple(sol.tables[i][graph.signatures[v][i]] for i in range(p.n))
+            tuple(sol[i][graph.signatures[v][i]] for i in range(p.n))
         )
         for v in range(len(graph))
     )
@@ -1028,6 +1027,28 @@ def _scale_problem(strings, in_k, observations) -> ObservationProblem:
     )
 
 
+def _problems_at_1000_strings(seed):
+    """Projection problems from _problem_at_scale, with and without one
+    flipped membership, and table problems over the same strings whose
+    tables merge each agent's projection labels at random."""
+    rng = random.Random(seed)
+    for built_for in ("conjunctive", "disjunctive"):
+        strings, observable, labels, in_k = _problem_at_scale(rng, 1000, built_for)
+        flipped = list(in_k)
+        x = rng.randrange(len(strings))
+        flipped[x] = not flipped[x]
+        merged = []
+        for i in range(3):
+            column = sorted({labs[i] for labs in labels})
+            merge = {label: rng.randrange(max(1, len(column) * 3 // 4)) for label in column}
+            entries = tuple((s, f"m{merge[labs[i]]}") for s, labs in zip(strings, labels))
+            merged.append(ObservationTable(entries))
+        projections = tuple(Projection(obs) for obs in observable)
+        for members in (in_k, flipped):
+            for observations in (projections, merged):
+                yield _scale_problem(strings, members, observations)
+
+
 class TestClosedFormOracleAtScale:
     @settings(max_examples=10, deadline=None)
     @given(
@@ -1140,6 +1161,24 @@ class TestNoBuiltinTargetReachesTheSearch:
                     found[witness is not None] += 1
         assert min(found.values()) > 0
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_problems_at_1000_strings(self, seed):
+        # The inputs of TestRefuteMatchesNodewiseReference's problems at
+        # scale.  Arc consistency decides every query into a builtin target,
+        # so the node-wise AC-3 is a complete reference where the pairwise
+        # search would take exponential time.
+        targets = [build_decision_graph(builtin_rule(name, 3)) for name in BUILTIN_RULES]
+        found = {True: 0, False: 0}
+        for problem in _problems_at_1000_strings(seed):
+            graph = build_observation_graph(problem)
+            for target in targets:
+                witness = find_morphism(graph, target, budget=0)
+                assert (witness is None) == nodewise_refute(graph.quotient.graph, target)
+                if witness is not None:
+                    assert verify_morphism(witness).ok
+                found[witness is not None] += 1
+        assert min(found.values()) > 0
+
 
 @st.composite
 def repeated_signature_pairs(draw):
@@ -1200,31 +1239,13 @@ class TestRefuteMatchesNodewiseReference:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_problems_at_scale(self, seed):
-        # Projection problems from _problem_at_scale, with and without one
-        # flipped membership, and table problems over the same strings whose
-        # tables merge each agent's projection labels at random.
-        rng = random.Random(seed)
         targets = [build_decision_graph(builtin_rule(name, 3)) for name in BUILTIN_RULES]
         refuted = {True: 0, False: 0}
-        for built_for in ("conjunctive", "disjunctive"):
-            strings, observable, labels, in_k = _problem_at_scale(rng, 1000, built_for)
-            flipped = list(in_k)
-            x = rng.randrange(len(strings))
-            flipped[x] = not flipped[x]
-            merged = []
-            for i in range(3):
-                column = sorted({labs[i] for labs in labels})
-                merge = {label: rng.randrange(max(1, len(column) * 3 // 4)) for label in column}
-                entries = tuple((s, f"m{merge[labs[i]]}") for s, labs in zip(strings, labels))
-                merged.append(ObservationTable(entries))
-            projections = tuple(Projection(obs) for obs in observable)
-            for members in (in_k, flipped):
-                for observations in (projections, merged):
-                    problem = _scale_problem(strings, members, observations)
-                    graph = build_observation_graph(problem).quotient.graph
-                    assert len(graph) > 100
-                    for target in targets:
-                        verdict = _refute(graph, target) is None
-                        assert verdict == nodewise_refute(graph, target)
-                        refuted[verdict] += 1
+        for problem in _problems_at_1000_strings(seed):
+            graph = build_observation_graph(problem).quotient.graph
+            assert len(graph) > 100
+            for target in targets:
+                verdict = _refute(graph, target) is None
+                assert verdict == nodewise_refute(graph, target)
+                refuted[verdict] += 1
         assert min(refuted.values()) > 0

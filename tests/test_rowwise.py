@@ -18,7 +18,6 @@ from decobs import (
     ObservationProblem,
     ObservationTable,
     Projection,
-    Solution,
     build_decision_graph,
     build_observation_graph,
     builtin_rule,
@@ -118,7 +117,7 @@ class TestExtractSolution:
             with pytest.raises(InconsistentMorphism, match=f"^{re.escape(expected)}$"):
                 extract_solution(m, p, rule)
         else:
-            assert _items(extract_solution(m, p, rule).tables) == _items(expected)
+            assert _items(extract_solution(m, p, rule)) == _items(expected)
 
     @given(problems(), st.sampled_from(BUILTIN_RULES))
     def test_found_morphism(self, p, name):
@@ -126,7 +125,7 @@ class TestExtractSolution:
         g = build_observation_graph(p)
         found = find_morphism(g, build_decision_graph(rule))
         assume(found is not None)
-        assert _items(extract_solution(found, p, rule).tables) == _items(rowwise_tables(found))
+        assert _items(extract_solution(found, p, rule)) == _items(rowwise_tables(found))
 
 
 class TestVerifyMorphism:
@@ -158,7 +157,7 @@ class TestVerifySolution:
                     if data.draw(st.integers(0, 9))  # about one label in ten left out
                 }
             )
-        sol = Solution(tuple(tables))
+        sol = tuple(tables)
         assert verify_solution(p, sol, rule) == rowwise_verify_solution(p, sol, rule)
 
     @given(problems(), st.sampled_from(BUILTIN_RULES), st.booleans())
@@ -166,10 +165,10 @@ class TestVerifySolution:
         solved = _solved(p, name)
         assume(solved is not None)
         rule, sol = solved
-        tables = sol.tables + ({},) if extra else sol.tables[:-1]
+        tables = sol + ({},) if extra else sol[:-1]
         assert verify_solution(p, sol, rule)
-        assert not verify_solution(p, Solution(tables), rule)
-        assert not rowwise_verify_solution(p, Solution(tables), rule)
+        assert not verify_solution(p, tables, rule)
+        assert not rowwise_verify_solution(p, tables, rule)
 
     @given(problems(), st.sampled_from(BUILTIN_RULES), st.data())
     def test_missing_table_entry(self, p, name, data):
@@ -177,11 +176,11 @@ class TestVerifySolution:
         assume(solved is not None and p.L)
         rule, sol = solved
         i = data.draw(st.integers(0, p.n - 1))
-        label = data.draw(st.sampled_from(list(sol.tables[i])))
-        tables = list(sol.tables)
+        label = data.draw(st.sampled_from(list(sol[i])))
+        tables = list(sol)
         tables[i] = {k: d for k, d in tables[i].items() if k != label}
-        assert not verify_solution(p, Solution(tuple(tables)), rule)
-        assert not rowwise_verify_solution(p, Solution(tuple(tables)), rule)
+        assert not verify_solution(p, tuple(tables), rule)
+        assert not rowwise_verify_solution(p, tuple(tables), rule)
 
     @pytest.mark.parametrize(
         "defect, names",
@@ -204,7 +203,7 @@ class TestVerifySolution:
         fused = dict(zip(rule.domain, rule.outputs))
 
         def changed(i, label, decision):
-            tables = list(sol.tables)
+            tables = list(sol)
             tables[i] = {**tables[i], label: decision}
             return tables
 
@@ -212,7 +211,7 @@ class TestVerifySolution:
             return [tuple(t[l] for t, l in zip(tables, sig)) for sig in signatures]
 
         candidates = []
-        for i, table in enumerate(sol.tables):
+        for i, table in enumerate(sol):
             for label, old in table.items():
                 for decision in rule.decisions:
                     if decision == old:
@@ -225,6 +224,6 @@ class TestVerifySolution:
                     if (outside, wrong) == (defect == "outside the domain", defect != "outside the domain"):
                         candidates.append((i, label, decision))
         assume(candidates)
-        broken = Solution(tuple(changed(*data.draw(st.sampled_from(candidates)))))
+        broken = tuple(changed(*data.draw(st.sampled_from(candidates))))
         assert not verify_solution(p, broken, rule)
         assert not rowwise_verify_solution(p, broken, rule)
