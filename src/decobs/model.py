@@ -144,17 +144,11 @@ def _observation_columns(p: ObservationProblem) -> list[tuple[Label, ...]]:
     """Per agent, its observation of every string of L, in one pass each:
     the one place a problem's labels are read.
 
-    A table that lacks a string of L raises UnknownString naming the first
-    such string of L, whichever agent's table lacks it: builders (the graph,
+    The first table, in agent order, that lacks a string of L raises
+    UnknownString naming its first missing string: builders (the graph,
     the enumeration) raise it on, checkers (``verify_solution``,
     ``verify_d2o``) answer False instead."""
-    try:
-        return [fn._observe_all(p.L) for fn in p.P]
-    except UnknownString:
-        for s in p.L:  # raises at the first string some table lacks
-            for fn in p.P:
-                fn.observe(s)
-        raise
+    return [fn._observe_all(p.L) for fn in p.P]
 
 
 @dataclass(frozen=True)
@@ -216,7 +210,11 @@ def validate_problem(p: Problem) -> tuple[str, ...]:
         outside = [s for s in p.K if s not in p.L_set]
         v.append("K is not a subset of L: " + ", ".join(format_str(s) for s in outside))
     for i, fn in enumerate(p.P):
-        if isinstance(fn, ObservationTable):
+        if isinstance(fn, Projection):
+            stray = sorted(fn.observable - p.alphabet_set)
+            if stray:
+                v.append(f"P_{i + 1} observes tokens outside the alphabet: {', '.join(stray)}")
+        elif isinstance(fn, ObservationTable):
             lookup = fn._lookup
             if not lookup.keys() >= p.L_set:
                 absent = [s for s in p.L if s not in lookup]

@@ -95,6 +95,24 @@ class TestValidate:
         assert result.exit_code == 2
         assert "invalid: P_1 table maps a to two labels" in result.output
 
+    def test_projection_observing_tokens_outside_the_alphabet_exits_2(self, runner, tmp_path):
+        path = tmp_path / "stray.json"
+        obj = {
+            "type": "observation",
+            "agents": 1,
+            "alphabet": ["a"],
+            "L": [["a"]],
+            "K": [["a"]],
+            "observations": [{"kind": "projection", "observable": ["a", "z"]}],
+        }
+        files.dump_json(obj, path)
+        result = runner.invoke(main, ["validate", str(path)])
+        assert result.exit_code == 2
+        assert result.output == "P_1 observes tokens outside the alphabet: z\n"
+        result = runner.invoke(main, ["check", str(path), "--rule", "conjunctive:1"])
+        assert result.exit_code == 2
+        assert "invalid: P_1 observes tokens outside the alphabet: z" in result.output
+
     def test_malformed_file(self, runner, tmp_path):
         path = tmp_path / "junk.json"
         path.write_text("{{{{")

@@ -19,6 +19,7 @@ from decobs import (
     decision_graph_to_observation,
     export_dot,
     quotient_by_indistinguishability,
+    solvable_by_enumeration,
     verify_d2o,
 )
 from decobs import files
@@ -76,8 +77,9 @@ class TestObservationGraph:
 
     @pytest.mark.parametrize("order", ["agent-1-first", "agent-2-first"])
     def test_partial_tables_name_the_first_missing_string_of_l(self, order):
-        """Without validation, a partial table raises UnknownString for the
-        first string of L that some table lacks, whichever agent's it is."""
+        """Without validation, the first table in agent order that lacks a
+        string of L raises UnknownString naming its first missing string,
+        and the graph build and the enumeration name the same one."""
         lacks_c = ObservationTable(((("a",), "x"), (("b",), "y")))
         lacks_b = ObservationTable(((("a",), "u"), (("c",), "w")))
         p = ObservationProblem(
@@ -87,8 +89,11 @@ class TestObservationGraph:
             K=(),
             P=(lacks_c, lacks_b) if order == "agent-1-first" else (lacks_b, lacks_c),
         )
-        with pytest.raises(UnknownString, match="^no observation recorded for b$"):
+        missing = "c" if order == "agent-1-first" else "b"
+        with pytest.raises(UnknownString, match=f"^no observation recorded for {missing}$"):
             build_observation_graph(p)
+        with pytest.raises(UnknownString, match=f"^no observation recorded for {missing}$"):
+            solvable_by_enumeration(p, builtin_rule("conjunctive", 2))
 
 
 class TestDecisionGraph:

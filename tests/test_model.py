@@ -157,6 +157,27 @@ class TestValidate:
         )
         assert validate_problem(p) == ()
 
+    def test_projection_observing_tokens_outside_the_alphabet(self):
+        p = ObservationProblem(
+            n=2,
+            alphabet=("a",),
+            L=(("a",),),
+            K=(),
+            P=(Projection(frozenset({"z", "a", "y"})), Projection(frozenset({"a"}))),
+        )
+        assert validate_problem(p) == ("P_1 observes tokens outside the alphabet: y, z",)
+
+    def test_control_projection_observing_tokens_outside_the_alphabet(self, gamma_control):
+        bad = ControlProblem(
+            n=2,
+            alphabet=gamma_control.alphabet,
+            controllable=gamma_control.controllable,
+            L=gamma_control.L,
+            K=gamma_control.K,
+            P=(gamma_control.P[0], Projection(frozenset({"b", "x"}))),
+        )
+        assert validate_problem(bad) == ("P_2 observes tokens outside the alphabet: x",)
+
     def test_out_of_alphabet_tokens(self, ex1):
         p = ObservationProblem(n=2, alphabet=("a",), L=ex1.L, K=ex1.K, P=ex1.P)
         violations = validate_problem(p)

@@ -514,18 +514,25 @@ class TestSolvableByEnumeration:
         with pytest.raises(ArityMismatch):
             solvable_by_enumeration(ex1, builtin_rule("conjunctive", 3))
 
-    def test_a_partial_table_names_the_first_string_of_l(self, ex1):
-        """Agent 2's table lacks an earlier string of L than agent 1's, so
-        the error names agent 2's gap, as the graph build does."""
+    @pytest.mark.parametrize("order", ["agent-1-first", "agent-2-first"])
+    def test_a_partial_table_names_the_first_string_of_l(self, ex1, order):
+        """One table lacks the string a b, the other the earlier string b:
+        in either agent order the error names the first partial table's
+        missing string, as the graph build does."""
 
         def table_without(gone, fn):
             return ObservationTable(tuple((s, fn.observe(s)) for s in ex1.L if s != gone))
 
+        lacks_ab = table_without(("a", "b"), ex1.P[0])
+        lacks_b = table_without(("b",), ex1.P[1])
         p = dataclasses.replace(
-            ex1, P=(table_without(("a", "b"), ex1.P[0]), table_without(("b",), ex1.P[1]))
+            ex1, P=(lacks_ab, lacks_b) if order == "agent-1-first" else (lacks_b, lacks_ab)
         )
-        with pytest.raises(UnknownString, match="^no observation recorded for b$"):
+        missing = "a b" if order == "agent-1-first" else "b"
+        with pytest.raises(UnknownString, match=f"^no observation recorded for {missing}$"):
             solvable_by_enumeration(p, builtin_rule("conjunctive", 2))
+        with pytest.raises(UnknownString, match=f"^no observation recorded for {missing}$"):
+            build_observation_graph(p)
 
 
 class TestCompose:

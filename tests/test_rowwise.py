@@ -102,6 +102,34 @@ class TestGraphAndQuotient:
         assert q.graph.keys == tuple(g.keys[members[0]] for members in classes)
 
 
+def _assert_label_indexes(g) -> None:
+    """A graph's label buckets, label masks and colour masks against a
+    restatement of their definitions, one node at a time."""
+    nodes = range(len(g))
+    for i, (buckets, masks) in enumerate(zip(g.label_buckets, g.label_masks)):
+        labels = list(dict.fromkeys(sig[i] for sig in g.signatures))
+        assert list(buckets) == labels
+        assert list(masks) == labels
+        for label in labels:
+            carriers = [v for v in nodes if g.signatures[v][i] == label]
+            assert buckets[label] == carriers
+            assert masks[label] == sum(2**v for v in carriers)
+    zeros, ones = g.colour_masks
+    assert zeros == sum(2**v for v in nodes if g.colours[v] == 0)
+    assert ones == sum(2**v for v in nodes if g.colours[v] == 1)
+
+
+class TestLabelIndexes:
+    @given(problems(max_strings=12))
+    def test_observation_graphs(self, p):
+        _assert_label_indexes(build_observation_graph(p))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("name", BUILTIN_RULES)
+    def test_decision_graphs(self, name, n):
+        _assert_label_indexes(build_decision_graph(builtin_rule(name, n)))
+
+
 class TestExtractSolution:
     @given(problems(), st.sampled_from(BUILTIN_RULES), st.data())
     def test_any_node_map(self, p, name, data):
