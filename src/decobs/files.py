@@ -34,10 +34,6 @@ RULE_TYPE = "fusion_rule"
 _RULE_FIELDS = {"type", "agents", "decisions", "domain", "output"}
 
 
-def dump_json(obj: Any, path: str | Path) -> None:
-    Path(path).write_text(to_json(obj), encoding="utf-8")
-
-
 def to_json(obj: Any) -> str:
     """The JSON text json.dumps gives ``obj`` with an indent of 2 and
     non-ASCII characters kept, byte for byte, plus a final newline.  Object
@@ -54,7 +50,6 @@ def to_json(obj: Any) -> str:
 
 
 _encode_str = json.encoder.encode_basestring  # ensure_ascii=False string escaping
-_SCALAR_TYPES = {int, float, bool, type(None)}
 
 
 def _value(v: Any, level: int) -> str:
@@ -91,8 +86,6 @@ def _column(values: list | tuple, level: int) -> list[str]:
     kinds = set(map(type, values))
     if kinds == {str}:
         return list(map(_encode_str, values))
-    if kinds <= _SCALAR_TYPES:
-        return list(map(json.dumps, values))
     if not kinds <= {list, tuple}:
         return [_value(v, level) for v in values]
     distinct = dict(zip(map(id, values), values))

@@ -3,9 +3,16 @@
 import functools
 import itertools
 import random
+from pathlib import Path
 
 from decobs import ColoredGraph, FusionRule, SearchLimitExceeded
+from decobs.files import to_json
 from decobs.model import _clashes
+
+
+def dump_json(obj, path) -> None:
+    """Write ``obj`` to ``path`` as the CLI writes its JSON files."""
+    Path(path).write_text(to_json(obj), encoding="utf-8")
 
 
 def random_colored_graph(

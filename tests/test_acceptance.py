@@ -31,7 +31,7 @@ from decobs import (
 )
 from decobs import files
 from decobs.cli import main
-from helpers import random_colored_graph
+from helpers import dump_json, random_colored_graph
 
 
 @contextmanager
@@ -64,7 +64,7 @@ def test_criterion_1_example_solvable_with_verified_witness(tmp_path):
         problem = _example_problem()
         problem_path = tmp_path / "example.json"
         witness_path = tmp_path / "witness.json"
-        files.dump_json(files.problem_to_obj(problem), problem_path)
+        dump_json(files.problem_to_obj(problem), problem_path)
         result = CliRunner().invoke(
             main,
             ["check", str(problem_path), "--rule", "conjunctive:2", "--witness", str(witness_path)],

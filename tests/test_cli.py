@@ -30,6 +30,7 @@ from decobs import (
 )
 from decobs import files
 from decobs.cli import main
+from helpers import dump_json
 
 
 @pytest.fixture
@@ -40,14 +41,14 @@ def runner():
 @pytest.fixture
 def ex1_file(ex1, tmp_path):
     path = tmp_path / "ex1.json"
-    files.dump_json(files.problem_to_obj(ex1), path)
+    dump_json(files.problem_to_obj(ex1), path)
     return path
 
 
 @pytest.fixture
 def control_file(gamma_control, tmp_path):
     path = tmp_path / "control.json"
-    files.dump_json(files.problem_to_obj(gamma_control), path)
+    dump_json(files.problem_to_obj(gamma_control), path)
     return path
 
 
@@ -67,7 +68,7 @@ class TestValidate:
             "K": [["c"]],
             "observations": [{"kind": "projection", "observable": ["a"]}],
         }
-        files.dump_json(obj, path)
+        dump_json(obj, path)
         result = runner.invoke(main, ["validate", str(path)])
         assert result.exit_code == 2
         assert "K is not a subset of L" in result.output
@@ -87,7 +88,7 @@ class TestValidate:
                 {"kind": "projection", "observable": []},
             ],
         }
-        files.dump_json(obj, path)
+        dump_json(obj, path)
         result = runner.invoke(main, ["validate", str(path)])
         assert result.exit_code == 2
         assert result.output == "P_1 table maps a to two labels\n"
@@ -105,7 +106,7 @@ class TestValidate:
             "K": [["a"]],
             "observations": [{"kind": "projection", "observable": ["a", "z"]}],
         }
-        files.dump_json(obj, path)
+        dump_json(obj, path)
         result = runner.invoke(main, ["validate", str(path)])
         assert result.exit_code == 2
         assert result.output == "P_1 observes tokens outside the alphabet: z\n"
@@ -142,7 +143,7 @@ class TestReduce:
             gamma_control, controllable=(frozenset(), frozenset()), K=gamma_control.L
         )
         path = tmp_path / "c.json"
-        files.dump_json(files.problem_to_obj(quiet), path)
+        dump_json(files.problem_to_obj(quiet), path)
         outdir = tmp_path / "out"
         result = runner.invoke(main, ["reduce", str(path), "-o", str(outdir)])
         assert result.exit_code == 0
@@ -158,7 +159,7 @@ class TestReduce:
             K=((), ("a",), ("a", "γ")),
         )
         path = tmp_path / "c.json"
-        files.dump_json(files.problem_to_obj(broken), path)
+        dump_json(files.problem_to_obj(broken), path)
         outdir = tmp_path / "out"
         result = runner.invoke(main, ["reduce", str(path), "-o", str(outdir)])
         assert result.exit_code == 1
@@ -183,7 +184,7 @@ class TestReduce:
             P=(Projection(frozenset({"é", "u00e9"})),),
         )
         path = tmp_path / "c.json"
-        files.dump_json(files.problem_to_obj(control), path)
+        dump_json(files.problem_to_obj(control), path)
         outdir = tmp_path / "out"
         result = runner.invoke(main, ["reduce", str(path), "-o", str(outdir)])
         assert result.exit_code == 0, result.output
@@ -257,7 +258,7 @@ class TestCheckAndSolve:
         # The arc-consistency pass refutes it under every builtin rule, so no
         # budget is needed.
         path = tmp_path / "conflict.json"
-        files.dump_json(_CONFLICT, path)
+        dump_json(_CONFLICT, path)
         result = runner.invoke(main, ["check", str(path), "--rule", f"{name}:2", "--budget", "0"])
         assert result.exit_code == 1
         assert result.output == "UNSOLVABLE\n"
@@ -267,8 +268,8 @@ class TestCheckAndSolve:
         # XNOR's two colours use the same coordinates, so no label alone
         # refutes it; the whole-signature check does, before the search.
         path, rule = tmp_path / "conflict.json", tmp_path / "xnor.json"
-        files.dump_json(_CONFLICT, path)
-        files.dump_json(_XNOR, rule)
+        dump_json(_CONFLICT, path)
+        dump_json(_XNOR, rule)
         args = ["check", str(path), "--rule", str(rule)]
         result = runner.invoke(main, args + (["--budget", budget] if budget else []))
         assert result.exit_code == 1, result.output
@@ -279,7 +280,7 @@ class TestCheckAndSolve:
         # no search at all, so only a rule file such as XNOR can exceed a
         # budget; ex1 under XNOR is solvable and needs 4 expansions.
         rule = tmp_path / "xnor.json"
-        files.dump_json(_XNOR, rule)
+        dump_json(_XNOR, rule)
         args = ["check", str(ex1_file), "--rule", str(rule)]
         assert runner.invoke(main, args + ["--budget", "1"]).exit_code == 3
         assert runner.invoke(main, args + ["--budget", "4"]).exit_code == 0
@@ -296,7 +297,7 @@ class TestCheckAndSolve:
 
     def test_rule_file_selector(self, runner, ex1_file, tmp_path):
         rule_path = tmp_path / "conj.json"
-        files.dump_json(files.rule_to_obj(builtin_rule("conjunctive", 2)), rule_path)
+        dump_json(files.rule_to_obj(builtin_rule("conjunctive", 2)), rule_path)
         result = runner.invoke(main, ["check", str(ex1_file), "--rule", str(rule_path)])
         assert result.exit_code == 0
 
@@ -374,7 +375,7 @@ class TestCheckAndSolve:
             "observations": [{"kind": "projection", "observable": list(p)} for p in tokens],
         }
         problem = tmp_path / "deep.json"
-        files.dump_json(obj, problem)
+        dump_json(obj, problem)
         assert len(set(map(tuple, strings))) == 1250
         solution = tmp_path / "deep.sol.json"
         result = runner.invoke(
@@ -497,7 +498,7 @@ class TestCompareCommand:
     )
     def test_malformed_rule_file_exits_2(self, runner, tmp_path, fields, message):
         path = tmp_path / "rule.json"
-        files.dump_json({**files.rule_to_obj(builtin_rule("conjunctive", 2)), **fields}, path)
+        dump_json({**files.rule_to_obj(builtin_rule("conjunctive", 2)), **fields}, path)
         result = runner.invoke(main, ["compare", str(path), "conjunctive:2"])
         assert result.exit_code == 2
         assert f"error: {message}" in result.output
@@ -563,7 +564,7 @@ class TestArityBeforeBuild:
     )
     def test_rule_commands(self, runner, tmp_path, args, message):
         rule = tmp_path / "conj.json"
-        files.dump_json(files.rule_to_obj(builtin_rule("conjunctive", 2)), rule)
+        dump_json(files.rule_to_obj(builtin_rule("conjunctive", 2)), rule)
         result = runner.invoke(main, [a.format(rule=rule) for a in args])
         assert result.exit_code == 2, result.output
         assert result.output == f"error: all rules must share one agent count: {message}\n"
@@ -606,6 +607,68 @@ class TestD2O:
         assert len(problem.L) == 6
 
 
+# A valid rule that allows no combination: its decision graph has no nodes.
+_NONE = {"type": "fusion_rule", "agents": 1, "decisions": ["0", "1"], "domain": [], "output": []}
+
+
+class TestEmptyDomainRule:
+    @pytest.fixture
+    def none_file(self, tmp_path):
+        path = tmp_path / "none.json"
+        dump_json(_NONE, path)
+        return path
+
+    def _problem(self, tmp_path, strings) -> Path:
+        path = tmp_path / "p.json"
+        dump_json(
+            {
+                "type": "observation",
+                "agents": 1,
+                "alphabet": ["a"],
+                "L": strings,
+                "K": strings,
+                "observations": [{"kind": "projection", "observable": ["a"]}],
+            },
+            path,
+        )
+        return path
+
+    def test_compare_writes_only_the_forward_witness(self, runner, none_file, tmp_path):
+        prefix = tmp_path / "p"
+        result = runner.invoke(
+            main, ["compare", str(none_file), "conjunctive:1", "--witness", str(prefix)]
+        )
+        assert result.exit_code == 0, result.output
+        assert result.output.splitlines()[0] == "second strictly more permissive"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["none.json", "p_fwd.json"]
+        assert json.loads((tmp_path / "p_fwd.json").read_text()) == []
+
+    def test_poset_puts_it_below_const0(self, runner, none_file):
+        result = runner.invoke(main, ["poset", str(none_file), "conjunctive:1", "const0:1"])
+        assert result.exit_code == 0, result.output
+        assert "{none} < {const0:1}" in result.output.splitlines()
+
+    def test_check_solves_only_the_empty_language(self, runner, none_file, tmp_path):
+        witness = tmp_path / "w.json"
+        empty = self._problem(tmp_path, [])
+        result = runner.invoke(
+            main, ["check", str(empty), "--rule", str(none_file), "--witness", str(witness)]
+        )
+        assert result.exit_code == 0, result.output
+        assert json.loads(witness.read_text()) == []
+        one = self._problem(tmp_path, [["a"]])
+        result = runner.invoke(main, ["check", str(one), "--rule", str(none_file)])
+        assert result.exit_code == 1, result.output
+
+    def test_d2o_writes_a_valid_problem(self, runner, none_file, tmp_path):
+        prefix = tmp_path / "dn"
+        result = runner.invoke(main, ["d2o", str(none_file), "-o", str(prefix)])
+        assert result.exit_code == 0, result.output
+        result = runner.invoke(main, ["validate", f"{prefix}.problem.json"])
+        assert result.exit_code == 0, result.output
+        assert result.output == "valid\n"
+
+
 class TestGraphCommand:
     def test_dot_to_stdout(self, runner):
         result = runner.invoke(main, ["graph", "conjunctive:2"])
@@ -646,7 +709,7 @@ class TestGraphCommand:
     )
     def test_boolean_agent_count_is_rejected(self, runner, tmp_path, obj):
         path = tmp_path / "bool.json"
-        files.dump_json(obj, path)
+        dump_json(obj, path)
         result = runner.invoke(main, ["graph", str(path)])
         assert result.exit_code == 2
         assert "'agents' must be an integer" in result.output
@@ -691,7 +754,7 @@ def arguments(ex1, gamma_control, tmp_path):
     paths = {"selector": "conjunctive:2", "missing": str(tmp_path / "missing.json"), "dir": str(tmp_path)}
     for kind, doc in documents.items():
         paths[kind] = str(tmp_path / f"{kind}.json")
-        files.dump_json(doc, paths[kind])
+        dump_json(doc, paths[kind])
     return paths
 
 
@@ -911,7 +974,7 @@ class TestExitCodes:
 
     def test_ambiguous_witness_keys_exit_2_and_write_nothing(self, runner, tmp_path):
         problem = tmp_path / "amb.json"
-        files.dump_json(_ambiguous_problem(), problem)
+        dump_json(_ambiguous_problem(), problem)
         witness = tmp_path / "w.json"
         result = runner.invoke(
             main, ["check", str(problem), "--rule", "conjunctive:1", "--witness", str(witness)]
@@ -949,7 +1012,7 @@ class TestExitCodes:
 
     def test_ambiguous_witness_keys_on_solve_write_no_solution(self, runner, tmp_path):
         problem = tmp_path / "amb.json"
-        files.dump_json(_ambiguous_problem(), problem)
+        dump_json(_ambiguous_problem(), problem)
         solution, witness = tmp_path / "s.json", tmp_path / "w.json"
         result = runner.invoke(
             main,
@@ -1094,7 +1157,7 @@ class TestExitCodes:
         """XNOR over two agents, where only the search refutes the problem
         (see test_morphism)."""
         rule, problem = tmp_path / "xnor.json", tmp_path / "cycle.json"
-        files.dump_json(
+        dump_json(
             {
                 "type": "fusion_rule",
                 "agents": 2,
@@ -1105,7 +1168,7 @@ class TestExitCodes:
             rule,
         )
         strings = [[f"s{k}"] for k in range(4)]
-        files.dump_json(
+        dump_json(
             {
                 "type": "observation",
                 "agents": 2,
@@ -1165,7 +1228,7 @@ class TestExitCodes:
             [[["a"], "1"], [["a"], "0"], [[], "1"]],
             [[[], "0"], [["b"], "1"], [["b", "b"], "0"]],
         ]
-        files.dump_json(tables, solution)
+        dump_json(tables, solution)
         result = runner.invoke(
             main, ["verify-solution", str(ex1_file), str(solution), "--rule", "conjunctive:2"]
         )
@@ -1175,7 +1238,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("label", [{"x": 1}, [["b"]]], ids=["object", "nested-array"])
     def test_malformed_solution_label_exits_2(self, runner, ex1_file, tmp_path, label):
         solution = tmp_path / "sol.json"
-        files.dump_json([[[label, "0"]], [[["b"], "1"]]], solution)
+        dump_json([[[label, "0"]], [[["b"], "1"]]], solution)
         result = runner.invoke(
             main, ["verify-solution", str(ex1_file), str(solution), "--rule", "conjunctive:2"]
         )
@@ -1186,7 +1249,7 @@ class TestExitCodes:
         rule = files.rule_to_obj(builtin_rule("conjunctive", 1))
         rule["output"] = [False, True]
         path = tmp_path / "bool.json"
-        files.dump_json(rule, path)
+        dump_json(rule, path)
         result = runner.invoke(main, ["graph", str(path)])
         assert result.exit_code == 2
         assert "'output' must be an array of 0/1" in result.output
@@ -1241,7 +1304,7 @@ class TestCollectorPause:
         if code == 4:  # the witness fails its self-check
             monkeypatch.setattr("decobs.cli.verify_morphism", lambda m: MorphismReport((0,), ()))
         xnor = tmp_path / "xnor.json"  # a rule file keeps the search, and so --budget, in play
-        files.dump_json(_XNOR, xnor)
+        dump_json(_XNOR, xnor)
         (gc.enable if enabled else gc.disable)()
         try:
             result = runner.invoke(main, [a.format(problem=ex1_file, xnor=xnor) for a in args])
@@ -1348,7 +1411,7 @@ class TestMutatedInputs:
         paths = {}
         for name, doc in _base_documents().items():
             paths[name] = tmp_path / f"{name}.json"
-            files.dump_json(doc, paths[name])
+            dump_json(doc, paths[name])
         result = runner.invoke(
             main,
             ["verify-solution", str(paths["problem"]), str(paths["solution"]), "--rule", str(paths["rule"])],
@@ -1367,7 +1430,7 @@ class TestMutatedInputs:
             if data.draw(st.booleans(), label=f"mutate {name}"):
                 doc = data.draw(_mutated(doc), label=name)
             paths[name] = tmp_path / f"{name}.json"
-            files.dump_json(doc, paths[name])
+            dump_json(doc, paths[name])
         problem, rule, solution = (str(paths[k]) for k in ("problem", "rule", "solution"))
         for args in (
             ["validate", problem],

@@ -312,7 +312,7 @@ def small_rules(draw):
     decisions = tuple(draw(st.sampled_from([("0", "1"), ("0", "1", "x")])))
     combos = list(itertools.product(decisions, repeat=n))
     chosen = draw(
-        st.lists(st.sampled_from(combos), min_size=1, max_size=len(combos), unique=True)
+        st.lists(st.sampled_from(combos), min_size=0, max_size=len(combos), unique=True)
     )
     outputs = tuple(draw(st.integers(min_value=0, max_value=1)) for _ in chosen)
     return FusionRule(n, decisions, tuple(chosen), outputs)
@@ -326,3 +326,12 @@ def test_random_rules_mirror_and_reflexivity(first, second):
         fwd = compare(first, second).relation
         bwd = compare(second, first).relation
         assert fwd == _MIRROR[bwd]
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_rules())
+def test_every_rule_is_at_least_as_permissive_as_an_empty_domain_rule(rule):
+    none = FusionRule(rule.n, ("0", "1"), (), ())
+    verdict = compare(none, rule)
+    assert verdict.witness_fwd is not None and verify_morphism(verdict.witness_fwd).ok
+    assert verdict.relation == ("equivalent" if not rule.domain else "first_strictly_less")

@@ -20,12 +20,13 @@ from decobs import (
     find_morphism,
 )
 from decobs import files
+from helpers import dump_json
 
 
 class TestProblemFiles:
     def test_observation_round_trip(self, ex1, tmp_path):
         path = tmp_path / "p.json"
-        files.dump_json(files.problem_to_obj(ex1), path)
+        dump_json(files.problem_to_obj(ex1), path)
         assert files.parse_problem(files.read_json(path)) == ex1
 
     def test_table_round_trip(self, tmp_path):
@@ -37,12 +38,12 @@ class TestProblemFiles:
             P=(ObservationTable(tuple({(): "quiet", ("a",): "loud"}.items())),),
         )
         path = tmp_path / "p.json"
-        files.dump_json(files.problem_to_obj(p), path)
+        dump_json(files.problem_to_obj(p), path)
         assert files.parse_problem(files.read_json(path)) == p
 
     def test_control_round_trip(self, gamma_control, tmp_path):
         path = tmp_path / "c.json"
-        files.dump_json(files.problem_to_obj(gamma_control), path)
+        dump_json(files.problem_to_obj(gamma_control), path)
         loaded = files.parse_problem(files.read_json(path))
         assert isinstance(loaded, ControlProblem)
         assert loaded == gamma_control
@@ -158,7 +159,7 @@ class TestRuleFiles:
     def test_round_trip(self, tmp_path):
         rule = builtin_rule("cpda", 2)
         path = tmp_path / "r.json"
-        files.dump_json(files.rule_to_obj(rule), path)
+        dump_json(files.rule_to_obj(rule), path)
         assert files.parse_rule(files.read_json(path)) == rule
 
     def test_fields_are_exact(self):
@@ -210,7 +211,7 @@ class TestMorphismFiles:
         target = build_decision_graph(builtin_rule("conjunctive", 2))
         m = find_morphism(source, target)
         path = tmp_path / "m.json"
-        files.dump_json(files.morphism_to_obj(m), path)
+        dump_json(files.morphism_to_obj(m), path)
         loaded = files.load_morphism(path, source, target)
         assert loaded.mapping == m.mapping
 
@@ -286,7 +287,7 @@ class TestSolutionFiles:
     def test_round_trip_with_mixed_labels(self, tmp_path):
         sol = ({("a",): "0", (): "1"}, {"loud": "1"})
         path = tmp_path / "s.json"
-        files.dump_json(files.solution_to_obj(sol), path)
+        dump_json(files.solution_to_obj(sol), path)
         assert files.parse_solution(files.read_json(path)) == sol
 
     def test_rejects_non_text_decisions(self):
@@ -330,8 +331,8 @@ class TestHelpers:
 
     def test_dump_is_deterministic(self, ex1, tmp_path):
         one, two = tmp_path / "1.json", tmp_path / "2.json"
-        files.dump_json(files.problem_to_obj(ex1), one)
-        files.dump_json(files.problem_to_obj(ex1), two)
+        dump_json(files.problem_to_obj(ex1), one)
+        dump_json(files.problem_to_obj(ex1), two)
         assert one.read_bytes() == two.read_bytes()
 
     def test_json_text_ends_with_newline(self, ex1):
