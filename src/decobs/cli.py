@@ -4,15 +4,15 @@ Exit codes: 0 for a positive analysis result, 1 for a negative one
 (unsolvable, controllability violation, bad solution), 2 for invalid input
 (including files that cannot be read or written, and witnesses whose node
 keys are ambiguous), 3 when a search budget was exhausted, 4 for an internal
-error.  Commands raise library exceptions; ``_Main.invoke`` is the one place
-that turns them into exit codes.  Every file argument is read by ``_read``,
-which names a missing path or a directory in one message; every argument
-that names a rule or a problem to analyse goes through ``_load``, which also
-checks the result's kind.  Each command renders every file it writes, a
-DOT file included, first and hands them to ``_write`` in one call, so it
-leaves all of its output files or none of those it wrote; an output path
-that is a directory, or lies under a regular file or a missing directory,
-exits 2 naming the fault.
+error, and 130 when interrupted (Ctrl-C).  Commands raise library
+exceptions; ``_Main.invoke`` is the one place that turns them into exit
+codes.  Every file argument is read by ``_read``, which names a missing path
+or a directory in one message; every argument that names a rule or a problem
+to analyse goes through ``_load``, which also checks the result's kind.
+Each command renders every file it writes, a DOT file included, first and
+hands them to ``_write`` in one call, so it leaves all of its output files
+or none of those it wrote; an output path that is a directory, or lies
+under a regular file or a missing directory, exits 2 naming the fault.
 
 ``_Main.invoke`` also pauses the cyclic garbage collector for the life of
 each command and turns it back on afterwards, unless the caller had it off.
@@ -236,6 +236,8 @@ class _Main(click.Group):
             _fail(2, str(e))
         except Exception as e:
             _fail(4, f"internal: {type(e).__name__}: {e}")
+        except KeyboardInterrupt:
+            _fail(130, "interrupted")
         finally:
             if enabled:
                 gc.enable()
@@ -315,7 +317,7 @@ def check(problem_file, rule_spec, witness_path, budget):
 def solve(problem_file, rule_spec, solution_path, witness_path, budget):
     """Construct and write per-agent decision tables, if any exist."""
     problem, rule, found = _solve_or_exit(problem_file, rule_spec, budget)
-    solution = extract_solution(found, problem, rule)
+    solution = extract_solution(found)
     if not check_solution(problem, solution, rule):
         raise RuntimeError("extracted solution failed verification")
     outputs = [(witness_path, files.morphism_to_obj(found))] if witness_path else []

@@ -2,7 +2,8 @@
 
 One rule is at least as permissive as another exactly when a morphism exists
 between their decision graphs, so a pair of searches settles the relation in
-both directions, and the witnesses double as reusable conversion recipes.
+both directions, and the witnesses double as reusable conversion recipes,
+read per agent by ``extract_solution(verdict.witness_fwd)``.
 """
 
 from __future__ import annotations

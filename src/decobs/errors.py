@@ -33,7 +33,7 @@ class ArityMismatch(DecobsError):
 
 
 class GraphMismatch(DecobsError):
-    """A morphism was paired with a graph it was not built on."""
+    """Two morphisms were composed whose middle graphs differ."""
 
 
 class InconsistentMorphism(DecobsError):

@@ -8,6 +8,7 @@ Agents are indexed from 0 throughout the library.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, count, product, repeat
@@ -389,6 +390,8 @@ def builtin_rule(name: str, n: int) -> FusionRule:
     table ``_BUILTINS`` defines it."""
     if n < 1:
         raise ValueError(f"agent count must be at least 1, got {n}")
+    if n > sys.maxsize:
+        raise ValueError(f"agent count must be at most {sys.maxsize}, got {n}")
     try:
         decisions, used, allowed, fuse = _BUILTINS[name]
     except KeyError:

@@ -39,13 +39,15 @@ DEFAULT_ENUMERATION_BUDGET = 1_000_000
 
 @dataclass(frozen=True)
 class Morphism:
-    """Total node map between two coloured graphs, stored by node index."""
+    """Total node map between two graphs of one agent count, by node index."""
 
     source: ColoredGraph
     target: ColoredGraph
     mapping: tuple[int, ...]
 
     def __post_init__(self):
+        if self.source.n != self.target.n:
+            raise ArityMismatch(f"source has {self.source.n} agents, target has {self.target.n}")
         object.__setattr__(self, "mapping", tuple(self.mapping))
         if len(self.mapping) != len(self.source):
             raise ValueError(
@@ -82,10 +84,6 @@ def verify_morphism(m: Morphism) -> MorphismReport:
     coordinate i: the edge violations are the ``_clashes`` of each agent's
     label column with its image column, merged and sorted.  Runs in O(N·n)
     for N source nodes and n agents, as whole-column passes."""
-    if m.source.n != m.target.n:
-        raise ArityMismatch(
-            f"source has {m.source.n} agents, target has {m.target.n}"
-        )
     src, tgt, f = m.source, m.target, m.mapping
     image_colours = map(tgt.colours.__getitem__, f)
     node_violations = tuple(compress(range(len(src)), map(ne, src.colours, image_colours)))
@@ -356,27 +354,22 @@ def find_morphism(
 Solution = tuple[dict[Label, Token], ...]
 
 
-def extract_solution(m: Morphism, p: ObservationProblem, r: FusionRule) -> Solution:
-    """Read the tuple of per-agent decision tables, one dict per agent from
-    observation label to decision, off a morphism from the observation graph
-    of ``p`` into the decision graph of ``r``.
+def extract_solution(m: Morphism) -> Solution:
+    """Read the tuple of per-agent tables, one dict per agent from source
+    label to image coordinate, off any morphism: a problem's solution when
+    the source is its observation graph, and the recipe that converts one
+    rule's decisions into another's when it is a ``compare`` witness.
 
-    One agent column at a time: agent i's table zips column i of the source
-    signatures with column i of the image combinations, so its labels keep
-    the order in which they first occur in L.  Well-definedness (one decision
-    per observation label) is guaranteed for every true morphism but
-    re-checked, before any table is built, by the ``_clashes`` of each label
-    column with its decision column; a clash raises InconsistentMorphism
-    naming the first of every column's clashes in node order, then agent
-    order.
+    Agent i's table zips column i of the source and image signatures, so
+    its labels keep the order of their first node.  Every true morphism
+    gives one coordinate per label, but this is re-checked, before any
+    table is built, by the ``_clashes`` of each label column with its image
+    column; a clash raises InconsistentMorphism naming the first of every
+    column's clashes in node order, then agent order.
     """
-    if m.source.keys != p.L:
-        raise GraphMismatch("morphism source does not match the problem's strings")
-    if m.target.keys != r.domain:
-        raise GraphMismatch("morphism target does not match the rule's decision domain")
-    images = tuple(map(m.target.keys.__getitem__, m.mapping))
-    labels = _columns(m.source.signatures, p.n)
-    decisions = _columns(images, p.n)
+    n = m.source.n
+    labels = _columns(m.source.signatures, n)
+    decisions = _columns(tuple(map(m.target.signatures.__getitem__, m.mapping)), n)
     clashes = tuple(map(_clashes, labels, decisions))
     if any(clashes):
         v, i, u = min((v, i, u) for i, found in enumerate(clashes) for u, v in found[:1])

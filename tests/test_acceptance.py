@@ -73,7 +73,7 @@ def test_criterion_1_example_solvable_with_verified_witness(tmp_path):
         source = build_observation_graph(problem)
         target = build_decision_graph(rule)
         morphism = files.load_morphism(witness_path, source, target)
-        solution = extract_solution(morphism, problem, rule)
+        solution = extract_solution(morphism)
         c["ok"] = (
             result.exit_code == 0
             and "SOLVABLE" in result.output

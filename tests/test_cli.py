@@ -747,7 +747,7 @@ def arguments(ex1, gamma_control, tmp_path):
         "untyped": {"agents": 2},
         "sol": files.solution_to_obj(
             extract_solution(
-                find_morphism(build_observation_graph(ex1), build_decision_graph(rule)), ex1, rule
+                find_morphism(build_observation_graph(ex1), build_decision_graph(rule))
             )
         ),
     }
@@ -1254,6 +1254,23 @@ class TestExitCodes:
         assert result.exit_code == 2
         assert "'output' must be an array of 0/1" in result.output
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["graph", "conjunctive:{n}"],
+            ["d2o", "const1:{n}", "-o", "{out}"],
+            ["compare", "const0:{n}", "const1:{n}"],
+        ],
+        ids=lambda args: args[0],
+    )
+    def test_an_agent_count_too_large_to_index_exits_2(self, runner, tmp_path, args):
+        n = sys.maxsize + 1
+        result = runner.invoke(main, [a.format(n=n, out=tmp_path / "d") for a in args])
+        assert result.exit_code == 2, result.output
+        assert result.stdout == ""
+        assert result.stderr == f"error: agent count must be at most {sys.maxsize}, got {n}\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_real_process_exits_2_without_traceback(self, tmp_path):
         out = tmp_path / "missing" / "v.json"
         proc = subprocess.run(
@@ -1279,6 +1296,35 @@ class TestExitCodes:
         assert (proc.returncode, proc.stdout) == (0, "valid\n"), proc.stderr
 
 
+def _interrupt(*args, **kwargs):
+    raise KeyboardInterrupt
+
+
+class TestInterrupt:
+    """Ctrl-C exits 130, never 1, which means a negative answer."""
+
+    def test_an_interrupted_search_exits_130(self, runner, monkeypatch):
+        monkeypatch.setattr("decobs.cli.relation_matrix", _interrupt)
+        result = runner.invoke(main, ["poset", "conjunctive:2", "disjunctive:2"])
+        assert (result.exit_code, result.stdout, result.stderr) == (130, "", "error: interrupted\n")
+
+    def test_an_interrupted_write_leaves_no_file(self, runner, tmp_path, monkeypatch):
+        written = []
+        write_text = Path.write_text
+
+        def write_once(path, *args, **kwargs):
+            if written:
+                raise KeyboardInterrupt
+            written.append(path)
+            return write_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", write_once)
+        result = runner.invoke(main, ["d2o", "conjunctive:2", "-o", str(tmp_path / "d")])
+        assert (result.exit_code, result.stdout, result.stderr) == (130, "", "error: interrupted\n")
+        assert written == [tmp_path / "d.problem.json"]
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestCollectorPause:
     """Each command runs with the cyclic garbage collector paused and leaves
     it as the caller had it."""
@@ -1296,6 +1342,7 @@ class TestCollectorPause:
             ),
             pytest.param(["check", "{problem}", "--rule", "conjunctive:2"], 4, id="internal"),
             pytest.param(["check", "--help"], 0, id="help"),
+            pytest.param(["poset", "conjunctive:2", "disjunctive:2"], 130, id="interrupt"),
         ],
     )
     def test_state_is_restored(
@@ -1303,6 +1350,8 @@ class TestCollectorPause:
     ):
         if code == 4:  # the witness fails its self-check
             monkeypatch.setattr("decobs.cli.verify_morphism", lambda m: MorphismReport((0,), ()))
+        if code == 130:
+            monkeypatch.setattr("decobs.cli.relation_matrix", _interrupt)
         xnor = tmp_path / "xnor.json"  # a rule file keeps the search, and so --budget, in play
         dump_json(_XNOR, xnor)
         (gc.enable if enabled else gc.disable)()

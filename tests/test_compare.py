@@ -16,6 +16,7 @@ from decobs import (
     compare,
     compose,
     decision_graph_to_observation,
+    extract_solution,
     find_morphism,
     relation_matrix,
     solvable_by_enumeration,
@@ -144,6 +145,36 @@ class TestCompareIsOneMatrixEntry:
     def test_arity_mismatch_names_both_counts(self):
         with pytest.raises(ArityMismatch, match="rule 1 has 2 agents, rule 2 has 3"):
             compare(builtin_rule("conjunctive", 2), builtin_rule("cpda", 3))
+
+
+class TestConversionRecipes:
+    """The per-agent tables of a forward witness convert each decision of the
+    first rule into one of the second's."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_every_positive_builtin_pair(self, n):
+        rules = {name: builtin_rule(name, n) for name in BUILTIN_RULES}
+        positives = 0
+        for (a, first), (b, second) in itertools.permutations(rules.items(), 2):
+            witness = compare(first, second).witness_fwd
+            if witness is None:
+                continue
+            positives += 1
+            recipe = extract_solution(witness)
+            allowed = dict(zip(second.domain, second.outputs))
+            for combination, output in zip(first.domain, first.outputs):
+                converted = tuple(map(dict.__getitem__, recipe, combination))
+                assert allowed.get(converted) == output, (a, b, combination)
+        assert positives == 13
+
+    def test_cpda_into_conjunctive(self):
+        verdict = compare(builtin_rule("cpda", 3), builtin_rule("conjunctive", 3))
+        recipe = extract_solution(verdict.witness_fwd)
+        assert [list(table.items()) for table in recipe] == [
+            [("0", "0"), ("1", "1"), ("dk", "1")],
+            [("0", "0"), ("dk", "1"), ("1", "1")],
+            [("0", "0"), ("dk", "1"), ("1", "1")],
+        ]
 
 
 def _separating(tmp_path, first: str, second: str) -> dict:

@@ -434,7 +434,7 @@ def _written_shape(shape: str, ex1, gamma_control):
         return files.morphism_to_obj(Morphism(g, g, (0, 1, 0)))
     if shape == "solution":
         m = find_morphism(build_observation_graph(ex1), conj2)
-        projected = extract_solution(m, ex1, builtin_rule("conjunctive", 2))
+        projected = extract_solution(m)
         assert () in projected[0]  # the empty label, written as []
         tables = ({("a",): "0", (): "1"}, {"loud": "1", "quiet": "0"})
         return files.solution_to_obj(projected) + files.solution_to_obj(tables)

@@ -1,4 +1,5 @@
 import signal
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -418,6 +419,11 @@ class TestBuiltinRules:
     def test_unknown_name(self):
         with pytest.raises(UnknownRuleName):
             builtin_rule("majority", 2)
+
+    def test_an_agent_count_past_the_largest_index_is_refused(self):
+        n = sys.maxsize + 1
+        with pytest.raises(ValueError, match=rf"^agent count must be at most {sys.maxsize}, got {n}$"):
+            builtin_rule("conjunctive", n)
 
     @pytest.mark.parametrize("name", BUILTIN_RULES)
     @pytest.mark.parametrize("n", [1, 2, 3])

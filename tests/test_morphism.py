@@ -127,6 +127,13 @@ class TestVerifyMorphism:
         with pytest.raises(ArityMismatch):
             verify_morphism(Morphism(conj_graph, other, (0, 0, 0, 0)))
 
+    def test_graphs_must_share_an_agent_count(self, conj_graph):
+        other = build_decision_graph(builtin_rule("conjunctive", 3))
+        with pytest.raises(ArityMismatch, match=r"^source has 2 agents, target has 3$"):
+            Morphism(conj_graph, other, (0, 0, 0, 0))
+        with pytest.raises(ArityMismatch, match=r"^source has 3 agents, target has 2$"):
+            Morphism(other, conj_graph, (0,) * len(other))
+
     def test_mapping_must_be_total_and_in_range(self, conj_graph):
         with pytest.raises(ValueError):
             Morphism(conj_graph, conj_graph, (0, 1))
@@ -344,7 +351,7 @@ class TestExtractSolution:
                 ("b", "b"): ("1", "0"),
             },
         )
-        sol = extract_solution(m, ex1, rule)
+        sol = extract_solution(m)
         assert sol[0] == {("a",): "0", (): "1"}
         assert sol[1] == {(): "0", ("b",): "1", ("b", "b"): "0"}
         assert verify_solution(ex1, sol, rule)
@@ -360,7 +367,7 @@ class TestExtractSolution:
         )
         g = build_observation_graph(p)
         m = find_morphism(g, build_decision_graph(rule))
-        sol = extract_solution(m, p, rule)
+        sol = extract_solution(m)
         assert sol == ({("a",): "1"}, {(): "1"})
 
     def test_merged_class_shares_one_entry(self):
@@ -374,11 +381,10 @@ class TestExtractSolution:
         )
         g = build_observation_graph(p)
         m = find_morphism(g, build_decision_graph(rule))
-        sol = extract_solution(m, p, rule)
+        sol = extract_solution(m)
         assert sol == ({(): "1"},)
 
     def test_inconsistent_map_is_rejected(self, conj_graph):
-        rule = builtin_rule("conjunctive", 2)
         p = ObservationProblem(
             n=2,
             alphabet=("a", "b"),
@@ -391,7 +397,7 @@ class TestExtractSolution:
             g, conj_graph, {("a",): ("0", "0"), ("b",): ("0", "1")}
         )
         with pytest.raises(InconsistentMorphism):
-            extract_solution(bad, p, rule)
+            extract_solution(bad)
 
     @pytest.mark.parametrize(
         "label_of_b, mapping, message",
@@ -404,7 +410,6 @@ class TestExtractSolution:
         ids=["node-order", "agent-order"],
     )
     def test_clash_message_names_the_first_clash(self, conj_graph, label_of_b, mapping, message):
-        rule = builtin_rule("conjunctive", 2)
         p = ObservationProblem(
             n=2,
             alphabet=("a", "b", "c"),
@@ -417,22 +422,15 @@ class TestExtractSolution:
         )
         m = Morphism(build_observation_graph(p), conj_graph, mapping)
         with pytest.raises(InconsistentMorphism, match=f"^{re.escape(message)}$"):
-            extract_solution(m, p, rule)
+            extract_solution(m)
 
-    def test_source_mismatch(self, ex1, ex1_graph, conj_graph):
-        m = Morphism(ex1_graph, conj_graph, (0, 0, 0, 0))
-        other = ObservationProblem(
-            n=2, alphabet=ex1.alphabet, L=ex1.L[::-1], K=ex1.K, P=ex1.P
+    def test_tables_of_any_morphism(self, ex1_graph):
+        """Into a graph that is not a decision graph, the tables send each
+        label to the image's coordinate: the identity gives identity tables."""
+        identity = Morphism(ex1_graph, ex1_graph, range(len(ex1_graph)))
+        assert extract_solution(identity) == tuple(
+            {label: label for label in column} for column in zip(*ex1_graph.signatures)
         )
-        with pytest.raises(GraphMismatch, match="source"):
-            extract_solution(m, other, builtin_rule("conjunctive", 2))
-
-    def test_graph_mismatch(self, ex1, ex1_graph):
-        rule = builtin_rule("conjunctive", 2)
-        other = build_decision_graph(builtin_rule("disjunctive", 2))
-        m = Morphism(ex1_graph, other, (0, 0, 0, 0))
-        with pytest.raises(GraphMismatch):
-            extract_solution(m, ex1, builtin_rule("cpda", 2))
 
 
 class TestVerifySolution:
@@ -459,7 +457,7 @@ class TestVerifySolution:
     def test_a_string_some_table_lacks_is_not_a_solution(self, ex1):
         rule = builtin_rule("conjunctive", 2)
         found = find_morphism(build_observation_graph(ex1), build_decision_graph(rule))
-        solution = extract_solution(found, ex1, rule)
+        solution = extract_solution(found)
 
         def first_agent_table(strings):
             return ObservationTable(tuple((s, ex1.P[0].observe(s)) for s in strings))
@@ -608,7 +606,7 @@ class TestSolutionMorphismCorrespondence:
         rule = builtin_rule("conjunctive", 2)
         graph = build_observation_graph(ex1)
         m = find_morphism(graph, build_decision_graph(rule))
-        sol = extract_solution(m, ex1, rule)
+        sol = extract_solution(m)
         assert _induced_morphism(ex1, sol, rule).mapping == m.mapping
 
 

@@ -79,7 +79,7 @@ def _solved(p: ObservationProblem, name: str):
     """The rule and the extracted solution, or None when p is unsolvable."""
     rule = builtin_rule(name, p.n)
     found = find_morphism(build_observation_graph(p), build_decision_graph(rule))
-    return None if found is None else (rule, extract_solution(found, p, rule))
+    return None if found is None else (rule, extract_solution(found))
 
 
 class TestGraphAndQuotient:
@@ -143,9 +143,9 @@ class TestExtractSolution:
         expected = rowwise_tables(m)
         if isinstance(expected, str):
             with pytest.raises(InconsistentMorphism, match=f"^{re.escape(expected)}$"):
-                extract_solution(m, p, rule)
+                extract_solution(m)
         else:
-            assert _items(extract_solution(m, p, rule)) == _items(expected)
+            assert _items(extract_solution(m)) == _items(expected)
 
     @given(problems(), st.sampled_from(BUILTIN_RULES))
     def test_found_morphism(self, p, name):
@@ -153,7 +153,7 @@ class TestExtractSolution:
         g = build_observation_graph(p)
         found = find_morphism(g, build_decision_graph(rule))
         assume(found is not None)
-        assert _items(extract_solution(found, p, rule)) == _items(rowwise_tables(found))
+        assert _items(extract_solution(found)) == _items(rowwise_tables(found))
 
 
 class TestVerifyMorphism:
