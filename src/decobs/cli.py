@@ -302,7 +302,7 @@ def reduce(control_file, outdir, allow_uncontrollable):
 def check(problem_file, rule_spec, witness_path, budget):
     """Decide whether an observation problem is solvable under a rule."""
     _, _, found = _solve_or_exit(problem_file, rule_spec, budget)
-    if not verify_morphism(found).ok:
+    if not verify_morphism(found):
         raise RuntimeError("found morphism failed verification")
     _write([(witness_path, files.to_json(files.morphism_to_obj(found)))] if witness_path else [])
     click.echo("SOLVABLE")

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain, compress, count, product, repeat
-from operator import and_, ne, or_
+from itertools import compress, count, product, repeat
+from operator import and_, or_
 from typing import Hashable
 
 from .errors import (
@@ -59,37 +59,26 @@ class Morphism:
             raise ValueError(f"target index {t} out of range")
 
 
-@dataclass(frozen=True)
-class MorphismReport:
-    """Violations found when checking a node map against the morphism
-    conditions: nodes whose colour is not preserved, and node pairs that
-    share an agent's label but whose images differ in that agent's coordinate.
-
-    ``edge_violations`` holds one pair (first node with the label, offending
-    node) per offending node and agent, so it is empty exactly when every
-    image edge colour is contained in its source edge colour.
-    """
-
-    node_violations: tuple[int, ...]
-    edge_violations: tuple[tuple[int, int], ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.node_violations and not self.edge_violations
+def _agent_columns(m: Morphism) -> tuple[tuple, tuple, tuple]:
+    """Per agent: the source label column, the image column (each image
+    node's coordinate at that agent, read off ``m.target.signatures``) and
+    the ``_clashes`` of the two, as whole-column passes in O(N·n) for N
+    source nodes and n agents."""
+    n = m.source.n
+    labels = _columns(m.source.signatures, n)
+    images = _columns(tuple(map(m.target.signatures.__getitem__, m.mapping)), n)
+    return labels, images, tuple(map(_clashes, labels, images))
 
 
-def verify_morphism(m: Morphism) -> MorphismReport:
-    """Check both morphism conditions: every node keeps its colour, and for
-    each agent i, nodes sharing the label ``sig[i]`` have images sharing
-    coordinate i: the edge violations are the ``_clashes`` of each agent's
-    label column with its image column, merged and sorted.  Runs in O(N·n)
-    for N source nodes and n agents, as whole-column passes."""
-    src, tgt, f = m.source, m.target, m.mapping
-    image_colours = map(tgt.colours.__getitem__, f)
-    node_violations = tuple(compress(range(len(src)), map(ne, src.colours, image_colours)))
-    images = tuple(map(tgt.signatures.__getitem__, f))
-    clashes = map(_clashes, _columns(src.signatures, src.n), _columns(images, src.n))
-    return MorphismReport(node_violations, tuple(sorted(set(chain.from_iterable(clashes)))))
+def verify_morphism(m: Morphism) -> bool:
+    """True iff the node map m is a morphism: every node's image has that
+    node's colour, and for each agent i, nodes sharing the label ``sig[i]``
+    have images sharing coordinate i, that is, no agent's label column
+    clashes with its image column.  ``extract_solution`` names the first
+    clash of a map this rejects for its edges."""
+    if tuple(map(m.target.colours.__getitem__, m.mapping)) != m.source.colours:
+        return False
+    return not any(_agent_columns(m)[2])
 
 
 def verify_d2o(p: ObservationProblem, rule: FusionRule) -> bool:
@@ -363,21 +352,20 @@ def extract_solution(m: Morphism) -> Solution:
     Agent i's table zips column i of the source and image signatures, so
     its labels keep the order of their first node.  Every true morphism
     gives one coordinate per label, but this is re-checked, before any
-    table is built, by the ``_clashes`` of each label column with its image
-    column; a clash raises InconsistentMorphism naming the first of every
-    column's clashes in node order, then agent order.
+    table is built, by the column pass ``verify_morphism`` makes too; a
+    clash raises InconsistentMorphism naming the agent, the label and two
+    of its coordinates, for the first of every column's clashes in node
+    order, then agent order.  Colours are not read: a map that is a
+    function per agent but changes a colour still gives its tables.
     """
-    n = m.source.n
-    labels = _columns(m.source.signatures, n)
-    decisions = _columns(tuple(map(m.target.signatures.__getitem__, m.mapping)), n)
-    clashes = tuple(map(_clashes, labels, decisions))
+    labels, images, clashes = _agent_columns(m)
     if any(clashes):
         v, i, u = min((v, i, u) for i, found in enumerate(clashes) for u, v in found[:1])
         raise InconsistentMorphism(
-            f"agent {i + 1} would decide both {decisions[i][u]!r} and "
-            f"{decisions[i][v]!r} on observation {labels[i][v]!r}"
+            f"agent {i + 1} sends label {labels[i][v]!r} to both "
+            f"{images[i][u]!r} and {images[i][v]!r}"
         )
-    return tuple(map(dict, map(zip, labels, decisions)))
+    return tuple(map(dict, map(zip, labels, images)))
 
 
 def verify_solution(p: ObservationProblem, sol: Solution, r: FusionRule) -> bool:

@@ -296,17 +296,19 @@ def rowwise_quotient(g: ColoredGraph) -> tuple[tuple, tuple]:
 
 
 def rowwise_tables(m) -> list[dict] | str:
-    """The decision tables a node map induces, node by node and agent by
-    agent, or the message naming the first label given two decisions."""
+    """The per-agent tables a node map induces, from each source label to
+    the image's coordinate (read off the target's signatures), node by node
+    and agent by agent, or the message naming the first label sent to two
+    coordinates."""
     tables: list[dict] = [{} for _ in range(m.source.n)]
     for v, t in enumerate(m.mapping):
-        for i, (label, decision) in enumerate(zip(m.source.signatures[v], m.target.keys[t])):
-            if label in tables[i] and tables[i][label] != decision:
+        for i, (label, image) in enumerate(zip(m.source.signatures[v], m.target.signatures[t])):
+            if label in tables[i] and tables[i][label] != image:
                 return (
-                    f"agent {i + 1} would decide both {tables[i][label]!r} and "
-                    f"{decision!r} on observation {label!r}"
+                    f"agent {i + 1} sends label {label!r} to both "
+                    f"{tables[i][label]!r} and {image!r}"
                 )
-            tables[i][label] = decision
+            tables[i][label] = image
     return tables
 
 

@@ -77,7 +77,7 @@ def test_criterion_1_example_solvable_with_verified_witness(tmp_path):
         c["ok"] = (
             result.exit_code == 0
             and "SOLVABLE" in result.output
-            and verify_morphism(morphism).ok
+            and verify_morphism(morphism)
             and verify_solution(problem, solution, rule)
         )
 
@@ -100,7 +100,7 @@ def test_criterion_3_conjunctive_strictly_above_cpda():
         c["ok"] = (
             verdict.relation == "first_strictly_less"
             and verdict.witness_fwd is not None
-            and verify_morphism(verdict.witness_fwd).ok
+            and verify_morphism(verdict.witness_fwd)
             and verdict.witness_bwd is None
         )
 
@@ -112,8 +112,8 @@ def test_criterion_4_conditional_variant_equivalent():
         verdict = compare(builtin_rule("conjunctive_cd", 2), builtin_rule("conjunctive", 2))
         c["ok"] = (
             verdict.relation == "equivalent"
-            and verify_morphism(verdict.witness_fwd).ok
-            and verify_morphism(verdict.witness_bwd).ok
+            and verify_morphism(verdict.witness_fwd)
+            and verify_morphism(verdict.witness_bwd)
         )
 
 
@@ -234,7 +234,7 @@ def _morphism_experiment(seed: int):
         found = []
         for i, src in enumerate(bucket):
             loop = find_morphism(src, src)
-            if loop is None or not verify_morphism(loop).ok:
+            if loop is None or not verify_morphism(loop):
                 sound = False
             transcript.append(files.to_json(files.morphism_to_obj(loop)))
             if i + 1 < len(bucket):
@@ -243,12 +243,12 @@ def _morphism_experiment(seed: int):
                 if step is None:
                     transcript.append("none\n")
                 else:
-                    if not verify_morphism(step).ok:
+                    if not verify_morphism(step):
                         sound = False
                     transcript.append(files.to_json(files.morphism_to_obj(step)))
         for first, second in zip(found, found[1:]):
             if first is not None and second is not None:
-                if not verify_morphism(compose(first, second)).ok:
+                if not verify_morphism(compose(first, second)):
                     composition_ok = False
     return sound, composition_ok, "".join(transcript)
 

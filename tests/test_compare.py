@@ -52,14 +52,14 @@ class TestCompare:
     def test_cpda_strictly_below_conjunctive(self):
         verdict = compare(builtin_rule("cpda", 2), builtin_rule("conjunctive", 2))
         assert verdict.relation == "first_strictly_less"
-        assert verify_morphism(verdict.witness_fwd).ok
+        assert verify_morphism(verdict.witness_fwd)
         assert verdict.witness_bwd is None
 
     def test_conditional_variant_equivalent_to_conjunctive(self):
         verdict = compare(builtin_rule("conjunctive_cd", 2), builtin_rule("conjunctive", 2))
         assert verdict.relation == "equivalent"
-        assert verify_morphism(verdict.witness_fwd).ok
-        assert verify_morphism(verdict.witness_bwd).ok
+        assert verify_morphism(verdict.witness_fwd)
+        assert verify_morphism(verdict.witness_bwd)
 
     @pytest.mark.parametrize("name", BUILTIN_RULES)
     def test_reflexive(self, name):
@@ -80,7 +80,7 @@ class TestCompare:
         first = compare(cpda, conj).witness_fwd
         second = compare(conj, cd).witness_fwd
         assert first is not None and second is not None
-        assert verify_morphism(compose(first, second)).ok
+        assert verify_morphism(compose(first, second))
         assert compare(cpda, cd).witness_fwd is not None
 
     def test_arity_mismatch(self):
@@ -131,7 +131,7 @@ class TestCompareIsOneMatrixEntry:
             if image is None:
                 assert witness is None
             elif witness.mapping != tuple(image):
-                assert verify_morphism(witness).ok
+                assert verify_morphism(witness)
                 differ.append((BUILTIN_RULES[i], BUILTIN_RULES[j]))
         assert differ == [("const1", "disjunctive")]
 
@@ -140,7 +140,7 @@ class TestCompareIsOneMatrixEntry:
         rule = builtin_rule(name, 3)
         verdict = relation_matrix([rule], budget=0).verdicts[0][0]
         assert verdict.witness_fwd.mapping == tuple(range(len(build_decision_graph(rule))))
-        assert verify_morphism(verdict.witness_bwd).ok
+        assert verify_morphism(verdict.witness_bwd)
 
     def test_arity_mismatch_names_both_counts(self):
         with pytest.raises(ArityMismatch, match="rule 1 has 2 agents, rule 2 has 3"):
@@ -364,5 +364,5 @@ def test_random_rules_mirror_and_reflexivity(first, second):
 def test_every_rule_is_at_least_as_permissive_as_an_empty_domain_rule(rule):
     none = FusionRule(rule.n, ("0", "1"), (), ())
     verdict = compare(none, rule)
-    assert verdict.witness_fwd is not None and verify_morphism(verdict.witness_fwd).ok
+    assert verdict.witness_fwd is not None and verify_morphism(verdict.witness_fwd)
     assert verdict.relation == ("equivalent" if not rule.domain else "first_strictly_less")

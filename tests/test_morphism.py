@@ -41,6 +41,7 @@ from helpers import (
     pairwise_search,
     random_colored_graph,
     random_rule,
+    rowwise_edge_violations,
 )
 
 
@@ -84,7 +85,7 @@ def ex1_graph(ex1):
 class TestVerifyMorphism:
     def test_identity_is_a_morphism(self, conj_graph):
         m = Morphism(conj_graph, conj_graph, tuple(range(len(conj_graph))))
-        assert verify_morphism(m).ok
+        assert verify_morphism(m) is True
 
     def test_known_solution_map(self, ex1_graph, conj_graph):
         m = explicit_morphism(
@@ -97,14 +98,37 @@ class TestVerifyMorphism:
                 ("b", "b"): ("1", "0"),
             },
         )
-        assert verify_morphism(m).ok
+        assert verify_morphism(m)
 
     def test_node_colour_violation(self, ex1_graph, conj_graph):
         zero = conj_graph.keys.index(("0", "0"))
         m = Morphism(ex1_graph, conj_graph, (zero,) * 4)
-        report = verify_morphism(m)
-        assert report.node_violations == (1,)  # the single green node
-        assert report.edge_violations == ()
+        assert verify_morphism(m) is False  # the single green node turns red
+        assert extract_solution(m) == (
+            {("a",): "0", (): "0"},
+            {(): "0", ("b",): "0", ("b", "b"): "0"},
+        )
+
+    def test_one_flipped_colour_with_consistent_tables(self, ex1_graph, conj_graph):
+        """The known solution with agent 2 deciding 1 on bb: every table is
+        still a function, but the red string bb now maps to a green node."""
+        m = explicit_morphism(
+            ex1_graph,
+            conj_graph,
+            {
+                ("a",): ("0", "0"),
+                ("b",): ("1", "1"),
+                ("a", "b"): ("0", "1"),
+                ("b", "b"): ("1", "1"),
+            },
+        )
+        assert [conj_graph.colours[t] for t in m.mapping] == [0, 1, 0, 1]
+        assert ex1_graph.colours == (0, 1, 0, 0)
+        assert extract_solution(m) == (
+            {("a",): "0", (): "1"},
+            {(): "0", ("b",): "1", ("b", "b"): "1"},
+        )
+        assert verify_morphism(m) is False
 
     def test_edge_colour_violation(self, ex1_graph, conj_graph):
         m = explicit_morphism(
@@ -117,10 +141,10 @@ class TestVerifyMorphism:
                 ("b", "b"): ("0", "1"),
             },
         )
-        report = verify_morphism(m)
-        assert not report.ok
-        assert report.node_violations == ()
-        assert len(report.edge_violations) > 0
+        assert [conj_graph.colours[t] for t in m.mapping] == list(ex1_graph.colours)
+        assert verify_morphism(m) is False
+        with pytest.raises(InconsistentMorphism):
+            extract_solution(m)
 
     def test_arity_mismatch(self, conj_graph):
         other = build_decision_graph(builtin_rule("conjunctive", 3))
@@ -151,7 +175,7 @@ class TestVerifyMorphism:
 class TestFindMorphism:
     def test_example_problem_into_conjunctive(self, ex1_graph, conj_graph):
         m = find_morphism(ex1_graph, conj_graph)
-        assert m is not None and verify_morphism(m).ok
+        assert m is not None and verify_morphism(m)
 
     def test_conjunctive_into_disjunctive_has_none(self):
         conj = build_decision_graph(builtin_rule("conjunctive", 2))
@@ -169,7 +193,7 @@ class TestFindMorphism:
     def test_every_graph_maps_onto_itself(self, name):
         g = build_decision_graph(builtin_rule(name, 2))
         m = find_morphism(g, g)
-        assert m is not None and verify_morphism(m).ok
+        assert m is not None and verify_morphism(m)
 
     def test_deterministic(self, ex1_graph, conj_graph):
         first = find_morphism(ex1_graph, conj_graph)
@@ -183,8 +207,8 @@ class TestFindMorphism:
         target = build_decision_graph(xnor)
         with pytest.raises(SearchLimitExceeded):
             find_morphism(ex1_graph, target, budget=1)
-        assert verify_morphism(find_morphism(ex1_graph, target, budget=4)).ok
-        assert verify_morphism(find_morphism(ex1_graph, conj_graph, budget=0)).ok
+        assert verify_morphism(find_morphism(ex1_graph, target, budget=4))
+        assert verify_morphism(find_morphism(ex1_graph, conj_graph, budget=0))
 
     def test_colour_conflict_is_refuted_before_the_search(self, conj_graph):
         p = ObservationProblem(
@@ -205,7 +229,7 @@ class TestFindMorphism:
             n=1, keys=("s", "t"), signatures=(("x",), ("x",)), colours=(0, 1)
         )
         m = find_morphism(g, g)
-        assert m is not None and verify_morphism(m).ok
+        assert m is not None and verify_morphism(m)
 
     def test_conflict_into_conflict_free_target_is_none_at_budget_0(self):
         # The target repeats a signature, but never in both colours, so no
@@ -276,7 +300,7 @@ class TestFindMorphism:
             colours=(1, 1, 1, 1, 1, 1, 1, 0, 1),
         )
         found = find_morphism(src, dst, budget=50)
-        assert found is not None and verify_morphism(found).ok
+        assert found is not None and verify_morphism(found)
         # Each target class is represented by its first member.
         assert {t % 24 for t in found.mapping} == {0}
 
@@ -312,7 +336,7 @@ class TestFindMorphism:
         with pytest.raises(SearchLimitExceeded):
             _search(*quotients, 4095)
         found = find_morphism(src, dst, budget=0)
-        assert verify_morphism(found).ok
+        assert verify_morphism(found)
         assert found.mapping == tuple(image)
 
     def test_the_search_alone_refutes_an_odd_cycle(self):
@@ -335,7 +359,7 @@ class TestFindMorphism:
             found = find_morphism(src, dst)
             assert (found is not None) == brute_force_morphism_exists(src, dst)
             if found is not None:
-                assert verify_morphism(found).ok
+                assert verify_morphism(found)
 
 
 class TestExtractSolution:
@@ -403,9 +427,9 @@ class TestExtractSolution:
         "label_of_b, mapping, message",
         [
             # node 1 clashes for agent 2, node 2 for agent 1: node order first
-            ("y", (0, 3, 3), "agent 2 would decide both '0' and '1' on observation 'u'"),
+            ("y", (0, 3, 3), "agent 2 sends label 'u' to both '0' and '1'"),
             # node 1 clashes for both agents: agent order next
-            ("x", (0, 3, 0), "agent 1 would decide both '0' and '1' on observation 'x'"),
+            ("x", (0, 3, 0), "agent 1 sends label 'x' to both '0' and '1'"),
         ],
         ids=["node-order", "agent-order"],
     )
@@ -423,6 +447,16 @@ class TestExtractSolution:
         m = Morphism(build_observation_graph(p), conj_graph, mapping)
         with pytest.raises(InconsistentMorphism, match=f"^{re.escape(message)}$"):
             extract_solution(m)
+
+    def test_clash_message_on_a_compare_witness(self):
+        """A clash between two decision graphs names the source label as a
+        label, which here is a decision, not an observation."""
+        cpda = build_decision_graph(builtin_rule("cpda", 2))
+        m = Morphism(cpda, build_decision_graph(builtin_rule("conjunctive", 2)), (0, 1, 3, 2, 0, 3))
+        message = "agent 2 sends label 'dk' to both '1' and '0'"
+        with pytest.raises(InconsistentMorphism, match=f"^{re.escape(message)}$"):
+            extract_solution(m)
+        assert verify_morphism(m) is False
 
     def test_tables_of_any_morphism(self, ex1_graph):
         """Into a graph that is not a decision graph, the tables send each
@@ -548,7 +582,7 @@ class TestCompose:
             build_decision_graph(builtin_rule("conjunctive", 2)),
         )
         composite = compose(to_cpda, to_conj)
-        assert verify_morphism(composite).ok
+        assert verify_morphism(composite)
 
     def test_mismatched_middle_graph(self, ex1_graph, conj_graph):
         m = find_morphism(ex1_graph, conj_graph)
@@ -600,7 +634,7 @@ class TestSolutionMorphismCorrespondence:
         rule = builtin_rule(name, 2)
         sol = _first_solution_by_enumeration(ex1, rule)
         assert sol is not None
-        assert verify_morphism(_induced_morphism(ex1, sol, rule)).ok
+        assert verify_morphism(_induced_morphism(ex1, sol, rule))
 
     def test_extracted_solutions_induce_the_same_morphism(self, ex1):
         rule = builtin_rule("conjunctive", 2)
@@ -630,7 +664,7 @@ def test_found_morphisms_always_verify(pair):
     src, dst = pair
     found = find_morphism(src, dst)
     if found is not None:
-        assert verify_morphism(found).ok
+        assert verify_morphism(found)
         again = find_morphism(src, dst)
         assert again.mapping == found.mapping
 
@@ -642,7 +676,7 @@ def test_find_morphism_agrees_with_brute_force(pair):
     found = find_morphism(src, dst)
     assert (found is not None) == brute_force_morphism_exists(src, dst)
     if found is not None:
-        assert verify_morphism(found).ok
+        assert verify_morphism(found)
 
 
 def _same_arity_pairs(rng, count, max_nodes):
@@ -738,16 +772,21 @@ class TestAgainstPairwiseReference:
             if found is not None:
                 maps.append(found.mapping)
             for mapping in maps:
-                report = verify_morphism(Morphism(src, dst, mapping))
+                m = Morphism(src, dst, mapping)
+                ok = verify_morphism(m)
                 edges_ok = pairwise_edge_ok(src, dst, mapping)
                 colours_ok = all(
                     src.colours[v] == dst.colours[mapping[v]] for v in range(len(src))
                 )
-                assert (report.edge_violations == ()) == edges_ok
-                assert report.ok == (edges_ok and colours_ok)
-                seen[report.ok] += 1
-                for u, v in report.edge_violations:
-                    assert not dst.edge_colour(mapping[u], mapping[v]) <= src.edge_colour(u, v)
+                try:
+                    extract_solution(m)
+                except InconsistentMorphism:
+                    assert not edges_ok
+                else:
+                    assert edges_ok
+                assert (rowwise_edge_violations(m) == ()) == edges_ok
+                assert ok is (edges_ok and colours_ok)
+                seen[ok] += 1
         assert seen[False] > seen[True] > 0
 
     @pytest.mark.parametrize(
@@ -858,7 +897,7 @@ class TestRandomRuleFiles:
             problem = decision_graph_to_observation(first)
             assert (found is not None) == solvable_by_enumeration(problem, second)
             if found is not None:
-                assert verify_morphism(found).ok
+                assert verify_morphism(found)
             outcomes[found is not None] += 1
             if searched:
                 answered_by["search"] += 1
@@ -966,7 +1005,7 @@ class TestRefute:
                 src, dst = graphs[source], graphs[target]
                 if target in targets:
                     found = find_morphism(src, dst)
-                    assert found is not None and verify_morphism(found).ok
+                    assert found is not None and verify_morphism(found)
                 else:
                     # A budget of 0 lets the search try no candidate at all.
                     assert find_morphism(src, dst, budget=0) is None
@@ -1076,7 +1115,7 @@ class TestClosedFormOracleAtScale:
             found = find_morphism(graph, target, budget=0)
             if closed_form_solvable(labels, in_k, rule):
                 # A join of the pass's fixpoint maps it, with no search.
-                assert found is not None and verify_morphism(found).ok
+                assert found is not None and verify_morphism(found)
             else:
                 # On these two rules the pass before the search is exact.
                 assert found is None
@@ -1135,7 +1174,7 @@ class TestNoBuiltinTargetReachesTheSearch:
             witness = find_morphism(src, dst)
             assert (witness is None) == (pairwise_search(src, dst, None) is None)
             if witness is not None:
-                assert verify_morphism(witness).ok
+                assert verify_morphism(witness)
             found[witness is not None] += 1
         assert found[False] == (17 if n > 1 else 10)
 
@@ -1162,7 +1201,7 @@ class TestNoBuiltinTargetReachesTheSearch:
                     expected = pairwise_search(graph.quotient.graph, target, None)
                     assert (witness is None) == (expected is None)
                     if witness is not None:
-                        assert verify_morphism(witness).ok
+                        assert verify_morphism(witness)
                     found[witness is not None] += 1
         assert min(found.values()) > 0
 
@@ -1180,7 +1219,7 @@ class TestNoBuiltinTargetReachesTheSearch:
                 witness = find_morphism(graph, target, budget=0)
                 assert (witness is None) == nodewise_refute(graph.quotient.graph, target)
                 if witness is not None:
-                    assert verify_morphism(witness).ok
+                    assert verify_morphism(witness)
                 found[witness is not None] += 1
         assert min(found.values()) > 0
 

@@ -6,6 +6,7 @@ with a reference that walks one string, node or table entry at a time, over
 random problems that mix projections and observation tables.
 """
 
+import random
 import re
 
 import pytest
@@ -28,6 +29,7 @@ from decobs import (
     verify_solution,
 )
 from helpers import (
+    random_colored_graph,
     rowwise_edge_violations,
     rowwise_observation_graph,
     rowwise_quotient,
@@ -40,10 +42,11 @@ LABELS = ("x", "y", "z")
 
 
 @st.composite
-def problems(draw, max_strings: int = 8) -> ObservationProblem:
-    """A valid problem over TOKENS: each agent observes by a projection or
-    by a table total on L."""
-    n = draw(st.integers(1, 3))
+def problems(draw, max_strings: int = 8, n: int | None = None) -> ObservationProblem:
+    """A valid problem over TOKENS, of n agents or of one to three: each
+    agent observes by a projection or by a table total on L."""
+    if n is None:
+        n = draw(st.integers(1, 3))
     strings = draw(
         st.lists(
             st.lists(st.sampled_from(TOKENS), max_size=3).map(tuple),
@@ -130,22 +133,37 @@ class TestLabelIndexes:
         _assert_label_indexes(build_decision_graph(builtin_rule(name, n)))
 
 
+def _any_node_map(p: ObservationProblem, data) -> Morphism:
+    """Any node map from the observation graph of p into a builtin rule's
+    decision graph or into another problem's observation graph, both of
+    p's agent count."""
+    if data.draw(st.booleans()):
+        rule = builtin_rule(data.draw(st.sampled_from(BUILTIN_RULES)), p.n)
+        target = build_decision_graph(rule)
+    else:
+        target = build_observation_graph(data.draw(problems(n=p.n)))
+    g = build_observation_graph(p)
+    assume(len(target) or not len(g))
+    mapping = data.draw(
+        st.lists(st.integers(0, max(len(target) - 1, 0)), min_size=len(g), max_size=len(g))
+    )
+    return Morphism(g, target, tuple(mapping))
+
+
+def _assert_tables(m: Morphism) -> None:
+    """Tables and their key order, or the message naming the first clash."""
+    expected = rowwise_tables(m)
+    if isinstance(expected, str):
+        with pytest.raises(InconsistentMorphism, match=f"^{re.escape(expected)}$"):
+            extract_solution(m)
+    else:
+        assert _items(extract_solution(m)) == _items(expected)
+
+
 class TestExtractSolution:
-    @given(problems(), st.sampled_from(BUILTIN_RULES), st.data())
-    def test_any_node_map(self, p, name, data):
-        """Tables and their key order, or the message naming the first clash."""
-        rule = builtin_rule(name, p.n)
-        g, target = build_observation_graph(p), build_decision_graph(rule)
-        mapping = data.draw(
-            st.lists(st.integers(0, len(target) - 1), min_size=len(g), max_size=len(g))
-        )
-        m = Morphism(g, target, tuple(mapping))
-        expected = rowwise_tables(m)
-        if isinstance(expected, str):
-            with pytest.raises(InconsistentMorphism, match=f"^{re.escape(expected)}$"):
-                extract_solution(m)
-        else:
-            assert _items(extract_solution(m)) == _items(expected)
+    @given(problems(), st.data())
+    def test_any_node_map(self, p, data):
+        _assert_tables(_any_node_map(p, data))
 
     @given(problems(), st.sampled_from(BUILTIN_RULES))
     def test_found_morphism(self, p, name):
@@ -155,18 +173,29 @@ class TestExtractSolution:
         assume(found is not None)
         assert _items(extract_solution(found)) == _items(rowwise_tables(found))
 
+    def test_generic_graphs(self):
+        """The same on random node maps between ``random_colored_graph``
+        graphs of one agent count: generic keys, repeated signatures."""
+        rng = random.Random(5)
+        for _ in range(300):
+            src = random_colored_graph(rng, max_agents=2)
+            dst = random_colored_graph(rng, max_agents=2)
+            while dst.n != src.n:
+                dst = random_colored_graph(rng, max_agents=2)
+            m = Morphism(src, dst, tuple(rng.randrange(len(dst)) for _ in range(len(src))))
+            _assert_tables(m)
+
 
 class TestVerifyMorphism:
-    @given(problems(), st.sampled_from(BUILTIN_RULES), st.data())
-    def test_any_node_map(self, p, name, data):
-        """The exact edge violations of any node map into a decision graph."""
-        target = build_decision_graph(builtin_rule(name, p.n))
-        g = build_observation_graph(p)
-        mapping = data.draw(
-            st.lists(st.integers(0, len(target) - 1), min_size=len(g), max_size=len(g))
+    @given(problems(), st.data())
+    def test_any_node_map(self, p, data):
+        """Any node map into a decision or observation graph is a morphism
+        exactly when it has no edge violation and keeps every colour."""
+        m = _any_node_map(p, data)
+        colours_kept = all(
+            m.source.colours[v] == m.target.colours[t] for v, t in enumerate(m.mapping)
         )
-        m = Morphism(g, target, tuple(mapping))
-        assert verify_morphism(m).edge_violations == rowwise_edge_violations(m)
+        assert verify_morphism(m) is (not rowwise_edge_violations(m) and colours_kept)
 
 
 class TestVerifySolution:
