@@ -6,13 +6,15 @@ Exit codes: 0 for a positive analysis result, 1 for a negative one
 keys are ambiguous), 3 when a search budget was exhausted, 4 for an internal
 error, and 130 when interrupted (Ctrl-C).  Commands raise library
 exceptions; ``_Main.invoke`` is the one place that turns them into exit
-codes.  Every file argument is read by ``_read``, which names a missing path
-or a directory in one message; every argument that names a rule or a problem
-to analyse goes through ``_load``, which also checks the result's kind.
-Each command renders every file it writes, a DOT file included, first and
-hands them to ``_write`` in one call, so it leaves all of its output files
-or none of those it wrote; an output path that is a directory, or lies
-under a regular file or a missing directory, exits 2 naming the fault.
+codes, a controllability violation's exit 1 included.  Every file argument
+is read by ``_read``, which names a missing path or a directory in one
+message; every argument that names a rule or a problem to analyse goes
+through ``_load``, which also checks the result's kind.  Each command hands
+every file it writes to ``_write`` in one call, as a JSON value or as DOT
+text; ``_write`` renders them all before it writes any, so the command leaves
+all of its output files or none of those it wrote.  An output path that is a
+directory, or lies under a regular file or a missing directory, exits 2
+naming the fault.
 
 ``_Main.invoke`` also pauses the cyclic garbage collector for the life of
 each command and turns it back on afterwards, unless the caller had it off.
@@ -64,7 +66,7 @@ from .model import (
 from .morphism import Morphism, extract_solution, find_morphism, verify_d2o, verify_morphism
 from .morphism import verify_solution as check_solution
 
-_SELECTOR = re.compile(r"^([a-z0-9_]+):(\d+)$")
+_SELECTOR = re.compile(r"([a-z0-9_]+):([0-9]+)")  # matched whole
 _BUDGET = click.IntRange(min=0)
 
 # How a wrong-kind message names each kind of argument.
@@ -87,15 +89,17 @@ def _fail(code: int, message: str):
     sys.exit(code)
 
 
-def _write(outputs: list[tuple[str | Path, str]]) -> None:
-    """Write each (path, text) pair in order, then print one ``wrote``
-    line per file.  A write that fails removes the files this call already
-    wrote, overwritten ones included, and re-raises; a path that is a
-    directory, or has a regular file or nothing for a parent, exits 2
-    saying so."""
+def _write(outputs: list[tuple[str | Path, Any]]) -> None:
+    """Write each (path, value) pair in order, then print one ``wrote``
+    line per file.  Every value is rendered before any file is written: text,
+    such as DOT, as it is and anything else through ``files.to_json``.  A
+    write that fails removes the files this call already wrote, overwritten
+    ones included, and re-raises; a path that is a directory, or has a
+    regular file or nothing for a parent, exits 2 saying so."""
+    texts = [(path, v if isinstance(v, str) else files.to_json(v)) for path, v in outputs]
     written: list[str | Path] = []
     try:
-        for path, text in outputs:
+        for path, text in texts:
             try:
                 Path(path).write_text(text, encoding="utf-8")
             except IsADirectoryError:
@@ -137,25 +141,24 @@ def _read(source: str, missing: str = "does not exist") -> Any:
 def _selector(source: str) -> tuple[str, int] | None:
     """The name and agent count of a builtin ``name:agents`` selector, or
     None when ``source`` is not one."""
-    match = _SELECTOR.match(source)
+    match = _SELECTOR.fullmatch(source)
     if match and match.group(1) in BUILTIN_RULES:
         return match.group(1), int(match.group(2))
     return None
 
 
-def _load(source: str, *expected: type) -> tuple[Any, str]:
-    """The rule or valid problem an argument names, with its label.
+def _load(source: str, *expected: type) -> Any:
+    """The rule or valid problem an argument names.
 
-    A builtin ``name:agents`` selector comes first and is its own label.
-    Anything else must be a file, labelled by its stem and read as a rule when
-    only a rule is ``expected`` or its ``type`` is a rule's, as a problem
-    otherwise.  Every result of a kind that is not ``expected`` exits 2, and
-    so does an invalid problem.
+    A builtin ``name:agents`` selector comes first.  Anything else must be a
+    file, read as a rule when only a rule is ``expected`` or its ``type`` is
+    a rule's, as a problem otherwise.  Every result of a kind that is not
+    ``expected`` exits 2, and so does an invalid problem.
     """
     selector = _selector(source)
     if selector:
         try:
-            loaded, label = builtin_rule(*selector), source
+            loaded = builtin_rule(*selector)
         except ValueError as e:
             _fail(2, str(e))
     else:
@@ -164,43 +167,40 @@ def _load(source: str, *expected: type) -> tuple[Any, str]:
             isinstance(obj, dict) and obj.get("type") == files.RULE_TYPE
         )
         loaded = (files.parse_rule if as_rule else files.parse_problem)(obj)
-        label = Path(source).stem
     if not isinstance(loaded, expected):
         wanted = " or ".join(_KINDS[kind] for kind in expected)
         _fail(2, f"{source}: expected {wanted}, got {_KINDS[type(loaded)]}")
     if not isinstance(loaded, FusionRule):
         _require_valid(loaded)
-    return loaded, label
+    return loaded
 
 
-def _rules(
-    specs: Sequence[str], agree: Callable[[list[int]], None]
-) -> list[tuple[FusionRule, str]]:
-    """The rule and label each argument names, once ``agree`` has accepted
-    the list of their agent counts.  A builtin selector's count is read from
-    its text and its rule built only after ``agree``, which spares a
-    mismatched builtin its 2^n combinations.  Every other argument, a file
-    or a selector with fewer than one agent (which ``builtin_rule`` refuses
-    in its own words), is loaded first and in order, so any error is the
-    one that loading the arguments in turn would give."""
+def _rules(specs: Sequence[str], agree: Callable[[list[int]], None]) -> list[FusionRule]:
+    """The rule each argument names, once ``agree`` has accepted the list of
+    their agent counts.  A builtin selector's count is read from its text and
+    its rule built only after ``agree``, which spares a mismatched builtin
+    its 2^n combinations.  Every other argument, a file or a selector whose
+    count ``builtin_rule`` refuses in its own words (below 1 or past
+    ``sys.maxsize``), is loaded first and in order, so any error is the one
+    that loading the arguments in turn would give."""
     selectors = [_selector(spec) for spec in specs]
     early = {
         k: _load(spec, FusionRule)
         for k, (spec, selector) in enumerate(zip(specs, selectors))
-        if selector is None or selector[1] < 1
+        if selector is None or not 1 <= selector[1] <= sys.maxsize
     }
-    agree([early[k][0].n if k in early else selector[1] for k, selector in enumerate(selectors)])
+    agree([early[k].n if k in early else selector[1] for k, selector in enumerate(selectors)])
     return [early.get(k) or _load(spec, FusionRule) for k, spec in enumerate(specs)]
 
 
 def _problem_and_rule(problem_file: str, rule_spec: str) -> tuple[ObservationProblem, FusionRule]:
-    problem, _ = _load(problem_file, ObservationProblem)
+    problem = _load(problem_file, ObservationProblem)
 
     def agree(counts: list[int]) -> None:
         if counts[0] != problem.n:
             raise ArityMismatch(f"problem has {problem.n} agents, rule has {counts[0]}")
 
-    [(rule, _)] = _rules([rule_spec], agree)
+    [rule] = _rules([rule_spec], agree)
     return problem, rule
 
 
@@ -234,6 +234,8 @@ class _Main(click.Group):
             _fail(3, str(e))
         except (ArityMismatch, FileFormatError, OSError) as e:
             _fail(2, str(e))
+        except ControllabilityViolation as e:
+            _fail(1, str(e))
         except Exception as e:
             _fail(4, f"internal: {type(e).__name__}: {e}")
         except KeyboardInterrupt:
@@ -269,11 +271,8 @@ def validate(problem_file):
 @click.option("--allow-uncontrollable", is_flag=True, help="Reduce even if controllability fails.")
 def reduce(control_file, outdir, allow_uncontrollable):
     """Split a control problem into per-event observation problem files."""
-    problem, _ = _load(control_file, ControlProblem)
-    try:
-        family = reduce_control(problem, allow_uncontrollable=allow_uncontrollable)
-    except ControllabilityViolation as e:
-        _fail(1, str(e))
+    problem = _load(control_file, ControlProblem)
+    family = reduce_control(problem, allow_uncontrollable=allow_uncontrollable)
     out = Path(outdir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -282,7 +281,7 @@ def reduce(control_file, outdir, allow_uncontrollable):
     manifest: dict[str, str] = {}
     outputs = []
     for reduced in family:
-        base = files.sanitize_token(reduced.event) or "event"
+        base = files.sanitize_token(reduced.event)
         name = f"obs_{base}.json"
         suffix = 2
         while name in manifest:
@@ -291,7 +290,7 @@ def reduce(control_file, outdir, allow_uncontrollable):
         manifest[name] = reduced.event
         outputs.append((out / name, files.problem_to_obj(reduced.problem)))
     outputs.append((out / "manifest.json", {"type": "manifest", "files": manifest}))
-    _write([(path, files.to_json(obj)) for path, obj in outputs])
+    _write(outputs)
 
 
 @main.command()
@@ -304,7 +303,7 @@ def check(problem_file, rule_spec, witness_path, budget):
     _, _, found = _solve_or_exit(problem_file, rule_spec, budget)
     if not verify_morphism(found):
         raise RuntimeError("found morphism failed verification")
-    _write([(witness_path, files.to_json(files.morphism_to_obj(found)))] if witness_path else [])
+    _write([(witness_path, files.morphism_to_obj(found))] if witness_path else [])
     click.echo("SOLVABLE")
 
 
@@ -322,7 +321,7 @@ def solve(problem_file, rule_spec, solution_path, witness_path, budget):
         raise RuntimeError("extracted solution failed verification")
     outputs = [(witness_path, files.morphism_to_obj(found))] if witness_path else []
     outputs.append((solution_path, files.solution_to_obj(solution)))
-    _write([(path, files.to_json(obj)) for path, obj in outputs])
+    _write(outputs)
     click.echo("SOLVABLE")
 
 
@@ -350,7 +349,7 @@ def verify_solution_cmd(problem_file, solution_file, rule_spec):
 @click.option("-o", "--out", "out_path", type=click.Path(), help="Write the verdict as JSON.")
 def compare_cmd(rule_a, rule_b, witness_prefix, separating_prefix, budget, out_path):
     """Compare the permissiveness of two fusion rules."""
-    (first, _), (second, _) = _rules([rule_a, rule_b], check_arities)
+    first, second = _rules([rule_a, rule_b], check_arities)
     verdict = run_compare(first, second, budget=budget)
     click.echo(_PHRASES[verdict.relation])
     # Each witness's JSON value, built once for every file that holds it.
@@ -382,7 +381,7 @@ def compare_cmd(rule_a, rule_b, witness_prefix, separating_prefix, budget, out_p
             "witness_bwd": witnesses.get("bwd"),
         }
         outputs.append((out_path, obj))
-    _write([(path, files.to_json(obj)) for path, obj in outputs])
+    _write(outputs)
 
 
 @main.command()
@@ -391,9 +390,8 @@ def compare_cmd(rule_a, rule_b, witness_prefix, separating_prefix, budget, out_p
 @click.option("-o", "--out", "out_path", type=click.Path(), help="Write the matrix as JSON.")
 def poset(rule_specs, budget, out_path):
     """Pairwise permissiveness matrix and Hasse diagram for several rules."""
-    resolved = _rules(rule_specs, check_arities)
-    rules = [rule for rule, _ in resolved]
-    labels = [label for _, label in resolved]
+    rules = _rules(rule_specs, check_arities)
+    labels = [spec if _selector(spec) else Path(spec).stem for spec in rule_specs]
     matrix = relation_matrix(rules, budget=budget)
     for i in range(len(rules)):
         for j in range(i + 1, len(rules)):
@@ -416,7 +414,7 @@ def poset(rule_specs, budget, out_path):
             "classes": [[labels[i] for i in cls] for cls in matrix.classes],
             "hasse": [list(edge) for edge in matrix.hasse],
         }
-        _write([(out_path, files.to_json(obj))])
+        _write([(out_path, obj)])
 
 
 @main.command()
@@ -430,14 +428,14 @@ def poset(rule_specs, budget, out_path):
 @click.option("-o", "--out", "prefix", required=True, help="Output path prefix.")
 def d2o(rule_spec, encoding, prefix):
     """Recast a rule's decision graph as an observation problem."""
-    rule, _ = _load(rule_spec, FusionRule)
+    rule = _load(rule_spec, FusionRule)
     problem = decision_graph_to_observation(rule, encoding)
     if not verify_d2o(problem, rule):
         raise RuntimeError("conversion failed its isomorphism check")
     _write(
         [
-            (f"{prefix}.problem.json", files.to_json(files.problem_to_obj(problem))),
-            (f"{prefix}.bijection.json", files.to_json(files.bijection_to_obj(rule, problem))),
+            (f"{prefix}.problem.json", files.problem_to_obj(problem)),
+            (f"{prefix}.bijection.json", files.bijection_to_obj(rule, problem)),
         ]
     )
 
@@ -447,7 +445,7 @@ def d2o(rule_spec, encoding, prefix):
 @click.option("--dot", "dot_path", type=click.Path(), help="Write DOT here instead of stdout.")
 def graph_cmd(source, dot_path):
     """Export the observation or decision graph of a problem file or rule."""
-    loaded, _ = _load(source, ObservationProblem, FusionRule)
+    loaded = _load(source, ObservationProblem, FusionRule)
     build = build_decision_graph if isinstance(loaded, FusionRule) else build_observation_graph
     text = export_dot(build(loaded))
     if dot_path:

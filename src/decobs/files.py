@@ -287,6 +287,15 @@ def _key_lookup(g: ColoredGraph) -> dict:
     return {tuple(k) if isinstance(k, list) else k: i for i, k in enumerate(_node_keys(g))}
 
 
+def _node_index(lookup: dict, raw: Any, side: str) -> int:
+    """The node a written key names; a key no node has, an unhashable one
+    included, is an unknown ``side`` node."""
+    try:
+        return lookup[tuple(raw) if isinstance(raw, list) else raw]
+    except (KeyError, TypeError):
+        raise FileFormatError(f"unknown {side} node {raw!r}") from None
+
+
 def morphism_to_obj(m: Morphism) -> list:
     source_keys = _node_keys(m.source)  # first, so a source collision is named first
     target_keys = _node_keys(m.target)  # rows mapped to one node share its key
@@ -304,13 +313,10 @@ def parse_morphism(obj: Any, source: ColoredGraph, target: ColoredGraph) -> Morp
             "morphism entries must be [source-key, target-key] pairs",
         )
         raw_s, raw_t = pair
-        key_s = tuple(raw_s) if isinstance(raw_s, list) else raw_s
-        key_t = tuple(raw_t) if isinstance(raw_t, list) else raw_t
-        _require(key_s in src_lookup, f"unknown source node {raw_s!r}")
-        _require(key_t in tgt_lookup, f"unknown target node {raw_t!r}")
-        v = src_lookup[key_s]
+        v = _node_index(src_lookup, raw_s, "source")
+        t = _node_index(tgt_lookup, raw_t, "target")
         _require(mapping[v] == -1, f"source node {raw_s!r} mapped twice")
-        mapping[v] = tgt_lookup[key_t]
+        mapping[v] = t
     _require(all(t >= 0 for t in mapping), "morphism does not cover every source node")
     return Morphism(source, target, tuple(mapping))
 

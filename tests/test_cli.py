@@ -581,6 +581,17 @@ class TestArityBeforeBuild:
         assert result.exit_code == 2, result.output
         assert result.output.startswith(f"error: {message}")
 
+    @pytest.mark.parametrize(
+        "args",
+        [["compare", "conjunctive:{n}", "missing.json"], ["poset", "conjunctive:{n}", "conjunctive:2"]],
+        ids=["compare-before-a-missing-file", "poset-before-the-mismatch"],
+    )
+    def test_a_count_past_maxsize_is_the_first_error(self, runner, args):
+        n = 99999999999999999999
+        result = runner.invoke(main, [a.format(n=n) for a in args])
+        assert result.exit_code == 2, result.output
+        assert result.stderr == f"error: agent count must be at most {sys.maxsize}, got {n}\n"
+
 
 class TestD2O:
     def test_writes_problem_and_bijection(self, runner, tmp_path):
@@ -810,6 +821,23 @@ class TestArgumentKinds:
         assert result.exit_code == 2
         assert result.output == f"error: {arguments['dir']!r} is a directory\n"
 
+    @pytest.mark.parametrize(
+        "template, spec",
+        [
+            (["check", "{observation}", "--rule", "{}"], "conjunctive:2\n"),
+            (["compare", "{}", "conjunctive:2"], "conjunctive:\u0662"),
+            (["poset", "{}", "disjunctive:2"], "conjunctive:2\n"),
+        ],
+        ids=["check-newline", "compare-arabic-digit", "poset-newline"],
+    )
+    def test_a_selector_is_the_whole_argument_in_ascii_digits(
+        self, runner, arguments, template, spec
+    ):
+        """Anything but ``name:`` and ASCII digits, start to end, is a file name."""
+        result = runner.invoke(main, [spec if a == "{}" else a.format(**arguments) for a in template])
+        assert result.exit_code == 2, result.output
+        assert result.output == f"error: {spec!r} is neither a builtin rule (name:agents) nor a file\n"
+
 
 class TestDeterminism:
     def test_witness_and_solution_bytes_are_stable(self, runner, ex1_file, tmp_path):
@@ -1023,6 +1051,13 @@ class TestExitCodes:
         assert result.exit_code == 2, result.output
         assert "node keys are ambiguous" in result.output
         assert not solution.exists() and not witness.exists()
+
+    def test_every_file_is_rendered_before_any_is_written(self, runner, tmp_path, monkeypatch):
+        monkeypatch.setattr(files, "bijection_to_obj", lambda rule, problem: {1: 2})
+        result = runner.invoke(main, ["d2o", "conjunctive:2", "-o", str(tmp_path / "p")])
+        assert result.exit_code == 4, result.output
+        assert result.output.startswith("error: internal: TypeError: ")
+        assert list(tmp_path.iterdir()) == []
 
     def test_unwritable_bijection_leaves_no_problem_file(self, runner, tmp_path):
         (tmp_path / "d.bijection.json").mkdir()

@@ -205,6 +205,14 @@ class TestRuleFiles:
             files.parse_rule(obj)
 
 
+# Any JSON value, the decision keys of conjunctive:2 among them.
+_json_keys = st.sampled_from([["0", "0"], ["0", "1"], ["1", "1"]]) | st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=6,
+)
+
+
 class TestMorphismFiles:
     def test_round_trip(self, ex1, tmp_path):
         source = build_observation_graph(ex1)
@@ -235,6 +243,25 @@ class TestMorphismFiles:
         obj = [["zz", ["0", "0"]]]
         with pytest.raises(FileFormatError, match="unknown source node"):
             files.parse_morphism(obj, source, target)
+
+    @pytest.mark.parametrize("side", ["source", "target"])
+    @pytest.mark.parametrize("key", [{"a": 1}, [["x"]]], ids=["object", "nested-array"])
+    def test_unhashable_keys_are_unknown_nodes(self, side, key):
+        g = build_decision_graph(builtin_rule("conjunctive", 2))
+        pair = [key, ["0", "0"]] if side == "source" else [["0", "0"], key]
+        with pytest.raises(FileFormatError, match=f"^unknown {side} node "):
+            files.parse_morphism([pair], g, g)
+
+    @given(key=_json_keys, side=st.sampled_from([0, 1]))
+    def test_any_json_key_gives_a_morphism_or_a_file_format_error(self, key, side):
+        g = build_decision_graph(builtin_rule("conjunctive", 2))
+        obj = files.morphism_to_obj(Morphism(g, g, tuple(range(len(g)))))
+        obj[0][side] = key
+        try:
+            m = files.parse_morphism(obj, g, g)
+        except FileFormatError:
+            return
+        assert isinstance(m, Morphism)
 
     def test_ambiguous_joined_keys_are_rejected(self):
         p = ObservationProblem(
