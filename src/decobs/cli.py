@@ -391,7 +391,7 @@ def compare_cmd(rule_a, rule_b, witness_prefix, separating_prefix, budget, out_p
 def poset(rule_specs, budget, out_path):
     """Pairwise permissiveness matrix and Hasse diagram for several rules."""
     rules = _rules(rule_specs, check_arities)
-    labels = [spec if _selector(spec) else Path(spec).stem for spec in rule_specs]
+    labels = list(rule_specs)
     matrix = relation_matrix(rules, budget=budget)
     for i in range(len(rules)):
         for j in range(i + 1, len(rules)):

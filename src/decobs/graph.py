@@ -2,10 +2,10 @@
 
 Both views share one representation: every node carries an n-entry signature
 (its observation tuple, or the decision tuple itself) and a binary colour.
-The colour of the edge between two nodes is the set of agent indices on which
-their signatures disagree; it is computed from the signatures on demand and
-never stored, since the morphism search and its checks work per agent label
-(see morphism.py).
+The colour of the edge between two nodes is defined as the set of agent
+indices on which their signatures disagree.  It is never stored, and only
+``export_dot`` computes it: the morphism search and its checks work per agent
+label (see morphism.py).
 """
 
 from __future__ import annotations
@@ -26,14 +26,14 @@ from .model import (
     format_str,
 )
 
-AgentSet = frozenset[int]
-
 _BINARY = (0, 1)
 
 
 @dataclass(frozen=True)
 class ColoredGraph:
-    """Complete graph with 0/1 node colours and agent-set edge colours.
+    """Complete graph with 0/1 node colours.  An edge's colour is the set of
+    agents on which its two nodes' signatures differ: defined by the
+    signatures, never stored, and computed only where ``export_dot`` needs it.
 
     ``kind`` records what the node keys are ("observation" for strings,
     "decision" for decision tuples, "generic" otherwise); it only affects
@@ -63,10 +63,6 @@ class ColoredGraph:
 
     def __len__(self) -> int:
         return len(self.keys)
-
-    def edge_colour(self, u: int, v: int) -> AgentSet:
-        su, sv = self.signatures[u], self.signatures[v]
-        return frozenset(i for i in range(self.n) if su[i] != sv[i])
 
     # The label indexes below are built once per graph and shared by the
     # search and the arc-consistency pass; callers must not mutate them.
@@ -99,10 +95,6 @@ class ColoredGraph:
     def quotient(self) -> Quotient:
         """``quotient_by_indistinguishability(self)``, built once per graph."""
         return quotient_by_indistinguishability(self)
-
-    def pairs(self):
-        """Unordered pairs of distinct node indices, in declaration order."""
-        return combinations(range(len(self.keys)), 2)
 
 
 def build_observation_graph(p: ObservationProblem) -> ColoredGraph:
@@ -244,16 +236,14 @@ def _node_label(g: ColoredGraph, idx: int) -> str:
     return str(key)
 
 
-def _edge_attrs(colour: AgentSet) -> str:
+def _edge_attrs(su: tuple, sv: tuple) -> str:
+    """DOT attributes of the edge between the nodes signed ``su`` and ``sv``,
+    whose colour is the agents on which the two signatures differ."""
+    colour = tuple(i for i, (a, b) in enumerate(zip(su, sv)) if a != b)
     if not colour:
         return 'label="∅", style=solid, color=gray60'
-    label = "{" + ",".join(str(i + 1) for i in sorted(colour)) + "}"
-    if colour == frozenset({0}):
-        style = "dotted"
-    elif colour == frozenset({1}):
-        style = "dashed"
-    else:
-        style = "solid"
+    label = "{" + ",".join(str(i + 1) for i in colour) + "}"
+    style = {(0,): "dotted", (1,): "dashed"}.get(colour, "solid")
     return f'label="{label}", style={style}'
 
 
@@ -265,7 +255,7 @@ def export_dot(g: ColoredGraph) -> str:
         shape = "doublecircle" if g.colours[idx] == 1 else "circle"
         label = _node_label(g, idx).replace("\\", "\\\\").replace('"', '\\"')
         lines.append(f'  n{idx} [label="{label}", shape={shape}];')
-    for u, v in g.pairs():
-        lines.append(f"  n{u} -- n{v} [{_edge_attrs(g.edge_colour(u, v))}];")
+    for u, v in combinations(range(len(g)), 2):
+        lines.append(f"  n{u} -- n{v} [{_edge_attrs(g.signatures[u], g.signatures[v])}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -36,6 +36,18 @@ def random_colored_graph(
     )
 
 
+def edge_colour(g: ColoredGraph, u: int, v: int) -> frozenset[int]:
+    """The colour of the edge between nodes u and v, by its definition: the
+    agents on which their signatures disagree."""
+    su, sv = g.signatures[u], g.signatures[v]
+    return frozenset(i for i in range(g.n) if su[i] != sv[i])
+
+
+def pairs(g: ColoredGraph):
+    """Unordered pairs of distinct node indices, in declaration order."""
+    return itertools.combinations(range(len(g)), 2)
+
+
 def brute_force_morphism_exists(src: ColoredGraph, dst: ColoredGraph) -> bool:
     """Try every node map; independent of the backtracking search."""
     if len(src) == 0:
@@ -58,8 +70,8 @@ def pairwise_edge_ok(src: ColoredGraph, dst: ColoredGraph, mapping) -> bool:
     """The edge condition straight from its definition, over every node pair:
     no image edge colour adds an agent to its source edge colour."""
     return all(
-        dst.edge_colour(mapping[u], mapping[v]) <= src.edge_colour(u, v)
-        for u, v in src.pairs()
+        edge_colour(dst, mapping[u], mapping[v]) <= edge_colour(src, u, v)
+        for u, v in pairs(src)
     )
 
 
@@ -68,7 +80,7 @@ def _edge_colours(g: ColoredGraph) -> tuple[tuple[frozenset[int], ...], ...]:
     """The full matrix of edge colours; cached because the differential tests
     search between the same few graphs many times."""
     return tuple(
-        tuple(g.edge_colour(u, v) for v in range(len(g))) for u in range(len(g))
+        tuple(edge_colour(g, u, v) for v in range(len(g))) for u in range(len(g))
     )
 
 
@@ -222,18 +234,62 @@ def separable(inside, outside, n: int) -> bool:
 
 
 def closed_form_solvable(labels, in_k, rule: str) -> bool:
-    """Solvability from the label tuples alone, without a graph or a search:
-    C&P co-observability (Rudie & Wonham 1992) for the conjunctive rule, its
-    D&A dual for the disjunctive rule.  ``labels`` and ``in_k`` are parallel,
-    one entry per string of L.  O(|L|·n)."""
+    """Solvability under a builtin rule from the label tuples alone, without
+    a graph or a search.  ``labels`` and ``in_k`` are parallel, one entry per
+    string of L.  O(|L|·n).
+
+    conjunctive and conjunctive_cd: C&P co-observability (Rudie & Wonham
+    1992), every string of L − K has an agent whose label no string of K
+    carries; disjunctive: its D&A dual, with K and L − K swapped; cpda: every
+    string has an agent whose label is pure (carried by strings of one colour
+    only), that is both of the above; const0: K is empty; const1: K = L."""
     n = len(labels[0]) if labels else 0
     k = [lab for lab, inside in zip(labels, in_k) if inside]
     rest = [lab for lab, inside in zip(labels, in_k) if not inside]
-    if rule == "conjunctive":
+    if rule in ("conjunctive", "conjunctive_cd"):
         return separable(k, rest, n)
     if rule == "disjunctive":
         return separable(rest, k, n)
+    if rule == "cpda":
+        return separable(k, rest, n) and separable(rest, k, n)
+    if rule == "const0":
+        return not k
+    if rule == "const1":
+        return not rest
     raise ValueError(f"no closed-form oracle for {rule!r}")
+
+
+def closed_form_core(labels, in_k, rule: str) -> tuple[int, ...] | None:
+    """None when ``closed_form_solvable`` holds; otherwise the indices, in
+    order, of an unsolvable subproblem of at most n + 1 strings.
+
+    The form fails at a first string s; the core is s and, for each agent,
+    the first string of the other colour that shares s's label there.  Every
+    label of s stays shared in the core, so the form fails there too.  Under
+    const0 and const1 the form fails at s by its colour alone: the core is s.
+    """
+    n = len(labels[0]) if labels else 0
+    if rule in ("const0", "const1"):
+        wrong = [k for k, inside in enumerate(in_k) if inside != (rule == "const1")]
+        return tuple(wrong[:1]) or None
+    # The colours whose strings the form checks, and the first string of
+    # each (label, colour) at each agent.
+    checked = {
+        "conjunctive": (False,),
+        "conjunctive_cd": (False,),
+        "disjunctive": (True,),
+        "cpda": (False, True),
+    }[rule]
+    first = [{} for _ in range(n)]
+    for k, (labs, inside) in enumerate(zip(labels, in_k)):
+        for i, label in enumerate(labs):
+            first[i].setdefault((label, inside), k)
+    for k, (labs, inside) in enumerate(zip(labels, in_k)):
+        if inside in checked:
+            others = [first[i].get((label, not inside)) for i, label in enumerate(labs)]
+            if None not in others:
+                return tuple(sorted({k, *others}))
+    return None
 
 
 def restated_builtin(name: str, n: int) -> tuple[tuple, tuple, tuple]:

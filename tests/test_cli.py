@@ -517,6 +517,24 @@ class TestPoset:
         assert obj["classes"] == [["conjunctive:2"], ["disjunctive:2"], ["cpda:2"]]
         assert sorted(map(tuple, obj["hasse"])) == [(2, 0), (2, 1)]
 
+    def test_rule_files_are_named_as_given(self, runner, tmp_path, monkeypatch):
+        # Two files that share a stem in different directories stay apart.
+        monkeypatch.chdir(tmp_path)
+        for folder in ("x", "y"):
+            (tmp_path / folder).mkdir()
+            dump_json(files.rule_to_obj(builtin_rule("conjunctive", 1)), tmp_path / folder / "r.json")
+        result = runner.invoke(
+            main, ["poset", "x/r.json", "y/r.json", "conjunctive:1", "-o", "p.json"]
+        )
+        assert result.exit_code == 0, result.output
+        assert result.output.splitlines()[:2] == [
+            "x/r.json vs y/r.json: equivalent",
+            "x/r.json vs conjunctive:1: equivalent",
+        ]
+        obj = json.loads((tmp_path / "p.json").read_text())
+        assert obj["rules"] == ["x/r.json", "y/r.json", "conjunctive:1"]
+        assert obj["classes"] == [["x/r.json", "y/r.json", "conjunctive:1"]]
+
 
 class TestArityBeforeBuild:
     """A builtin rule whose agent count mismatches is refused before it is
@@ -656,7 +674,7 @@ class TestEmptyDomainRule:
     def test_poset_puts_it_below_const0(self, runner, none_file):
         result = runner.invoke(main, ["poset", str(none_file), "conjunctive:1", "const0:1"])
         assert result.exit_code == 0, result.output
-        assert "{none} < {const0:1}" in result.output.splitlines()
+        assert f"{{{none_file}}} < {{const0:1}}" in result.output.splitlines()
 
     def test_check_solves_only_the_empty_language(self, runner, none_file, tmp_path):
         witness = tmp_path / "w.json"
@@ -864,7 +882,7 @@ class TestDeterminism:
 
     # SHA-256 of every file each command writes, keyed by its path relative to
     # the output directory.  A change to how any output file is rendered,
-    # down to one byte of whitespace, fails here.
+    # down to one byte of whitespace, fails here; the DOT files included.
     GOLDEN = {
         "check": {
             "w.json": "e04c836e3e18e3af72eb8adc31cf81b1e7200b422a2363fa90d899f4aca913a8",
@@ -889,6 +907,12 @@ class TestDeterminism:
             "d.bijection.json": "b6caf6c8eb5fe2ade01ef3dbcb987d81b573518a259a0c3b99547e773fdc17db",
             "d.problem.json": "a9f84497c60ac42e1b45c7cb01fdb41d1bcbbb282afba6287f03ba476aa390fe",
         },
+        "graph-problem": {
+            "g.dot": "bf5c3b89be8942719f4ca5c6f6148f9140cb336d14be506063ffcefeaadcd444",
+        },
+        "graph-rule": {
+            "g.dot": "7cea5c1ce0b0c13461f689e37ac75464e57fe0e8c5b5b083e6d9ef57e1ff3af9",
+        },
         "reduce": {
             "manifest.json": "63d8ae1845638dd7941b80acc578f64f1f82cae7dad92f90bbda813039021345",
             "obs_u03b3.json": "ed9d5563cd187bf15d60ff5de7b9aacbeeae1a8e032ea5e17279184f00eb276f",
@@ -909,6 +933,8 @@ class TestDeterminism:
                       "-o", str(out / "p.json")],
             "d2o-unary": ["d2o", "conjunctive:2", "--encoding", "unary", "-o", str(out / "d")],
             "d2o-tagged": ["d2o", "cpda:2", "--encoding", "tagged", "-o", str(out / "d")],
+            "graph-problem": ["graph", str(ex1_file), "--dot", str(out / "g.dot")],
+            "graph-rule": ["graph", "cpda:2", "--dot", str(out / "g.dot")],
             "reduce": ["reduce", str(control_file), "-o", str(out)],
         }[command]
         out.mkdir()
@@ -937,6 +963,8 @@ class TestDeterminism:
                       ["d.problem.json", "d.bijection.json"]),
         "d2o-tagged": (["d2o", "cpda:2", "--encoding", "tagged", "-o", "{out}/d"],
                        ["d.problem.json", "d.bijection.json"]),
+        "graph-problem": (["graph", "{problem}", "--dot", "{out}/g.dot"], ["g.dot"]),
+        "graph-rule": (["graph", "cpda:2", "--dot", "{out}/g.dot"], ["g.dot"]),
         "reduce": (["reduce", "{control}", "-o", "{out}"], ["obs_u03b3.json", "manifest.json"]),
     }
 

@@ -23,12 +23,12 @@ from decobs import (
     verify_d2o,
 )
 from decobs import files
-from helpers import random_colored_graph, restated_builtin
+from helpers import edge_colour, pairs, random_colored_graph, restated_builtin
 
 
 def edges_by_key(g: ColoredGraph) -> dict:
     return {
-        frozenset((g.keys[u], g.keys[v])): g.edge_colour(u, v) for u, v in g.pairs()
+        frozenset((g.keys[u], g.keys[v])): edge_colour(g, u, v) for u, v in pairs(g)
     }
 
 
@@ -50,10 +50,10 @@ class TestObservationGraph:
     def test_edges_follow_observation_tuples(self, ex1):
         # Recompute every edge straight from the definition.
         g = build_observation_graph(ex1)
-        for u, v in g.pairs():
+        for u, v in pairs(g):
             tu = tuple(fn.observe(g.keys[u]) for fn in ex1.P)
             tv = tuple(fn.observe(g.keys[v]) for fn in ex1.P)
-            assert g.edge_colour(u, v) == frozenset(
+            assert edge_colour(g, u, v) == frozenset(
                 i for i in range(2) if tu[i] != tv[i]
             )
 
@@ -62,7 +62,7 @@ class TestObservationGraph:
             n=1, alphabet=("a",), L=(("a",),), K=(("a",),), P=(Projection(frozenset({"a"})),)
         )
         g = build_observation_graph(p)
-        assert len(g) == 1 and g.colours == (1,) and list(g.pairs()) == []
+        assert len(g) == 1 and g.colours == (1,) and list(pairs(g)) == []
 
     def test_identical_tuples_give_empty_edge(self):
         p = ObservationProblem(
@@ -73,7 +73,7 @@ class TestObservationGraph:
             P=(Projection(frozenset()),),
         )
         g = build_observation_graph(p)
-        assert g.edge_colour(0, 1) == frozenset()
+        assert edge_colour(g, 0, 1) == frozenset()
 
     @pytest.mark.parametrize("order", ["agent-1-first", "agent-2-first"])
     def test_partial_tables_name_the_first_missing_string_of_l(self, order):
@@ -125,7 +125,7 @@ class TestDecisionGraph:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_no_empty_edges_between_distinct_nodes(self, name, n):
         g = build_decision_graph(builtin_rule(name, n))
-        assert all(g.edge_colour(u, v) for u, v in g.pairs())
+        assert all(edge_colour(g, u, v) for u, v in pairs(g))
 
     def test_node_count_matches_domain(self):
         for name in BUILTIN_RULES:
@@ -203,17 +203,17 @@ class TestQuotient:
             g = random_colored_graph(rng)
             q = quotient_by_indistinguishability(g)
             if len(set(q.graph.signatures)) == len(q.graph):
-                assert all(q.graph.edge_colour(u, v) for u, v in q.graph.pairs())
+                assert all(edge_colour(q.graph, u, v) for u, v in pairs(q.graph))
 
     def test_inherited_edges_match_representatives(self):
         rng = random.Random(21)
         for _ in range(30):
             g = random_colored_graph(rng)
             q = quotient_by_indistinguishability(g)
-            for u, v in g.pairs():
+            for u, v in pairs(g):
                 cu, cv = q.class_of[u], q.class_of[v]
                 if cu != cv:
-                    assert q.graph.edge_colour(cu, cv) == g.edge_colour(u, v)
+                    assert edge_colour(q.graph, cu, cv) == edge_colour(g, u, v)
 
 
     def test_classes_are_uniform_and_distinct(self):
@@ -413,7 +413,7 @@ class TestD2O:
                     # Node k of both graphs is the k-th combination and string.
                     og = build_observation_graph(perturbed)
                     expected = dg.colours == og.colours and all(
-                        dg.edge_colour(u, v) == og.edge_colour(u, v) for u, v in dg.pairs()
+                        edge_colour(dg, u, v) == edge_colour(og, u, v) for u, v in pairs(dg)
                     )
                     assert verify_d2o(perturbed, rule) == expected
                     seen[expected] += 1
@@ -456,6 +456,31 @@ class TestExportDot:
     def test_deterministic(self, ex1):
         g = build_observation_graph(ex1)
         assert export_dot(g) == export_dot(g)
+
+    @staticmethod
+    def _graphs():
+        for name in BUILTIN_RULES:
+            for n in range(1, 5):
+                yield build_decision_graph(builtin_rule(name, n))
+        rng = random.Random(31)
+        for _ in range(60):
+            yield random_colored_graph(rng)
+
+    def test_edge_labels_match_the_pairwise_definition(self):
+        edge = re.compile(r'  n(\d+) -- n(\d+) \[label="(∅|\{[\d,]+\})", style=(\w+)(, color=gray60)?\];')
+        for g in self._graphs():
+            lines = [l for l in export_dot(g).splitlines() if " -- " in l]
+            parsed = [edge.fullmatch(l) for l in lines]
+            assert all(parsed), lines
+            assert [(int(m[1]), int(m[2])) for m in parsed] == list(pairs(g))
+            for m in parsed:
+                colour = edge_colour(g, int(m[1]), int(m[2]))
+                if not colour:
+                    assert (m[3], m[4], m[5]) == ("∅", "solid", ", color=gray60")
+                    continue
+                assert m[3] == "{" + ",".join(str(i + 1) for i in sorted(colour)) + "}"
+                style = {frozenset({0}): "dotted", frozenset({1}): "dashed"}.get(colour, "solid")
+                assert (m[4], m[5]) == (style, None)
 
     @pytest.mark.parametrize("kind", ["observation", "decision"])
     def test_backslashes_and_quotes_in_labels_are_escaped(self, kind):

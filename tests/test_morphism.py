@@ -35,6 +35,7 @@ from decobs import files
 from decobs.morphism import _refute, _search
 from helpers import (
     brute_force_morphism_exists,
+    closed_form_core,
     closed_form_solvable,
     nodewise_refute,
     pairwise_edge_ok,
@@ -1037,11 +1038,14 @@ class TestRefute:
 
 def _problem_at_scale(rng, size, built_for):
     """About ``size`` distinct strings over six tokens and three agents, each
-    observing three of them.  K is chosen through per-agent accepted labels so
-    that the problem is solvable under ``built_for`` (conjunctive: every label
-    accepted; disjunctive: some label accepted).  Label tuples and membership
-    are computed here, not by decobs, so the closed-form oracle stays
-    independent of the library."""
+    observing three of them.  K is chosen through per-agent votes on labels
+    so that the problem is solvable under the builtin ``built_for``
+    (conjunctive and conjunctive_cd: every label accepted; disjunctive: some
+    label accepted; cpda: each label votes 1, 0 or dk, a string is kept when
+    its votes hold 1 or 0 but not both, and is in K when they hold 1; const0
+    and const1: K empty or all of L).  Label tuples and
+    membership are computed here, not by decobs, so the closed-form oracle
+    stays independent of the library."""
     tokens = "abcdef"
     observable = [frozenset(rng.sample(tokens, 3)) for _ in range(3)]
     strings = set()
@@ -1049,13 +1053,23 @@ def _problem_at_scale(rng, size, built_for):
         strings.add(tuple(rng.choice(tokens) for _ in range(rng.randint(0, 7))))
     strings = sorted(strings)
     labels = [tuple(tuple(t for t in s if t in obs) for obs in observable) for s in strings]
+    if built_for in ("const0", "const1"):
+        return strings, observable, labels, [built_for == "const1"] * len(strings)
     accepted = [{} for _ in range(3)]
-    share = 0.8 if built_for == "conjunctive" else 0.2
+    if built_for == "cpda":
+        votes = [
+            [accepted[i].setdefault(label, rng.choice("10ddd")) for i, label in enumerate(labs)]
+            for labs in labels
+        ]
+        keep = [("1" in v) != ("0" in v) for v in votes]
+        strings, labels, votes = (list(itertools.compress(xs, keep)) for xs in (strings, labels, votes))
+        return strings, observable, labels, ["1" in v for v in votes]
+    share = 0.2 if built_for == "disjunctive" else 0.8
     votes = [
         [accepted[i].setdefault(label, rng.random() < share) for i, label in enumerate(labs)]
         for labs in labels
     ]
-    in_k = [all(v) if built_for == "conjunctive" else any(v) for v in votes]
+    in_k = [any(v) if built_for == "disjunctive" else all(v) for v in votes]
     return strings, observable, labels, in_k
 
 
@@ -1098,7 +1112,7 @@ class TestClosedFormOracleAtScale:
     @given(
         seed=st.integers(0, 2**32 - 1),
         size=st.integers(1000, 10_000),
-        built_for=st.sampled_from(("conjunctive", "disjunctive")),
+        built_for=st.sampled_from(BUILTIN_RULES),
         flip=st.booleans(),
     )
     def test_verdicts_match_co_observability(self, seed, size, built_for, flip):
@@ -1108,17 +1122,25 @@ class TestClosedFormOracleAtScale:
         if flip:  # flip one string's membership: usually unsolvable
             x = rng.randrange(len(strings))
             in_k[x] = not in_k[x]
-        problem = _scale_problem(strings, in_k, tuple(Projection(obs) for obs in observable))
-        graph = build_observation_graph(problem)
-        for rule in ("conjunctive", "disjunctive"):
+        projections = tuple(Projection(obs) for obs in observable)
+        graph = build_observation_graph(_scale_problem(strings, in_k, projections))
+        for rule in BUILTIN_RULES:
             target = build_decision_graph(builtin_rule(rule, 3))
             found = find_morphism(graph, target, budget=0)
+            core = closed_form_core(labels, in_k, rule)
             if closed_form_solvable(labels, in_k, rule):
                 # A join of the pass's fixpoint maps it, with no search.
                 assert found is not None and verify_morphism(found)
+                assert core is None
             else:
-                # On these two rules the pass before the search is exact.
+                # On the builtins the pass before the search is exact, and
+                # the form's failure fits in n + 1 strings.
                 assert found is None
+                assert core is not None and len(core) <= 4
+                sub = _scale_problem(
+                    [strings[k] for k in core], [in_k[k] for k in core], projections
+                )
+                assert find_morphism(build_observation_graph(sub), target, budget=0) is None
 
 
 # The coordinate-wise operations, on sorted tokens, under which each colour
