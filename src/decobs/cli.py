@@ -58,7 +58,6 @@ from .model import (
     ControlProblem,
     FusionRule,
     ObservationProblem,
-    Problem,
     builtin_rule,
     reduce_control,
     validate_problem,
@@ -117,7 +116,7 @@ def _write(outputs: list[tuple[str | Path, Any]]) -> None:
         click.echo(f"wrote {path}")
 
 
-def _require_valid(problem: Problem) -> None:
+def _require_valid(problem: ObservationProblem) -> None:
     violations = validate_problem(problem)
     if violations:
         for violation in violations:
@@ -152,8 +151,9 @@ def _load(source: str, *expected: type) -> Any:
 
     A builtin ``name:agents`` selector comes first.  Anything else must be a
     file, read as a rule when only a rule is ``expected`` or its ``type`` is
-    a rule's, as a problem otherwise.  Every result of a kind that is not
-    ``expected`` exits 2, and so does an invalid problem.
+    a rule's, as a problem otherwise.  Every result whose exact type is not
+    ``expected`` exits 2 (a control problem is not read where only an
+    observation problem is), and so does an invalid problem.
     """
     selector = _selector(source)
     if selector:
@@ -167,7 +167,7 @@ def _load(source: str, *expected: type) -> Any:
             isinstance(obj, dict) and obj.get("type") == files.RULE_TYPE
         )
         loaded = (files.parse_rule if as_rule else files.parse_problem)(obj)
-    if not isinstance(loaded, expected):
+    if type(loaded) not in expected:
         wanted = " or ".join(_KINDS[kind] for kind in expected)
         _fail(2, f"{source}: expected {wanted}, got {_KINDS[type(loaded)]}")
     if not isinstance(loaded, FusionRule):

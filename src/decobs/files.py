@@ -23,7 +23,6 @@ from .model import (
     ObservationFunction,
     ObservationProblem,
     ObservationTable,
-    Problem,
     Projection,
     Str,
     _clashes,
@@ -193,7 +192,7 @@ def _observation_to(fn: ObservationFunction) -> dict:
     return {"kind": "table", "map": [[list(s), label] for s, label in fn.entries]}
 
 
-def parse_problem(obj: Any) -> Problem:
+def parse_problem(obj: Any) -> ObservationProblem:
     """The problem a checked JSON object describes.  Arrays are handed to
     the constructors as they are; the constructors normalise them."""
     _require(isinstance(obj, dict), "problem file must hold a JSON object")
@@ -223,7 +222,7 @@ def parse_problem(obj: Any) -> Problem:
     )
 
 
-def problem_to_obj(p: Problem) -> dict:
+def problem_to_obj(p: ObservationProblem) -> dict:
     obj: dict[str, Any] = {
         "type": "control" if isinstance(p, ControlProblem) else "observation",
         "agents": p.n,

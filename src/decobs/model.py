@@ -1,5 +1,5 @@
 """Alphabets, finite languages, observation functions, fusion rules, and the
-two decentralized problem classes (observation and control).
+two decentralized problem classes (observation, and control extending it).
 
 Strings are tuples of tokens over an explicit finite alphabet; tokens are
 plain text so that structured symbol names like ``0_1`` or ``d^2`` work.
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, count, product, repeat
 from operator import ne
-from typing import Callable, Hashable, Iterable, Sequence, Union
+from typing import Callable, Hashable, Iterable, Sequence
 
 from .errors import ControllabilityViolation, UnknownRuleName, UnknownString
 
@@ -53,8 +53,16 @@ def _columns(table: Sequence[tuple], n: int) -> tuple[tuple, ...]:
     return tuple(zip(*table)) if table else ((),) * n
 
 
+class ObservationFunction:
+    """An agent's observation map, a ``Projection`` or an ``ObservationTable``:
+    each reads every string through its own ``_observe_all``."""
+
+    def observe(self, s: Str) -> Label:
+        return self._observe_all((tuple(s),))[0]
+
+
 @dataclass(frozen=True)
-class Projection:
+class Projection(ObservationFunction):
     """Natural projection: erases every token outside the observable alphabet."""
 
     observable: frozenset[Token]
@@ -62,16 +70,13 @@ class Projection:
     def __post_init__(self):
         object.__setattr__(self, "observable", frozenset(self.observable))
 
-    def observe(self, s: Str) -> Str:
-        return self._observe_all((tuple(s),))[0]
-
     def _observe_all(self, strings: tuple[Str, ...]) -> tuple[Str, ...]:
         """``observe`` of every string, in one C-level pass."""
         return tuple(map(tuple, map(filter, repeat(self.observable.__contains__), strings)))
 
 
 @dataclass(frozen=True)
-class ObservationTable:
+class ObservationTable(ObservationFunction):
     """Explicit observation map, total on the language it was declared for
     and a function on it: ``validate_problem`` reports a string listed with
     two labels.
@@ -90,9 +95,6 @@ class ObservationTable:
     def _lookup(self) -> dict[Str, Label]:
         return dict(self.entries)
 
-    def observe(self, s: Str) -> Label:
-        return self._observe_all((tuple(s),))[0]
-
     def _observe_all(self, strings: tuple[Str, ...]) -> tuple[Label, ...]:
         """``observe`` of every string, in one C-level pass; UnknownString
         names the first string without an entry."""
@@ -102,12 +104,17 @@ class ObservationTable:
             raise UnknownString(f"no observation recorded for {format_str(e.args[0])}") from None
 
 
-ObservationFunction = Union[Projection, ObservationTable]
+@dataclass(frozen=True)
+class ObservationProblem:
+    """Finite languages K ⊆ L over an alphabet, with one observation function
+    per agent.  Construct local decision tables and fuse them so that every
+    string of K fuses to 1 and every string of L−K fuses to 0."""
 
-
-class _ProblemFields:
-    """Normalisation and cached sets of the fields both problem classes
-    share: alphabet, L, K and P."""
+    n: int
+    alphabet: tuple[Token, ...]
+    L: tuple[Str, ...]
+    K: tuple[Str, ...]
+    P: tuple[ObservationFunction, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "alphabet", _unique(self.alphabet))
@@ -128,19 +135,6 @@ class _ProblemFields:
         return frozenset(self.alphabet)
 
 
-@dataclass(frozen=True)
-class ObservationProblem(_ProblemFields):
-    """Finite languages K ⊆ L over an alphabet, with one observation function
-    per agent.  Construct local decision tables and fuse them so that every
-    string of K fuses to 1 and every string of L−K fuses to 0."""
-
-    n: int
-    alphabet: tuple[Token, ...]
-    L: tuple[Str, ...]
-    K: tuple[Str, ...]
-    P: tuple[ObservationFunction, ...]
-
-
 def _observation_columns(p: ObservationProblem) -> list[tuple[Label, ...]]:
     """Per agent, its observation of every string of L, in one pass each:
     the one place a problem's labels are read.
@@ -153,15 +147,12 @@ def _observation_columns(p: ObservationProblem) -> list[tuple[Label, ...]]:
 
 
 @dataclass(frozen=True)
-class ControlProblem(_ProblemFields):
-    """Observation problem data plus per-agent controllable alphabets."""
+class ControlProblem(ObservationProblem):
+    """An observation problem plus per-agent controllable alphabets, its one
+    added field, last: ``(n, alphabet, L, K, P, controllable)``.  Both kinds
+    are ``ObservationProblem`` instances: tell them apart by ``type(p)``."""
 
-    n: int
-    alphabet: tuple[Token, ...]
     controllable: tuple[frozenset[Token], ...]
-    L: tuple[Str, ...]
-    K: tuple[Str, ...]
-    P: tuple[ObservationFunction, ...]
 
     def __post_init__(self):
         super().__post_init__()
@@ -169,7 +160,7 @@ class ControlProblem(_ProblemFields):
 
     @cached_property
     def sigma_c(self) -> tuple[Token, ...]:
-        """Union of the controllable alphabets, in alphabet declaration order."""
+        """Every token some agent controls, in alphabet declaration order."""
         return tuple(t for t in self.alphabet if any(t in c for c in self.controllable))
 
     @cached_property
@@ -178,10 +169,7 @@ class ControlProblem(_ProblemFields):
         return tuple(t for t in self.alphabet if t not in controllable)
 
 
-Problem = Union[ObservationProblem, ControlProblem]
-
-
-def validate_problem(p: Problem) -> tuple[str, ...]:
+def validate_problem(p: ObservationProblem) -> tuple[str, ...]:
     """The tuple of worded violations of a problem's structural invariants,
     empty exactly when the problem is well formed.
 

@@ -320,9 +320,14 @@ def find_morphism(
     else; exceeding it raises SearchLimitExceeded rather than answering, so
     None always means "no morphism exists".  Whatever the pass or a join
     answers is answered under any budget, 0 included.
+
+    A source with no nodes is answered by the empty map before any quotient
+    or label index is built, so its agent count costs nothing.
     """
     if source.n != target.n:
         raise ArityMismatch(f"source has {source.n} agents, target has {target.n}")
+    if not len(source):
+        return Morphism(source, target, ())
     src, dst = source.quotient, target.quotient
     live = _refute(src.graph, dst.graph)
     if live is None:

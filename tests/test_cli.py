@@ -637,6 +637,8 @@ class TestD2O:
 
 # A valid rule that allows no combination: its decision graph has no nodes.
 _NONE = {"type": "fusion_rule", "agents": 1, "decisions": ["0", "1"], "domain": [], "output": []}
+# A valid rule with too many agents for anything sized by the agent count.
+_HUGE = dict(_NONE, agents=10**9)
 
 
 class TestEmptyDomainRule:
@@ -687,6 +689,22 @@ class TestEmptyDomainRule:
         one = self._problem(tmp_path, [["a"]])
         result = runner.invoke(main, ["check", str(one), "--rule", str(none_file)])
         assert result.exit_code == 1, result.output
+
+    @pytest.fixture
+    def huge_file(self, tmp_path):
+        path = tmp_path / "huge.json"
+        dump_json(_HUGE, path)
+        return path
+
+    def test_compare_answers_a_billion_agents_at_once(self, runner, huge_file):
+        result = runner.invoke(main, ["compare", str(huge_file), str(huge_file)])
+        assert result.exit_code == 0, result.output
+        assert result.output == "equivalent\n"
+
+    def test_poset_answers_a_billion_agents_at_once(self, runner, huge_file):
+        result = runner.invoke(main, ["poset", str(huge_file), str(huge_file)])
+        assert result.exit_code == 0, result.output
+        assert result.output.splitlines()[-1] == "no strict comparisons"
 
     def test_d2o_writes_a_valid_problem(self, runner, none_file, tmp_path):
         prefix = tmp_path / "dn"

@@ -1,3 +1,4 @@
+import dataclasses
 import signal
 import sys
 
@@ -9,6 +10,7 @@ from decobs import (
     ControllabilityViolation,
     ControlProblem,
     FusionRule,
+    ObservationFunction,
     ObservationProblem,
     ObservationTable,
     Projection,
@@ -61,6 +63,26 @@ class TestObserve:
         once = fn.observe(tuple(tokens))
         assert len(once) <= len(tokens)
         assert fn.observe(once) == once
+
+
+class TestProblemKinds:
+    def test_a_control_problem_is_an_observation_problem(self, gamma_control):
+        assert isinstance(gamma_control, ObservationProblem)
+
+    def test_the_two_kinds_differ_on_equal_shared_fields(self, gamma_control):
+        shared = {f: getattr(gamma_control, f) for f in ("n", "alphabet", "L", "K", "P")}
+        assert ObservationProblem(**shared) != gamma_control
+        assert gamma_control != ObservationProblem(**shared)
+
+    def test_controllable_comes_last_positionally(self, gamma_control):
+        c = gamma_control
+        assert ControlProblem(c.n, c.alphabet, c.L, c.K, c.P, c.controllable) == c
+        assert [f.name for f in dataclasses.fields(ControlProblem)] == [
+            "n", "alphabet", "L", "K", "P", "controllable"
+        ]
+
+    def test_one_observe_serves_both_observation_kinds(self):
+        assert Projection.observe is ObservationTable.observe is ObservationFunction.observe
 
 
 class TestClashes:

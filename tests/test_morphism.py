@@ -196,6 +196,13 @@ class TestFindMorphism:
         m = find_morphism(g, g)
         assert m is not None and verify_morphism(m)
 
+    def test_a_source_without_nodes_maps_by_the_empty_map_at_once(self):
+        g = build_decision_graph(FusionRule(10**6, ("0", "1"), (), ()))
+        m = find_morphism(g, g)
+        assert m is not None and m.mapping == ()
+        assert "quotient" not in g.__dict__
+        assert "label_buckets" not in g.__dict__
+
     def test_deterministic(self, ex1_graph, conj_graph):
         first = find_morphism(ex1_graph, conj_graph)
         second = find_morphism(ex1_graph, conj_graph)
