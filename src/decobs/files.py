@@ -210,25 +210,17 @@ def parse_problem(obj: Any) -> ObservationProblem:
     observations = obj.get("observations")
     _require(isinstance(observations, list), "'observations' must be an array")
     functions = [_observation_from(o, f"observations[{i}]") for i, o in enumerate(observations)]
+    fields = dict(n=agents, alphabet=alphabet, L=big_l, K=big_k, P=functions)
     if ptype == "observation":
-        return ObservationProblem(n=agents, alphabet=alphabet, L=big_l, K=big_k, P=functions)
-    return ControlProblem(
-        n=agents,
-        alphabet=alphabet,
-        controllable=_language_from(obj.get("controllable"), "controllable"),
-        L=big_l,
-        K=big_k,
-        P=functions,
-    )
+        return ObservationProblem(**fields)
+    controllable = _language_from(obj.get("controllable"), "controllable")
+    return ControlProblem(**fields, controllable=controllable)
 
 
 def problem_to_obj(p: ObservationProblem) -> dict:
-    obj: dict[str, Any] = {
-        "type": "control" if isinstance(p, ControlProblem) else "observation",
-        "agents": p.n,
-        "alphabet": list(p.alphabet),
-    }
+    obj: dict[str, Any] = {"type": "observation", "agents": p.n, "alphabet": list(p.alphabet)}
     if isinstance(p, ControlProblem):
+        obj["type"] = "control"
         obj["controllable"] = [sorted(c) for c in p.controllable]
     obj["L"] = [list(s) for s in p.L]
     obj["K"] = [list(s) for s in p.K]

@@ -21,7 +21,6 @@ from .model import (
     Projection,
     Str,
     Token,
-    _columns,
     _observation_columns,
     format_str,
 )
@@ -109,7 +108,7 @@ def build_observation_graph(p: ObservationProblem) -> ColoredGraph:
     return ColoredGraph(
         n=p.n,
         keys=p.L,
-        signatures=_columns(_observation_columns(p), len(p.L)),
+        signatures=tuple(zip(*_observation_columns(p))),
         colours=tuple(map(int, map(p.K_set.__contains__, p.L))),
         kind="observation",
     )

@@ -47,12 +47,6 @@ def _clashes(keys: Sequence, values: Sequence) -> list[tuple[int, int]]:
     return list(zip(map(firsts.__getitem__, at), at))
 
 
-def _columns(table: Sequence[tuple], n: int) -> tuple[tuple, ...]:
-    """Transpose of a table of equal-length tuples; n is the result's length
-    when the table is empty."""
-    return tuple(zip(*table)) if table else ((),) * n
-
-
 class ObservationFunction:
     """An agent's observation map, a ``Projection`` or an ``ObservationTable``:
     each reads every string through its own ``_observe_all``."""
@@ -130,10 +124,6 @@ class ObservationProblem:
     def K_set(self) -> frozenset[Str]:
         return frozenset(self.K)
 
-    @cached_property
-    def alphabet_set(self) -> frozenset[Token]:
-        return frozenset(self.alphabet)
-
 
 def _observation_columns(p: ObservationProblem) -> list[tuple[Label, ...]]:
     """Per agent, its observation of every string of L, in one pass each:
@@ -163,10 +153,12 @@ class ControlProblem(ObservationProblem):
         """Every token some agent controls, in alphabet declaration order."""
         return tuple(t for t in self.alphabet if any(t in c for c in self.controllable))
 
-    @cached_property
-    def sigma_u(self) -> tuple[Token, ...]:
-        controllable = frozenset(self.sigma_c)
-        return tuple(t for t in self.alphabet if t not in controllable)
+
+def _outside(tokens: Iterable[Token], alphabet: frozenset[Token]) -> str:
+    """The words naming the sorted tokens not in alphabet ("tokens outside
+    the alphabet: x, y"), or "" when there are none."""
+    stray = sorted(set(tokens) - alphabet)
+    return f"tokens outside the alphabet: {', '.join(stray)}" if stray else ""
 
 
 def validate_problem(p: ObservationProblem) -> tuple[str, ...]:
@@ -178,31 +170,26 @@ def validate_problem(p: ObservationProblem) -> tuple[str, ...]:
     walks the strings to word its violations.
     """
     v: list[str] = []
+    alphabet = frozenset(p.alphabet)
     if p.n < 1:
         v.append(f"agent count must be at least 1, got {p.n}")
     if len(p.P) != p.n:
         v.append(f"expected {p.n} observation functions, got {len(p.P)}")
-    for t in p.alphabet:
-        if not t:
-            v.append("alphabet contains an empty token")
+    if "" in alphabet:
+        v.append("alphabet contains an empty token")
     for name, language in (("L", p.L), ("K", p.K)):
-        if p.alphabet_set.issuperset(chain.from_iterable(language)):
+        if alphabet.issuperset(chain.from_iterable(language)):
             continue
         for s in language:
-            stray = sorted({t for t in s if t not in p.alphabet_set})
-            if stray:
-                v.append(
-                    f"{name} string {format_str(s)} uses tokens outside the "
-                    f"alphabet: {', '.join(stray)}"
-                )
+            if stray := _outside(s, alphabet):
+                v.append(f"{name} string {format_str(s)} uses {stray}")
     if not p.L_set.issuperset(p.K):
         outside = [s for s in p.K if s not in p.L_set]
         v.append("K is not a subset of L: " + ", ".join(format_str(s) for s in outside))
     for i, fn in enumerate(p.P):
         if isinstance(fn, Projection):
-            stray = sorted(fn.observable - p.alphabet_set)
-            if stray:
-                v.append(f"P_{i + 1} observes tokens outside the alphabet: {', '.join(stray)}")
+            if stray := _outside(fn.observable, alphabet):
+                v.append(f"P_{i + 1} observes {stray}")
         elif isinstance(fn, ObservationTable):
             lookup = fn._lookup
             if not lookup.keys() >= p.L_set:
@@ -222,20 +209,18 @@ def validate_problem(p: ObservationProblem) -> tuple[str, ...]:
                 f"expected {p.n} controllable alphabets, got {len(p.controllable)}"
             )
         for i, c in enumerate(p.controllable):
-            stray = sorted(c - p.alphabet_set)
-            if stray:
-                v.append(
-                    f"controllable alphabet of agent {i + 1} contains tokens "
-                    f"outside the alphabet: {', '.join(stray)}"
-                )
+            if stray := _outside(c, alphabet):
+                v.append(f"controllable alphabet of agent {i + 1} contains {stray}")
     return tuple(v)
 
 
 def controllability_witness(c: ControlProblem) -> tuple[Str, Token] | None:
     """First (s, u) with s ∈ K, u uncontrollable, su ∈ L − K; None exactly
     when the problem is controllable."""
+    controlled = frozenset(c.sigma_c)
+    uncontrollable = [u for u in c.alphabet if u not in controlled]
     for s in c.K:
-        for u in c.sigma_u:
+        for u in uncontrollable:
             su = s + (u,)
             if su in c.L_set and su not in c.K_set:
                 return s, u

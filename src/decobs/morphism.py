@@ -29,7 +29,6 @@ from .model import (
     ObservationProblem,
     Token,
     _clashes,
-    _columns,
     _observation_columns,
     _unique,
 )
@@ -63,10 +62,10 @@ def _agent_columns(m: Morphism) -> tuple[tuple, tuple, tuple]:
     """Per agent: the source label column, the image column (each image
     node's coordinate at that agent, read off ``m.target.signatures``) and
     the ``_clashes`` of the two, as whole-column passes in O(N·n) for N
-    source nodes and n agents."""
-    n = m.source.n
-    labels = _columns(m.source.signatures, n)
-    images = _columns(tuple(map(m.target.signatures.__getitem__, m.mapping)), n)
+    source nodes and n agents; all three are empty for a map with no
+    nodes, whatever n is."""
+    labels = tuple(zip(*m.source.signatures))
+    images = tuple(zip(*map(m.target.signatures.__getitem__, m.mapping)))
     return labels, images, tuple(map(_clashes, labels, images))
 
 
@@ -75,7 +74,8 @@ def verify_morphism(m: Morphism) -> bool:
     node's colour, and for each agent i, nodes sharing the label ``sig[i]``
     have images sharing coordinate i, that is, no agent's label column
     clashes with its image column.  ``extract_solution`` names the first
-    clash of a map this rejects for its edges."""
+    clash of a map this rejects for its edges.  An empty map builds nothing
+    per agent, so its agent count costs nothing to verify."""
     if tuple(map(m.target.colours.__getitem__, m.mapping)) != m.source.colours:
         return False
     return not any(_agent_columns(m)[2])
@@ -98,9 +98,7 @@ def verify_d2o(p: ObservationProblem, rule: FusionRule) -> bool:
         columns = _observation_columns(p)
     except UnknownString:
         return False
-    return not any(
-        _clashes(d, o) or _clashes(o, d) for d, o in zip(_columns(rule.domain, p.n), columns)
-    )
+    return not any(_clashes(d, o) or _clashes(o, d) for d, o in zip(zip(*rule.domain), columns))
 
 
 def _search(src: ColoredGraph, dst: ColoredGraph, budget: int | None) -> list[int] | None:
@@ -246,7 +244,7 @@ def _refute(src: ColoredGraph, dst: ColoredGraph) -> list[dict[Hashable, int]] |
     everyone = (1 << len(src)) - 1
     by_colour = list(map(src.colour_masks.__getitem__, dst.colours))
     live = [dict.fromkeys(by_coord, everyone) for by_coord in dst.label_buckets]
-    columns = _columns(dst.signatures, dst.n)
+    columns = tuple(zip(*dst.signatures))
     support = by_colour
     while reduce(or_, support, 0) == everyone:
         changed = False
@@ -292,7 +290,7 @@ def _join(
             coord.update(zip(compress(masks, map(kept_of[c].__and__, masks.values())), repeat(c)))
         coords.append(coord)
     node_of = dict(zip(zip(dst.signatures, dst.colours), count()))
-    columns = map(map, [coord.__getitem__ for coord in coords], _columns(src.signatures, src.n))
+    columns = map(map, [coord.__getitem__ for coord in coords], zip(*src.signatures))
     image = list(map(node_of.get, zip(zip(*columns), src.colours)))
     return None if None in image else image
 
@@ -322,7 +320,8 @@ def find_morphism(
     answers is answered under any budget, 0 included.
 
     A source with no nodes is answered by the empty map before any quotient
-    or label index is built, so its agent count costs nothing.
+    or label index is built, so its agent count costs nothing to find (nor,
+    by ``verify_morphism``, to verify).
     """
     if source.n != target.n:
         raise ArityMismatch(f"source has {source.n} agents, target has {target.n}")
@@ -361,9 +360,12 @@ def extract_solution(m: Morphism) -> Solution:
     clash raises InconsistentMorphism naming the agent, the label and two
     of its coordinates, for the first of every column's clashes in node
     order, then agent order.  Colours are not read: a map that is a
-    function per agent but changes a colour still gives its tables.
+    function per agent but changes a colour still gives its tables.  An
+    empty map, which has no columns, gives one empty table per agent.
     """
     labels, images, clashes = _agent_columns(m)
+    if not labels:
+        return tuple({} for _ in range(m.source.n))
     if any(clashes):
         v, i, u = min((v, i, u) for i, found in enumerate(clashes) for u, v in found[:1])
         raise InconsistentMorphism(

@@ -2,9 +2,11 @@
 
 import functools
 import itertools
+import os
 import random
 from pathlib import Path
 
+import decobs
 from decobs import ColoredGraph, FusionRule, SearchLimitExceeded
 from decobs.files import to_json
 from decobs.model import _clashes
@@ -13,6 +15,15 @@ from decobs.model import _clashes
 def dump_json(obj, path) -> None:
     """Write ``obj`` to ``path`` as the CLI writes its JSON files."""
     Path(path).write_text(to_json(obj), encoding="utf-8")
+
+
+def process_env() -> dict:
+    """The environment of a real Python process that imports this checkout's
+    package."""
+    env = dict(os.environ)
+    src = str(Path(decobs.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def random_colored_graph(

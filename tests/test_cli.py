@@ -3,7 +3,6 @@ import gc
 import hashlib
 import itertools
 import json
-import os
 import random
 import subprocess
 import sys
@@ -14,7 +13,6 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import decobs
 from decobs import (
     BUILTIN_RULES,
     ControlProblem,
@@ -29,7 +27,7 @@ from decobs import (
 )
 from decobs import files
 from decobs.cli import main
-from helpers import dump_json
+from helpers import dump_json, process_env
 
 
 @pytest.fixture
@@ -313,6 +311,34 @@ class TestCheckAndSolve:
         )
         assert verify.exit_code == 0
         assert "verified" in verify.output
+
+    def test_solve_on_an_empty_language_writes_one_empty_table_per_agent(
+        self, runner, tmp_path
+    ):
+        problem, solution, witness = (tmp_path / name for name in ("p.json", "s.json", "w.json"))
+        dump_json(
+            {
+                "type": "observation",
+                "agents": 2,
+                "alphabet": ["a"],
+                "L": [],
+                "K": [],
+                "observations": [{"kind": "projection", "observable": ["a"]}] * 2,
+            },
+            problem,
+        )
+        result = runner.invoke(
+            main,
+            ["solve", str(problem), "--rule", "conjunctive:2",
+             "-o", str(solution), "--witness", str(witness)],
+        )
+        assert result.exit_code == 0, result.output
+        assert json.loads(solution.read_text()) == [[], []]
+        assert json.loads(witness.read_text()) == []
+        verify = runner.invoke(
+            main, ["verify-solution", str(problem), str(solution), "--rule", "conjunctive:2"]
+        )
+        assert (verify.exit_code, verify.output) == (0, "verified\n")
 
     def test_one_path_for_witness_and_solution_ends_holding_the_solution(
         self, runner, ex1_file, tmp_path
@@ -1357,7 +1383,7 @@ class TestExitCodes:
             [sys.executable, "-m", "decobs", "compare", "cpda:2", "conjunctive:2", "-o", str(out)],
             capture_output=True,
             text=True,
-            env=_process_env(),
+            env=process_env(),
             timeout=60,
         )
         assert proc.returncode == 2, proc.stderr
@@ -1370,7 +1396,7 @@ class TestExitCodes:
             input=files.to_json(files.problem_to_obj(ex1)),
             capture_output=True,
             text=True,
-            env=_process_env(),
+            env=process_env(),
             timeout=60,
         )
         assert (proc.returncode, proc.stdout) == (0, "valid\n"), proc.stderr
@@ -1459,15 +1485,6 @@ class TestCollectorPause:
         assert result.exit_code == 0, result.output
         assert seen == [("decobs.files.read_json", False), ("decobs.cli.find_morphism", False)]
         assert gc.isenabled()
-
-
-def _process_env() -> dict:
-    """The environment of a real ``python -m decobs`` process that imports
-    this checkout's package."""
-    env = dict(os.environ)
-    src = str(Path(decobs.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return env
 
 
 def _json_values():

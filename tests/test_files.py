@@ -48,6 +48,24 @@ class TestProblemFiles:
         assert isinstance(loaded, ControlProblem)
         assert loaded == gamma_control
 
+    def test_control_file_bytes(self, gamma_control):
+        """The control kind's keys run type, agents, alphabet, controllable,
+        L, K, observations."""
+        expected = {
+            "type": "control",
+            "agents": 2,
+            "alphabet": ["a", "b", "γ"],
+            "controllable": [["γ"], ["γ"]],
+            "L": [[], ["a"], ["b"], ["a", "γ"], ["b", "γ"]],
+            "K": [[], ["a"], ["b"], ["a", "γ"]],
+            "observations": [
+                {"kind": "projection", "observable": ["a"]},
+                {"kind": "projection", "observable": ["b"]},
+            ],
+        }
+        text = files.to_json(files.problem_to_obj(gamma_control))
+        assert text == json.dumps(expected, indent=2, ensure_ascii=False) + "\n"
+
     def test_epsilon_serializes_as_empty_array(self, gamma_control):
         obj = files.problem_to_obj(gamma_control)
         assert [] in obj["L"]

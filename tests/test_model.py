@@ -302,7 +302,7 @@ class TestControllability:
             K=((),),
             P=(Projection(frozenset({"a"})),),
         )
-        assert c.sigma_u == ()
+        assert c.sigma_c == c.alphabet
         assert controllability_witness(c) is None
 
 

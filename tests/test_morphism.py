@@ -3,6 +3,8 @@ import itertools
 import json
 import random
 import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -40,10 +42,26 @@ from helpers import (
     nodewise_refute,
     pairwise_edge_ok,
     pairwise_search,
+    process_env,
     random_colored_graph,
     random_rule,
     rowwise_edge_violations,
 )
+
+
+_EMPTY_MAP_UNDER_A_CAP = """
+import resource
+
+cap = 1_500_000_000
+_, hard = resource.getrlimit(resource.RLIMIT_AS)
+soft = cap if hard == resource.RLIM_INFINITY else min(cap, hard)
+resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+from decobs import FusionRule, build_decision_graph, find_morphism, verify_morphism
+
+g = build_decision_graph(FusionRule(10**9, ("0", "1"), (), ()))
+print(verify_morphism(find_morphism(g, g)))
+"""
 
 
 def explicit_morphism(source, target, pairs):
@@ -202,6 +220,18 @@ class TestFindMorphism:
         assert m is not None and m.mapping == ()
         assert "quotient" not in g.__dict__
         assert "label_buckets" not in g.__dict__
+
+    def test_the_empty_map_verifies_in_bounded_memory(self):
+        # A child process caps its own address space at 1.5 GB, so anything
+        # built per agent for 10**9 agents raises MemoryError there.
+        proc = subprocess.run(
+            [sys.executable, "-c", _EMPTY_MAP_UNDER_A_CAP],
+            capture_output=True,
+            text=True,
+            env=process_env(),
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (0, "True\n"), proc.stderr
 
     def test_deterministic(self, ex1_graph, conj_graph):
         first = find_morphism(ex1_graph, conj_graph)
