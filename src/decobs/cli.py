@@ -2,19 +2,19 @@
 
 Exit codes: 0 for a positive analysis result, 1 for a negative one
 (unsolvable, controllability violation, bad solution), 2 for invalid input
-(including files that cannot be read or written, and witnesses whose node
-keys are ambiguous), 3 when a search budget was exhausted, 4 for an internal
-error, and 130 when interrupted (Ctrl-C).  Commands raise library
-exceptions; ``_Main.invoke`` is the one place that turns them into exit
-codes, a controllability violation's exit 1 included.  Every file argument
-is read by ``_read``, which names a missing path or a directory in one
-message; every argument that names a rule or a problem to analyse goes
-through ``_load``, which also checks the result's kind.  Each command hands
-every file it writes to ``_write`` in one call, as a JSON value or as DOT
-text; ``_write`` renders them all before it writes any, so the command leaves
-all of its output files or none of those it wrote.  An output path that is a
-directory, or lies under a regular file or a missing directory, exits 2
-naming the fault.
+(files that cannot be read or written, text with no UTF-8 spelling, and
+witnesses whose node keys are ambiguous), 3 when a search budget was
+exhausted, 4 for an internal error, and 130 when interrupted (Ctrl-C).
+Commands raise library exceptions; ``_Main.invoke`` is the one place that
+turns them into exit codes, a controllability violation's exit 1 included.
+``_read`` reads every file argument in one step and names a missing path or
+a directory in one message; every argument that names a rule or a problem
+goes through ``_load``, which also checks the result's kind.  Each command
+hands every file it writes to ``_write`` in one call, as a JSON value or as
+DOT text; ``_write`` encodes them all to UTF-8 before it opens any file, so
+the command leaves all of its output files or none of those it wrote.  An
+output path that is a directory, or lies under a regular file or a missing
+directory, exits 2 naming the fault.
 
 ``_Main.invoke`` also pauses the cyclic garbage collector for the life of
 each command and turns it back on afterwards, unless the caller had it off.
@@ -90,17 +90,17 @@ def _fail(code: int, message: str):
 
 def _write(outputs: list[tuple[str | Path, Any]]) -> None:
     """Write each (path, value) pair in order, then print one ``wrote``
-    line per file.  Every value is rendered before any file is written: text,
-    such as DOT, as it is and anything else through ``files.to_json``.  A
-    write that fails removes the files this call already wrote, overwritten
-    ones included, and re-raises; a path that is a directory, or has a
-    regular file or nothing for a parent, exits 2 saying so."""
-    texts = [(path, v if isinstance(v, str) else files.to_json(v)) for path, v in outputs]
+    line per file.  Every value is encoded before any file is opened: text,
+    such as DOT, as it is and anything else through ``files.to_json``, to
+    UTF-8.  A write that fails removes the files this call already wrote,
+    overwritten ones included, and re-raises; a path that is a directory, or
+    has a regular file or nothing for a parent, exits 2 saying so."""
+    blobs = [(p, (v if isinstance(v, str) else files.to_json(v)).encode()) for p, v in outputs]
     written: list[str | Path] = []
     try:
-        for path, text in texts:
+        for path, blob in blobs:
             try:
-                Path(path).write_text(text, encoding="utf-8")
+                Path(path).write_bytes(blob)
             except IsADirectoryError:
                 _fail(2, f"{str(path)!r} is a directory")
             except NotADirectoryError:
@@ -125,16 +125,16 @@ def _require_valid(problem: ObservationProblem) -> None:
 
 
 def _read(source: str, missing: str = "does not exist") -> Any:
-    """The JSON value in the file an argument names.  When no such path
-    exists, exit 2 with the quoted argument followed by ``missing``; when it
-    is a directory, exit 2 saying so.  Other paths, such as ``/dev/stdin``,
-    are read as they are."""
-    path = Path(source)
-    if not path.exists():
+    """The JSON value in the file an argument names, read in one step.  A
+    missing path, or one under a regular file, exits 2 with the quoted
+    argument followed by ``missing``, and a directory exits 2 saying so;
+    other paths, such as ``/dev/stdin``, are read as they are."""
+    try:
+        return files.read_json(source)
+    except (FileNotFoundError, NotADirectoryError):
         _fail(2, f"{source!r} {missing}")
-    if path.is_dir():
+    except IsADirectoryError:
         _fail(2, f"{source!r} is a directory")
-    return files.read_json(path)
 
 
 def _selector(source: str) -> tuple[str, int] | None:
@@ -232,7 +232,7 @@ class _Main(click.Group):
             raise  # click's own usage errors, --help and aborts
         except SearchLimitExceeded as e:
             _fail(3, str(e))
-        except (ArityMismatch, FileFormatError, OSError) as e:
+        except (ArityMismatch, FileFormatError, OSError, UnicodeEncodeError) as e:
             _fail(2, str(e))
         except ControllabilityViolation as e:
             _fail(1, str(e))

@@ -118,14 +118,14 @@ def _is_int(value: Any) -> bool:
 
 
 def _is_texts(obj: Any) -> bool:
-    """A JSON array of texts.  One C-level join checks every element, instead
-    of a Python-level isinstance per element: join raises TypeError on the
-    first item that is not text."""
+    """A JSON array of texts UTF-8 can spell, checked by one C-level join and
+    its encoding instead of a check per element: join raises TypeError on an
+    item that is not text, encode UnicodeEncodeError on a lone surrogate."""
     if not isinstance(obj, list):
         return False
     try:
-        "".join(obj)
-    except TypeError:
+        "".join(obj).encode()
+    except (TypeError, UnicodeEncodeError):
         return False
     return True
 
@@ -181,7 +181,7 @@ def _observation_from(obj: Any, where: str) -> ObservationFunction:
                     f"{where}: table entries must be [string, label] pairs",
                 )
                 _string_from(pair[0], where)
-                _require(isinstance(pair[1], str), f"{where}: table labels must be text")
+                _require(_is_texts([pair[1]]), f"{where}: table labels must be text")
         return ObservationTable(entries)
     raise FileFormatError(f"{where}: unknown observation kind {kind!r}")
 

@@ -3,6 +3,7 @@ import gc
 import hashlib
 import itertools
 import json
+import os
 import random
 import subprocess
 import sys
@@ -824,6 +825,7 @@ def arguments(ex1, gamma_control, tmp_path):
         ),
     }
     paths = {"selector": "conjunctive:2", "missing": str(tmp_path / "missing.json"), "dir": str(tmp_path)}
+    paths["under_file"] = str(tmp_path / "rule.json" / "x.json")  # a parent is a regular file
     for kind, doc in documents.items():
         paths[kind] = str(tmp_path / f"{kind}.json")
         dump_json(doc, paths[kind])
@@ -858,15 +860,18 @@ class TestArgumentKinds:
         "template, says",
         [
             (["validate", "{missing}"], "does not exist"),
+            (["validate", "{under_file}"], "does not exist"),
             (["verify-solution", "{observation}", "{missing}", "--rule", "conjunctive:2"], "does not exist"),
             (["check", "{missing}", "--rule", "conjunctive:2"], "is neither a builtin rule (name:agents) nor a file"),
+            (["check", "{under_file}", "--rule", "conjunctive:2"], "is neither a builtin rule (name:agents) nor a file"),
         ],
-        ids=["validate", "verify-solution solution", "check problem"],
+        ids=["validate", "validate under a file", "verify-solution solution", "check problem", "check under a file"],
     )
     def test_a_missing_file_is_named_in_decobs_words(self, runner, arguments, template, says):
         result = runner.invoke(main, [a.format(**arguments) for a in template])
+        [missing] = [arguments[a[1:-1]] for a in template if a in ("{missing}", "{under_file}")]
         assert result.exit_code == 2
-        assert result.output == f"error: {arguments['missing']!r} {says}\n"
+        assert result.output == f"error: {missing!r} {says}\n"
 
     @pytest.mark.parametrize(
         "template",
@@ -1416,15 +1421,15 @@ class TestInterrupt:
 
     def test_an_interrupted_write_leaves_no_file(self, runner, tmp_path, monkeypatch):
         written = []
-        write_text = Path.write_text
+        write_bytes = Path.write_bytes
 
         def write_once(path, *args, **kwargs):
             if written:
                 raise KeyboardInterrupt
             written.append(path)
-            return write_text(path, *args, **kwargs)
+            return write_bytes(path, *args, **kwargs)
 
-        monkeypatch.setattr(Path, "write_text", write_once)
+        monkeypatch.setattr(Path, "write_bytes", write_once)
         result = runner.invoke(main, ["d2o", "conjunctive:2", "-o", str(tmp_path / "d")])
         assert (result.exit_code, result.stdout, result.stderr) == (130, "", "error: interrupted\n")
         assert written == [tmp_path / "d.problem.json"]
@@ -1595,3 +1600,125 @@ class TestMutatedInputs:
                 result.exception,
             )
             assert result.exit_code in (0, 1, 2), (args, result.output)
+
+
+_SURROGATE = "\ud800"  # valid JSON text as the escape "\ud800", with no UTF-8 spelling
+
+
+def _surrogate_for(doc, text: str):
+    """A copy of ``doc`` with the lone surrogate in place of every ``text``."""
+    return json.loads(json.dumps(doc).replace(json.dumps(text), json.dumps(_SURROGATE)))
+
+
+class TestUnwritableText:
+    """Text that UTF-8 cannot spell is invalid input wherever a command reads
+    it, so no command gets as far as writing it."""
+
+    @pytest.mark.parametrize(
+        "document, text, template",
+        [
+            ("problem", "b", ["validate", "{file}"]),
+            ("problem", "a", ["check", "{file}", "--rule", "conjunctive:2", "--witness", "{out}/w.json"]),
+            ("problem", "x", ["solve", "{file}", "--rule", "conjunctive:2", "-o", "{out}/s.json"]),
+            ("problem", "b", ["graph", "{file}", "--dot", "{out}/g.dot"]),
+            ("rule", "0", ["compare", "{file}", "conjunctive:2", "--witness", "{out}/w"]),
+            ("control", "γ", ["reduce", "{file}", "-o", "{out}/d"]),
+        ],
+        ids=["L token", "alphabet", "table label", "graph", "rule decision", "controllable event"],
+    )
+    def test_is_invalid_input_and_writes_nothing(
+        self, runner, tmp_path, gamma_control, document, text, template
+    ):
+        docs = dict(_base_documents(), control=files.problem_to_obj(gamma_control))
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(_surrogate_for(docs[document], text)))
+        out = tmp_path / "out"
+        out.mkdir()
+        result = runner.invoke(main, [a.format(file=path, out=out) for a in template])
+        assert result.exit_code == 2, result.output
+        assert "internal" not in result.output
+        assert list(out.iterdir()) == []
+
+    def test_a_rule_path_with_no_utf8_spelling_leaves_the_output_as_it_was(self, runner, tmp_path):
+        rule = tmp_path / os.fsdecode(b"r\xff.json")
+        dump_json(_NONE, rule)
+        keep = tmp_path / "keep.json"
+        keep.write_bytes(b'{"kept": true}\n')
+        result = runner.invoke(main, ["poset", str(rule), "conjunctive:1", "-o", str(keep)])
+        assert result.exit_code == 2, result.output
+        assert "internal" not in result.output
+        assert "wrote" not in result.output
+        assert keep.read_bytes() == b'{"kept": true}\n'
+
+
+# What the exit-code contract test puts in place of a value: values that are
+# not text, integers past any size a command builds, nested arrays and the
+# lone surrogate, next to texts, strings and counts the documents use, so
+# that some mutants stay valid and reach the search and the writers.
+_MENU = (
+    *(None, True, 1.5, -1, 2**64, 10**30, [], [[]], [[["a"]]], {"kind": []}),
+    *(_SURROGATE, [_SURROGATE], [[_SURROGATE]]),
+    *("a", "b", "1", ["a"], ["b", "a"], 0, 1, 2),
+)
+
+
+def _replaced(doc, rng: random.Random):
+    """A copy of ``doc`` with one to three values, the whole document
+    included, replaced by values from ``_MENU``."""
+    doc = json.loads(json.dumps(doc))
+    for _ in range(rng.randint(1, 3)):
+        path = rng.choice(list(_paths(doc)))
+        value = json.loads(json.dumps(rng.choice(_MENU)))
+        if path:
+            _at(doc, path[:-1])[path[-1]] = value
+        else:
+            doc = value
+    return doc
+
+
+def _reading_commands(p: dict[str, str], out: Path) -> dict[str, list[list[str]]]:
+    """Every command that reads each document, with every output it offers."""
+    problem, rule, control, solution = p["problem"], p["rule"], p["control"], p["solution"]
+    check = ["check", problem, "--rule", rule, "--witness", f"{out}/w.json"]
+    solve = ["solve", problem, "--rule", rule, "-o", f"{out}/s.json", "--witness", f"{out}/sw.json"]
+    verify = ["verify-solution", problem, solution, "--rule", rule]
+    return {
+        "problem": [["validate", problem], check, solve, verify, ["graph", problem, "--dot", f"{out}/g.dot"]],
+        "rule": [
+            check,
+            solve,
+            verify,
+            ["compare", rule, "conjunctive:2", "--witness", f"{out}/c", "--separating", f"{out}/sep",
+             "-o", f"{out}/v.json"],
+            ["poset", rule, "conjunctive:2", "-o", f"{out}/p.json"],
+            ["d2o", rule, "-o", f"{out}/d"],
+            ["graph", rule, "--dot", f"{out}/r.dot"],
+        ],
+        "control": [["validate", control], ["reduce", control, "-o", f"{out}/red"]],
+        "solution": [verify],
+    }
+
+
+class TestExitCodeContract:
+    """Every command that reads a mutated file exits 0, 1, 2 or 3, and none
+    reports an internal error."""
+
+    def test_mutated_files_exit_0_to_3(self, runner, tmp_path, gamma_control):
+        base = dict(_base_documents(), control=files.problem_to_obj(gamma_control))
+        rng = random.Random(20220)
+        mutants = [("problem", _surrogate_for(base["problem"], "a"))]  # a surrogate token, always
+        mutants += [(name, _replaced(base[name], rng)) for _ in range(100) for name in base]
+        paths = {name: str(tmp_path / f"{name}.json") for name in base}
+        (tmp_path / "out").mkdir()
+        commands = _reading_commands(paths, tmp_path / "out")
+        for name, doc in base.items():
+            Path(paths[name]).write_text(json.dumps(doc))
+        for args in itertools.chain(*commands.values()):  # the documents as they are
+            assert runner.invoke(main, args).exit_code == 0, args
+        for name, doc in mutants:
+            Path(paths[name]).write_text(json.dumps(doc))
+            for args in commands[name]:
+                result = runner.invoke(main, args)
+                assert result.exit_code in (0, 1, 2, 3), (doc, args, result.output)
+                assert "internal" not in result.output, (doc, args, result.output)
+            Path(paths[name]).write_text(json.dumps(base[name]))

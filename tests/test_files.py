@@ -121,6 +121,7 @@ class TestProblemFiles:
             ([[["a"], "x"], [["a"], "x", "y"]], "table entries must be [string, label] pairs"),
             ([[["a", 1], "x"], [["a"], 2]], "a string must be an array of token texts, got ['a', 1]"),
             ([[["a"], 2], [["a", 1], "x"]], "table labels must be text"),
+            ([[["a"], "\ud800"], [["a", 1], "x"]], "table labels must be text"),
             ([[["a"], "x"], ["a", "y"]], "a string must be an array of token texts, got 'a'"),
         ],
     )
