@@ -392,6 +392,9 @@ def poset(rule_specs, budget, out_path):
     """Pairwise permissiveness matrix and Hasse diagram for several rules."""
     rules = _rules(rule_specs, check_arities)
     labels = list(rule_specs)
+    for spec in labels if out_path else ():
+        if not files._is_texts([spec]):
+            _fail(2, f"rule argument {spec!r} has no UTF-8 spelling to write to {out_path!r}")
     matrix = relation_matrix(rules, budget=budget)
     for i in range(len(rules)):
         for j in range(i + 1, len(rules)):

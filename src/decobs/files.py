@@ -261,12 +261,12 @@ def rule_to_obj(r: FusionRule) -> dict:
 
 
 def _node_keys(g: ColoredGraph) -> list:
-    """The written key of every node of ``g``, in node order: joined token
-    text for strings, a fresh array per decision node, the raw key otherwise.
-    Only joined texts can collide (``a b`` and ``ab``), and then, in a source
-    or a target alike, FileFormatError names the first repeated text."""
-    if g.kind != "observation":
-        return list(map(list, g.keys)) if g.kind == "decision" else list(g.keys)
+    """The written key of every node of ``g``, in node order: a fresh array
+    per decision node when ``g.decisions`` is set, else each string's joined
+    token text.  Joined texts can collide (``a b`` and ``ab``), and then, in
+    a source or a target alike, FileFormatError names the first repeated one."""
+    if g.decisions is not None:
+        return list(map(list, g.keys))
     keys = list(map("".join, g.keys))
     for _, v in _clashes(keys, range(len(keys)))[:1]:  # one text, two nodes
         raise FileFormatError(f"node keys are ambiguous: {keys[v]!r} names two different nodes")

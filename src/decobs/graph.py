@@ -34,16 +34,17 @@ class ColoredGraph:
     agents on which its two nodes' signatures differ: defined by the
     signatures, never stored, and computed only where ``export_dot`` needs it.
 
-    ``kind`` records what the node keys are ("observation" for strings,
-    "decision" for decision tuples, "generic" otherwise); it only affects
-    rendering and serialization, never the graph semantics.
+    ``decisions`` is None when the keys are strings (token tuples).  A
+    decision graph and its quotient carry their rule's decisions instead, in
+    the declared order that ``_join`` follows; every signature coordinate
+    must be one of them (ValueError otherwise).
     """
 
     n: int
     keys: tuple[Hashable, ...]
     signatures: tuple[tuple[Hashable, ...], ...]
     colours: tuple[int, ...]
-    kind: str = "generic"
+    decisions: tuple[Token, ...] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "keys", tuple(self.keys))
@@ -59,6 +60,11 @@ class ColoredGraph:
         if not all(map(_BINARY.__contains__, self.colours)):
             colour = next(c for c in self.colours if c not in _BINARY)
             raise ValueError(f"node colours must be 0 or 1, got {colour!r}")
+        if self.decisions is not None:
+            object.__setattr__(self, "decisions", tuple(self.decisions))
+            if not set().union(*self.signatures) <= set(self.decisions):
+                d = next(d for sig in self.signatures for d in sig if d not in self.decisions)
+                raise ValueError(f"signatures use {d!r}, which decisions does not declare")
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -110,7 +116,6 @@ def build_observation_graph(p: ObservationProblem) -> ColoredGraph:
         keys=p.L,
         signatures=tuple(zip(*_observation_columns(p))),
         colours=tuple(map(int, map(p.K_set.__contains__, p.L))),
-        kind="observation",
     )
 
 
@@ -122,7 +127,7 @@ def build_decision_graph(r: FusionRule) -> ColoredGraph:
         keys=r.domain,
         signatures=r.domain,
         colours=r.outputs,
-        kind="decision",
+        decisions=r.decisions,
     )
 
 
@@ -176,7 +181,7 @@ def quotient_by_indistinguishability(g: ColoredGraph) -> Quotient:
             keys=tuple(map(g.keys.__getitem__, reps)),
             signatures=tuple(map(g.signatures.__getitem__, reps)),
             colours=tuple(map(g.colours.__getitem__, reps)),
-            kind=g.kind,
+            decisions=g.decisions,
         ),
         representatives=reps,
         class_of=tuple(map(dict(zip(reps, count())).__getitem__, firsts)),
@@ -226,15 +231,6 @@ def decision_graph_to_observation(rule: FusionRule, encoding: str = "unary") -> 
     )
 
 
-def _node_label(g: ColoredGraph, idx: int) -> str:
-    key = g.keys[idx]
-    if g.kind == "observation":
-        return format_str(key)
-    if g.kind == "decision":
-        return "(" + ",".join(key) + ")"
-    return str(key)
-
-
 def _edge_attrs(su: tuple, sv: tuple) -> str:
     """DOT attributes of the edge between the nodes signed ``su`` and ``sv``,
     whose colour is the agents on which the two signatures differ."""
@@ -249,10 +245,11 @@ def _edge_attrs(su: tuple, sv: tuple) -> str:
 def export_dot(g: ColoredGraph) -> str:
     """Deterministic DOT text: doubly-circled nodes carry colour 1, edges are
     dotted for {1}, dashed for {2}, solid otherwise, grey for the empty set."""
+    render = format_str if g.decisions is None else lambda key: "(" + ",".join(key) + ")"
     lines = ['graph "G" {']
     for idx in range(len(g)):
         shape = "doublecircle" if g.colours[idx] == 1 else "circle"
-        label = _node_label(g, idx).replace("\\", "\\\\").replace('"', '\\"')
+        label = render(g.keys[idx]).replace("\\", "\\\\").replace('"', '\\"')
         lines.append(f'  n{idx} [label="{label}", shape={shape}];')
     for u, v in combinations(range(len(g)), 2):
         lines.append(f"  n{u} -- n{v} [{_edge_attrs(g.signatures[u], g.signatures[v])}];")

@@ -226,12 +226,12 @@ def _refute(src: ColoredGraph, dst: ColoredGraph) -> list[dict[Hashable, int]] |
     supports are the colour masks alone, since every label is still live.
     This reaches the same fixpoint as AC-3 run node by node (Mackworth
     1977), so it refutes the same pairs.  On the six builtin targets it is
-    exact: each is closed under the coordinate-wise ``min`` or ``max`` of
-    sorted tokens, a semilattice operation, so arc consistency decides the
-    query (Jeavons, Cohen & Gyssens 1997) and ``_join`` reads a witness off
-    the fixpoint.  On conjunctive targets this refutes precisely the
-    sources that fail C&P co-observability (Rudie & Wonham 1992), on
-    disjunctive ones those that fail its D&A dual.
+    exact: each is closed under the coordinate-wise ``min`` or ``max`` in
+    the order its rule declares its decisions, a semilattice operation, so
+    arc consistency decides the query (Jeavons, Cohen & Gyssens 1997) and
+    ``_join`` reads a witness off the fixpoint.  On conjunctive targets
+    this refutes precisely the sources that fail C&P co-observability
+    (Rudie & Wonham 1992), on disjunctive ones those that fail its D&A dual.
 
     The variables see one agent's label at a time, so whole signatures are
     checked first, by ``_clashes`` on each graph: two source nodes of one
@@ -275,18 +275,19 @@ def _join(
     ``max``) of the fixpoint ``live`` of ``_refute``, or None when some
     image is not a target node.
 
-    Each (agent i, label l) takes the ``pick`` of the coordinates it keeps,
-    in sorted token order, and each source node maps to the target of its
-    colour whose signature is those coordinates.  Every coordinate is a
-    function of its label and every colour is kept, so the map is a
-    morphism whenever it is defined; on a target closed under ``pick`` it
+    Each (agent i, label l) takes the ``pick`` of the coordinates it keeps, in
+    ``dst.decisions`` order (sorted when None), and each source node maps to
+    the target of its colour whose signature is those coordinates.  Every
+    coordinate is a function of its label and every colour is kept, so the map
+    is a morphism whenever it is defined; on a target closed under ``pick`` it
     always is.  A label keeps c when its bucket meets ``live[i][c]``; the
     coordinates are written in turn, ``pick``'s choice last.
     """
+    rank = None if dst.decisions is None else dict(zip(dst.decisions, count())).__getitem__
     coords = []
     for kept_of, masks in zip(live, src.label_masks):
         coord: dict[Hashable, Hashable] = {}
-        for c in sorted(kept_of, reverse=pick is min):
+        for c in sorted(kept_of, key=rank, reverse=pick is min):
             coord.update(zip(compress(masks, map(kept_of[c].__and__, masks.values())), repeat(c)))
         coords.append(coord)
     node_of = dict(zip(zip(dst.signatures, dst.colours), count()))
@@ -309,11 +310,12 @@ def find_morphism(
 
     First a label-level arc-consistency pass (``_refute``) settles many
     negatives without trying a single candidate.  When it does not refute,
-    its fixpoint's ``min`` join, then its ``max`` join (``_join``), is tried
-    as the image; on the six builtin targets the pass is exact and one of
-    the joins always succeeds, so no builtin target reaches the search.
-    Only when both joins fail does the backtracking search (``_search``)
-    run; the pass and the search are the only two ways this answers None.
+    its fixpoint's ``min`` join, then its ``max`` join (``_join``), in the
+    target rule's declared order, is tried as the image; on the six builtin
+    targets the pass is exact and one of the joins always succeeds, so no
+    builtin target reaches the search.  Only when both joins fail does the
+    backtracking search (``_search``) run; the pass and the search are the
+    only two ways this answers None.
     ``budget`` caps the candidates tried by the search, and counts nothing
     else; exceeding it raises SearchLimitExceeded rather than answering, so
     None always means "no morphism exists".  Whatever the pass or a join

@@ -40,10 +40,9 @@ def random_colored_graph(
     colours = tuple(rng.randint(0, 1) for _ in range(size))
     return ColoredGraph(
         n=n,
-        keys=tuple(range(size)),
+        keys=tuple((f"s{v}",) for v in range(size)),
         signatures=signatures,
         colours=colours,
-        kind="generic",
     )
 
 
@@ -235,6 +234,24 @@ def random_rule(rng: random.Random, n: int, k: int) -> FusionRule:
     while not domain:
         domain = [c for c in itertools.product(decisions, repeat=n) if rng.random() < 0.7]
     return FusionRule(n, decisions, tuple(domain), tuple(rng.randint(0, 1) for _ in domain))
+
+
+def inference_rule(N: int, n: int) -> FusionRule:
+    """``inf_N:n``, a fusion rule of n agents modelled on Kumar & Takai's
+    N-inference architecture (IEEE TAC 2007).  Each decision is a vote 0 or
+    1 at an ambiguity level 0..N, written ``v@k``, or ``dk``, declared level
+    first: ``0@0, 1@0, ..., 0@N, 1@N, dk``.  A combination is allowed iff
+    some agent votes and every vote at the lowest level present is the same;
+    it fuses to that vote.  ``inf_0`` is ``cpda`` with its decisions renamed."""
+    decisions = tuple(f"{v}@{k}" for k in range(N + 1) for v in "01") + ("dk",)
+    domain, outputs = [], []
+    for combo in itertools.product(decisions, repeat=n):
+        votes = sorted((int(k), v) for v, _, k in (d.partition("@") for d in combo if d != "dk"))
+        lowest = {v for k, v in votes if k == votes[0][0]}
+        if len(lowest) == 1:
+            domain.append(combo)
+            outputs.append(int(lowest.pop()))
+    return FusionRule(n, decisions, tuple(domain), tuple(outputs))
 
 
 def separable(inside, outside, n: int) -> bool:

@@ -321,13 +321,6 @@ class TestMorphismFiles:
         with pytest.raises(FileFormatError, match=message):
             files.morphism_to_obj(m)
 
-    def test_generic_graphs_use_raw_keys(self):
-        g = ColoredGraph(n=1, keys=(0, 1), signatures=(("x",), ("y",)), colours=(0, 0))
-        m = Morphism(g, g, (0, 1))
-        obj = files.morphism_to_obj(m)
-        assert obj == [[0, 0], [1, 1]]
-        assert files.parse_morphism(obj, g, g).mapping == (0, 1)
-
 
 class TestSolutionFiles:
     def test_round_trip_with_mixed_labels(self, tmp_path):
@@ -436,7 +429,6 @@ class TestRenderer:
         [
             "observation-witness",
             "decision-witness",
-            "generic-witness",
             "solution",
             "poset",
             "verdict",
@@ -475,9 +467,6 @@ def _written_shape(shape: str, ex1, gamma_control):
     if shape == "decision-witness":
         cpda2 = build_decision_graph(builtin_rule("cpda", 2))
         return files.morphism_to_obj(find_morphism(cpda2, conj2))
-    if shape == "generic-witness":
-        g = ColoredGraph(n=1, keys=(0, 1, 2), signatures=(("x",), ("y",), ("x",)), colours=(0, 0, 0))
-        return files.morphism_to_obj(Morphism(g, g, (0, 1, 0)))
     if shape == "solution":
         m = find_morphism(build_observation_graph(ex1), conj2)
         projected = extract_solution(m)

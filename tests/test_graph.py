@@ -35,7 +35,7 @@ def edges_by_key(g: ColoredGraph) -> dict:
 class TestObservationGraph:
     def test_example_graph(self, ex1):
         g = build_observation_graph(ex1)
-        assert g.keys == ex1.L and g.n == 2 and g.kind == "observation"
+        assert g.keys == ex1.L and g.n == 2 and g.decisions is None
         assert g.colours == (0, 1, 0, 0)
         a, b, ab, bb = ("a",), ("b",), ("a", "b"), ("b", "b")
         assert edges_by_key(g) == {
@@ -99,7 +99,7 @@ class TestObservationGraph:
 class TestDecisionGraph:
     def test_conjunctive_graph(self):
         g = build_decision_graph(builtin_rule("conjunctive", 2))
-        assert g.kind == "decision" and len(g) == 4
+        assert g.decisions == ("0", "1") and len(g) == 4
         assert edges_by_key(g) == {
             frozenset((("0", "0"), ("0", "1"))): frozenset({1}),
             frozenset((("0", "0"), ("1", "0"))): frozenset({0}),
@@ -155,6 +155,22 @@ class TestColoredGraph:
     def test_names_the_first_bad_colour(self):
         with pytest.raises(ValueError, match="^node colours must be 0 or 1, got 2$"):
             ColoredGraph(n=1, keys=(0, 1, 2), signatures=(("x",),) * 3, colours=(True, 2, -1))
+
+    def test_names_the_first_undeclared_decision(self):
+        keys = (("0", "1"), ("1", "x"), ("y", "1"))
+        with pytest.raises(ValueError, match="^signatures use 'x', which decisions does not declare$"):
+            ColoredGraph(n=2, keys=keys, signatures=keys, colours=(0, 1, 1), decisions=["0", "1"])
+
+    def test_decisions_are_a_tuple_that_the_quotient_keeps(self):
+        g = ColoredGraph(
+            n=1,
+            keys=(("a",), ("b",), ("c",)),
+            signatures=(("1",), ("1",), ("0",)),
+            colours=(1, 1, 0),
+            decisions=["1", "0"],
+        )
+        assert g.decisions == ("1", "0")
+        assert len(g.quotient.graph) == 2 and g.quotient.graph.decisions == ("1", "0")
 
 
 class TestQuotient:

@@ -39,6 +39,7 @@ from helpers import (
     brute_force_morphism_exists,
     closed_form_core,
     closed_form_solvable,
+    inference_rule,
     nodewise_refute,
     pairwise_edge_ok,
     pairwise_search,
@@ -207,6 +208,16 @@ class TestFindMorphism:
         conj = build_decision_graph(builtin_rule("conjunctive", 2))
         assert find_morphism(cpda, conj) is not None
         assert find_morphism(conj, cpda) is None
+
+    def test_an_inference_rule_pair_is_answered_by_a_join(self):
+        # inf_1:4 (380 nodes) into inf_3:4 (5,112 nodes).  In sorted token
+        # order neither join of the fixpoint is a morphism, and the search
+        # thrashes for minutes; in the declared order the min join is one.
+        src = build_decision_graph(inference_rule(1, 4))
+        dst = build_decision_graph(inference_rule(3, 4))
+        m = find_morphism(src, dst, budget=0)
+        assert m is not None and verify_morphism(m)
+        assert find_morphism(dst, src, budget=0) is None
 
     @pytest.mark.parametrize("name", ["conjunctive", "cpda", "conjunctive_cd"])
     def test_every_graph_maps_onto_itself(self, name):
@@ -1180,9 +1191,10 @@ class TestClosedFormOracleAtScale:
                 assert find_morphism(build_observation_graph(sub), target, budget=0) is None
 
 
-# The coordinate-wise operations, on sorted tokens, under which each colour
-# class of a builtin decision graph is closed at every n >= 2 (at n = 1 every
-# builtin is closed under both).
+# The coordinate-wise operations, in the order each rule declares its
+# decisions (sorted, for every builtin), under which each colour class of a
+# builtin decision graph is closed at every n >= 2 (at n = 1 every builtin is
+# closed under both).
 _BUILTIN_JOINS = {
     "conjunctive": {min},
     "disjunctive": {max},
@@ -1192,25 +1204,43 @@ _BUILTIN_JOINS = {
     "const1": {min, max},
 }
 
+# n: the levels N = 0, 1, ... for which inf_N:n is checked as well.
+_INFERENCE_LEVELS = {1: 0, 2: 4, 3: 4, 4: 2}
+
+
+def _closed_joins(rule: FusionRule, order) -> set:
+    """The picks, ``min`` and ``max`` over the decisions ranked by ``order``,
+    under which every colour class of the rule's decision graph is closed;
+    checked on every pair of same-colour nodes."""
+    rank = dict(zip(order, itertools.count()))
+    g = build_decision_graph(rule)
+    nodes = {(tuple(map(rank.__getitem__, sig)), c) for sig, c in zip(g.signatures, g.colours)}
+    return {
+        pick
+        for pick in (min, max)
+        if all(
+            (tuple(map(pick, u, v)), colour) in nodes
+            for u, colour in nodes
+            for v, other in nodes
+            if colour == other
+        )
+    }
+
 
 @pytest.mark.parametrize("n", range(1, 5))
 def test_builtin_colour_classes_are_closed_under_a_join(n):
-    # The property that lets find_morphism read every builtin answer off the
-    # arc-consistency fixpoint; checked on every pair of same-colour nodes.
+    # The property that lets find_morphism read every answer into these
+    # targets off the arc-consistency fixpoint, in the declared order that
+    # ``_join`` follows.  inf_N is closed under min level first; in sorted
+    # token order the vote comes before the level, and from N = 1 on
+    # neither join is closed.
     for name, joins in _BUILTIN_JOINS.items():
-        g = build_decision_graph(builtin_rule(name, n))
-        nodes = set(zip(g.signatures, g.colours))
-        closed = {
-            pick
-            for pick in (min, max)
-            if all(
-                (tuple(map(pick, u, v)), colour) in nodes
-                for u, colour in nodes
-                for v, other in nodes
-                if colour == other
-            )
-        }
-        assert closed == (joins if n > 1 else {min, max}), name
+        rule = builtin_rule(name, n)
+        assert _closed_joins(rule, rule.decisions) == (joins if n > 1 else {min, max}), name
+    for N in range(_INFERENCE_LEVELS[n]):
+        rule = inference_rule(N, n)
+        assert _closed_joins(rule, rule.decisions) == {min}, N
+        assert _closed_joins(rule, sorted(rule.decisions)) == (set() if N else {min}), N
 
 
 class TestNoBuiltinTargetReachesTheSearch:
@@ -1236,6 +1266,26 @@ class TestNoBuiltinTargetReachesTheSearch:
                 assert verify_morphism(witness)
             found[witness is not None] += 1
         assert found[False] == (17 if n > 1 else 10)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_builtin_and_inference_pairs(self, n):
+        # Every ordered pair over the builtins and inf_0..inf_2.  With the
+        # search gone, a None comes from the arc-consistency pass, which is
+        # sound, and every witness is verified.  The complete search, which
+        # 12 of these pairs reached in sorted token order, maps the same 44.
+        rules = [builtin_rule(name, n) for name in BUILTIN_RULES]
+        rules += [inference_rule(N, n) for N in range(3)]
+        graphs = [build_decision_graph(rule) for rule in rules]
+        found = set()
+        for (a, src), (b, dst) in itertools.product(enumerate(graphs), repeat=2):
+            witness = find_morphism(src, dst)
+            if witness is not None:
+                assert verify_morphism(witness)
+                found.add((a, b))
+        cpda, inf0, inf1, inf2 = BUILTIN_RULES.index("cpda"), 6, 7, 8
+        assert {(cpda, inf0), (inf0, cpda), (inf0, inf1), (inf1, inf2)} <= found
+        assert not {(inf1, inf0), (inf2, inf1)} & found
+        assert len(found) == 44
 
     @pytest.mark.parametrize("seed", range(3))
     def test_problems_at_scale(self, seed):
