@@ -322,7 +322,7 @@ def _label_to(label: Any) -> Any:
 
 def _label_from(raw: Any, where: str) -> Any:
     """Table labels are text; projection labels are strings."""
-    return raw if isinstance(raw, str) else _string_from(raw, where)
+    return raw if _is_texts([raw]) else _string_from(raw, where)
 
 
 def solution_to_obj(sol: Solution) -> list:
@@ -348,7 +348,7 @@ def parse_solution(obj: Any) -> Solution:
                 isinstance(pair, list) and len(pair) == 2,
                 f"tables[{i}] entries must be [label, decision] pairs",
             )
-            _require(isinstance(pair[1], str), f"tables[{i}]: decisions must be text")
+            _require(_is_texts([pair[1]]), f"tables[{i}]: decisions must be text")
             label = _label_from(pair[0], f"tables[{i}] label")
             _require(
                 entries.setdefault(label, pair[1]) == pair[1],

@@ -34,10 +34,10 @@ class ColoredGraph:
     agents on which its two nodes' signatures differ: defined by the
     signatures, never stored, and computed only where ``export_dot`` needs it.
 
-    ``decisions`` is None when the keys are strings (token tuples).  A
-    decision graph and its quotient carry their rule's decisions instead, in
-    the declared order that ``_join`` follows; every signature coordinate
-    must be one of them (ValueError otherwise).
+    ``n`` is at least 1.  ``decisions`` is None when the keys are strings
+    (token tuples).  A decision graph and its quotient carry their rule's
+    decisions instead, in the declared order that ``_join`` follows; every
+    signature coordinate must be one of them (ValueError otherwise).
     """
 
     n: int
@@ -47,6 +47,8 @@ class ColoredGraph:
     decisions: tuple[Token, ...] | None = None
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(f"agent count must be at least 1, got {self.n}")
         object.__setattr__(self, "keys", tuple(self.keys))
         object.__setattr__(self, "signatures", tuple(map(tuple, self.signatures)))
         object.__setattr__(self, "colours", tuple(self.colours))
@@ -69,16 +71,22 @@ class ColoredGraph:
     def __len__(self) -> int:
         return len(self.keys)
 
-    # The label indexes below are built once per graph and shared by the
-    # search and the arc-consistency pass; callers must not mutate them.
+    # ``columns`` and the label indexes built from it, once per graph, are
+    # shared by the search, its checks and the verifier; do not mutate them.
+
+    @cached_property
+    def columns(self) -> tuple[tuple[Hashable, ...], ...]:
+        """Per agent, that agent's coordinate of every node, in node order:
+        the one transpose of ``signatures``; ``()`` when there are no nodes."""
+        return tuple(zip(*self.signatures))
 
     @cached_property
     def label_buckets(self) -> tuple[dict[Hashable, list[int]], ...]:
         """Per agent i, each label l mapped to the nodes whose signature has
-        ``sig[i] == l``, in node order."""
-        buckets: tuple[dict[Hashable, list[int]], ...] = tuple({} for _ in range(self.n))
-        for v, sig in enumerate(self.signatures):
-            for bucket, label in zip(buckets, sig):
+        ``sig[i] == l``, in node order; one dict per column of ``columns``."""
+        buckets: tuple[dict[Hashable, list[int]], ...] = tuple({} for _ in self.columns)
+        for bucket, column in zip(buckets, self.columns):
+            for v, label in enumerate(column):
                 bucket.setdefault(label, []).append(v)
         return buckets
 

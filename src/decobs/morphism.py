@@ -59,13 +59,13 @@ class Morphism:
 
 
 def _agent_columns(m: Morphism) -> tuple[tuple, tuple, tuple]:
-    """Per agent: the source label column, the image column (each image
-    node's coordinate at that agent, read off ``m.target.signatures``) and
-    the ``_clashes`` of the two, as whole-column passes in O(N·n) for N
-    source nodes and n agents; all three are empty for a map with no
-    nodes, whatever n is."""
-    labels = tuple(zip(*m.source.signatures))
-    images = tuple(zip(*map(m.target.signatures.__getitem__, m.mapping)))
+    """Per agent: the source label column (``m.source.columns``), the image
+    column (each image node's coordinate at that agent, read off
+    ``m.target.columns``) and the ``_clashes`` of the two, as whole-column
+    passes in O(N·n) for N source nodes and n agents.  A map with no nodes
+    has no label columns and no clashes, whatever n is."""
+    labels = m.source.columns
+    images = tuple(tuple(map(column.__getitem__, m.mapping)) for column in m.target.columns)
     return labels, images, tuple(map(_clashes, labels, images))
 
 
@@ -74,8 +74,8 @@ def verify_morphism(m: Morphism) -> bool:
     node's colour, and for each agent i, nodes sharing the label ``sig[i]``
     have images sharing coordinate i, that is, no agent's label column
     clashes with its image column.  ``extract_solution`` names the first
-    clash of a map this rejects for its edges.  An empty map builds nothing
-    per agent, so its agent count costs nothing to verify."""
+    clash of a map this rejects for its edges.  An empty map into a graph
+    with no nodes builds nothing per agent, whatever its agent count."""
     if tuple(map(m.target.colours.__getitem__, m.mapping)) != m.source.colours:
         return False
     return not any(_agent_columns(m)[2])
@@ -244,7 +244,6 @@ def _refute(src: ColoredGraph, dst: ColoredGraph) -> list[dict[Hashable, int]] |
     everyone = (1 << len(src)) - 1
     by_colour = list(map(src.colour_masks.__getitem__, dst.colours))
     live = [dict.fromkeys(by_coord, everyone) for by_coord in dst.label_buckets]
-    columns = tuple(zip(*dst.signatures))
     support = by_colour
     while reduce(or_, support, 0) == everyone:
         changed = False
@@ -263,7 +262,7 @@ def _refute(src: ColoredGraph, dst: ColoredGraph) -> list[dict[Hashable, int]] |
         if not changed:
             return live
         support = by_colour
-        for kept_of, column in zip(live, columns):
+        for kept_of, column in zip(live, dst.columns):
             support = list(map(and_, support, map(kept_of.__getitem__, column)))
     return None
 
@@ -291,7 +290,7 @@ def _join(
             coord.update(zip(compress(masks, map(kept_of[c].__and__, masks.values())), repeat(c)))
         coords.append(coord)
     node_of = dict(zip(zip(dst.signatures, dst.colours), count()))
-    columns = map(map, [coord.__getitem__ for coord in coords], zip(*src.signatures))
+    columns = map(map, [coord.__getitem__ for coord in coords], src.columns)
     image = list(map(node_of.get, zip(zip(*columns), src.colours)))
     return None if None in image else image
 
@@ -319,16 +318,11 @@ def find_morphism(
     ``budget`` caps the candidates tried by the search, and counts nothing
     else; exceeding it raises SearchLimitExceeded rather than answering, so
     None always means "no morphism exists".  Whatever the pass or a join
-    answers is answered under any budget, 0 included.
-
-    A source with no nodes is answered by the empty map before any quotient
-    or label index is built, so its agent count costs nothing to find (nor,
-    by ``verify_morphism``, to verify).
+    answers is answered under any budget, 0 included.  A source with no
+    nodes has no ``columns``, so the first join maps it by the empty map.
     """
     if source.n != target.n:
         raise ArityMismatch(f"source has {source.n} agents, target has {target.n}")
-    if not len(source):
-        return Morphism(source, target, ())
     src, dst = source.quotient, target.quotient
     live = _refute(src.graph, dst.graph)
     if live is None:

@@ -1657,8 +1657,13 @@ class TestUnwritableText:
             ("problem", "b", ["graph", "{file}", "--dot", "{out}/g.dot"]),
             ("rule", "0", ["compare", "{file}", "conjunctive:2", "--witness", "{out}/w"]),
             ("control", "γ", ["reduce", "{file}", "-o", "{out}/d"]),
+            ("solution", "1", ["verify-solution", "{problem}", "{file}", "--rule", "conjunctive:2"]),
+            ("solution", "x", ["verify-solution", "{problem}", "{file}", "--rule", "conjunctive:2"]),
         ],
-        ids=["L token", "alphabet", "table label", "graph", "rule decision", "controllable event"],
+        ids=[
+            "L token", "alphabet", "table label", "graph", "rule decision", "controllable event",
+            "solution decision", "solution label",
+        ],
     )
     def test_is_invalid_input_and_writes_nothing(
         self, runner, tmp_path, gamma_control, document, text, template
@@ -1666,9 +1671,11 @@ class TestUnwritableText:
         docs = dict(_base_documents(), control=files.problem_to_obj(gamma_control))
         path = tmp_path / "in.json"
         path.write_text(json.dumps(_surrogate_for(docs[document], text)))
+        problem = tmp_path / "problem.json"
+        dump_json(docs["problem"], problem)
         out = tmp_path / "out"
         out.mkdir()
-        result = runner.invoke(main, [a.format(file=path, out=out) for a in template])
+        result = runner.invoke(main, [a.format(file=path, out=out, problem=problem) for a in template])
         assert result.exit_code == 2, result.output
         assert "internal" not in result.output
         assert list(out.iterdir()) == []

@@ -156,6 +156,10 @@ class TestColoredGraph:
         with pytest.raises(ValueError, match="^node colours must be 0 or 1, got 2$"):
             ColoredGraph(n=1, keys=(0, 1, 2), signatures=(("x",),) * 3, colours=(True, 2, -1))
 
+    def test_rejects_zero_agents(self):
+        with pytest.raises(ValueError, match="^agent count must be at least 1, got 0$"):
+            ColoredGraph(n=0, keys=(("a",), ("b",)), signatures=((), ()), colours=(0, 1))
+
     def test_names_the_first_undeclared_decision(self):
         keys = (("0", "1"), ("1", "x"), ("y", "1"))
         with pytest.raises(ValueError, match="^signatures use 'x', which decisions does not declare$"):

@@ -229,8 +229,6 @@ class TestFindMorphism:
         g = build_decision_graph(FusionRule(10**6, ("0", "1"), (), ()))
         m = find_morphism(g, g)
         assert m is not None and m.mapping == ()
-        assert "quotient" not in g.__dict__
-        assert "label_buckets" not in g.__dict__
 
     def test_the_empty_map_verifies_in_bounded_memory(self):
         # A child process caps its own address space at 1.5 GB, so anything

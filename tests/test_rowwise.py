@@ -14,6 +14,7 @@ from hypothesis import assume, given, strategies as st
 
 from decobs import (
     BUILTIN_RULES,
+    FusionRule,
     InconsistentMorphism,
     Morphism,
     ObservationProblem,
@@ -106,9 +107,10 @@ class TestGraphAndQuotient:
 
 
 def _assert_label_indexes(g) -> None:
-    """A graph's label buckets, label masks and colour masks against a
-    restatement of their definitions, one node at a time."""
+    """A graph's columns, label buckets, label masks and colour masks
+    against a restatement of their definitions, one node at a time."""
     nodes = range(len(g))
+    assert g.columns == tuple(tuple(sig[i] for sig in g.signatures) for i in range(g.n) if nodes)
     for i, (buckets, masks) in enumerate(zip(g.label_buckets, g.label_masks)):
         labels = list(dict.fromkeys(sig[i] for sig in g.signatures))
         assert list(buckets) == labels
@@ -131,6 +133,10 @@ class TestLabelIndexes:
     @pytest.mark.parametrize("name", BUILTIN_RULES)
     def test_decision_graphs(self, name, n):
         _assert_label_indexes(build_decision_graph(builtin_rule(name, n)))
+
+    def test_a_graph_without_nodes_has_no_index_per_agent(self):
+        g = build_decision_graph(FusionRule(10**5, ("0", "1"), (), ()))
+        assert g.columns == g.label_buckets == g.label_masks == ()
 
 
 def _any_node_map(p: ObservationProblem, data) -> Morphism:
